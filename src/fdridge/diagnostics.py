@@ -3,7 +3,9 @@
 Under y = A x0 + eps with eps ~ N(0, sigma^2 I), every estimator treated
 here is an affine function of y, so its bias and covariance have closed
 forms.  These routines evaluate them exactly (up to floating point) given
-the data matrix, rather than by Monte Carlo.
+the data matrix, rather than by Monte Carlo.  Each takes one regularizer
+or a sequence of them; a sequence gives one report per entry, all from a
+single factorization of the estimator's curvature.
 """
 from __future__ import annotations
 
@@ -75,90 +77,90 @@ def with_relatives(report: DiagnosticsReport,
                    rel_mse=_relative(report.mse, baseline.mse))
 
 
+def _grid(A: np.ndarray, noise_map: np.ndarray, curvature: np.ndarray,
+          op: InverseOperator, model: LinearModelSpec, gamma, shift=0.0):
+    """Reports for x = (X^T X + (g + shift) I)^{-1} N^T y at each gamma.
+
+    ``op`` (at any regularizer) holds the eigenpairs (lam_i, v_i) of X^T X
+    for X = ``curvature``; the estimator sees y through N = ``noise_map``.
+    With g the total regularizer and H = X^T X + g I the moments are
+
+        bias = H^{-1} (N^T A - X^T X - g I) x0,
+        var  = sigma^2 |N H^{-1}|_F^2 = sigma^2 (sum_i |N v_i|^2 / (lam_i + g)^2
+               + |N (I - V V^T)|_F^2 / g^2),
+
+    so one O(n d r) pass serves the grid and each gamma costs an O(d r)
+    apply.  A scalar ``gamma`` gives one report, a sequence a list.
+    """
+    grid = np.asarray(gamma, dtype=float)
+    if grid.ndim > 1 or not np.all(grid > 0):
+        raise ValueError(f"regularizer must be positive, got {gamma}")
+    truth = model.truth
+    resid = noise_map.T @ (A @ truth) - curvature.T @ (curvature @ truth)
+    inside = noise_map @ op.basis
+    weights = np.einsum("ij,ij->j", inside, inside)
+    beyond = inside @ op.basis.T
+    beyond -= noise_map
+    outside = float(np.vdot(beyond, beyond))
+    reports = []
+    for g in np.atleast_1d(grid):
+        total = g + shift
+        bias = op.retarget(total).apply(resid - total * truth)
+        var = weights @ (1.0 / (op.spectrum + total) ** 2) + outside / total ** 2
+        reports.append(_finish(bias @ bias, model.noise_sd ** 2 * var))
+    return reports if grid.ndim else reports[0]
+
+
 def optimal_diagnostics(A: np.ndarray, model: LinearModelSpec,
-                        gamma: float) -> DiagnosticsReport:
+                        gamma) -> DiagnosticsReport | list:
     """Diagnostics of the exact ridge estimator.
 
     bias = -gamma (A^T A + gamma I)^{-1} x0 and the variance trace is
     sigma^2 |A (A^T A + gamma I)^{-1}|_F^2.
     """
     A = np.asarray(A, dtype=float)
-    if not gamma > 0:
-        raise ValueError(f"regularizer must be positive, got {gamma}")
-    d = A.shape[1]
-    H = A.T @ A + gamma * np.eye(d)
-    pulled = np.linalg.solve(H, model.truth)
-    bias_sq = gamma ** 2 * float(pulled @ pulled)
-    inv = np.linalg.solve(H, np.eye(d))
-    var_trace = model.noise_sd ** 2 * float(np.linalg.norm(A @ inv, "fro") ** 2)
-    return _finish(bias_sq, var_trace)
+    return _grid(A, A, A, InverseOperator(A, 1.0), model, gamma)
 
 
 def sketched_diagnostics(A: np.ndarray, output: SketchOutput,
-                         model: LinearModelSpec, gamma: float
-                         ) -> DiagnosticsReport:
+                         model: LinearModelSpec, gamma) -> DiagnosticsReport | list:
     """Diagnostics of the sketched one-shot estimator built from ``output``.
 
-    Uses the fast inverse operator throughout: the bias needs one apply,
-    the variance trace d batched applies for sigma^2 |A H_hat^{-1}|_F^2.
+    H_hat = B^T B + (gamma + shift) I replaces the exact Gram matrix; the
+    noise still enters through A, so the variance trace is
+    sigma^2 |A H_hat^{-1}|_F^2.
     """
     A = np.asarray(A, dtype=float)
-    if not gamma > 0:
-        raise ValueError(f"regularizer must be positive, got {gamma}")
-    d = A.shape[1]
-    op = InverseOperator.from_sketch(output, gamma)
-    cross = A.T @ (A @ model.truth)
-    bias = op.apply(cross) - model.truth
-    bias_sq = float(bias @ bias)
-    inv_cols = op.apply(np.eye(d))
-    var_trace = model.noise_sd ** 2 * float(
-        np.linalg.norm(A @ inv_cols, "fro") ** 2)
-    return _finish(bias_sq, var_trace)
+    op = InverseOperator.from_sketch(output, 1.0)
+    return _grid(A, A, output.matrix, op, model, gamma, shift=output.shift)
 
 
 def classical_sketch_diagnostics(A: np.ndarray, S, model: LinearModelSpec,
-                                 gamma: float, sketched_A=None
-                                 ) -> DiagnosticsReport:
+                                 gamma, sketched_A=None) -> DiagnosticsReport | list:
     """Diagnostics of the fully sketched estimator for a realized S.
 
     Both moments involve S itself, not just S A: the estimator sees the
     noise only through S, so the variance trace is
     sigma^2 |S^T S A (A^T S^T S A + gamma I)^{-1}|_F^2.  Pass the
-    precomputed product as ``sketched_A`` when sweeping many gammas.
+    precomputed product as ``sketched_A`` to skip recomputing it.
     """
     A = np.asarray(A, dtype=float)
-    if not gamma > 0:
-        raise ValueError(f"regularizer must be positive, got {gamma}")
-    d = A.shape[1]
-    SA = np.asarray(S @ A) if sketched_A is None else np.asarray(sketched_A)
-    H = SA.T @ SA + gamma * np.eye(d)
-    bias = np.linalg.solve(H, SA.T @ (SA @ model.truth)) - model.truth
-    bias_sq = float(bias @ bias)
-    inv = np.linalg.solve(H, np.eye(d))
-    smeared = np.asarray(S.T @ (SA @ inv))
-    var_trace = model.noise_sd ** 2 * float(np.linalg.norm(smeared, "fro") ** 2)
-    return _finish(bias_sq, var_trace)
+    SA = np.asarray(S @ A if sketched_A is None else sketched_A, dtype=float)
+    noise_map = np.asarray(S.T @ SA)
+    return _grid(A, noise_map, SA, InverseOperator(SA, 1.0), model, gamma)
 
 
 def hessian_sketch_diagnostics(A: np.ndarray, sketched_A: np.ndarray,
-                               model: LinearModelSpec, gamma: float
-                               ) -> DiagnosticsReport:
+                               model: LinearModelSpec, gamma
+                               ) -> DiagnosticsReport | list:
     """Diagnostics of the partially sketched estimator (full right-hand side).
 
     Only the curvature is sketched, so the noise enters through A and the
     formulas match the one-shot sketched case with H_hat built from S A.
     """
     A = np.asarray(A, dtype=float)
-    sketched_A = np.asarray(sketched_A, dtype=float)
-    if not gamma > 0:
-        raise ValueError(f"regularizer must be positive, got {gamma}")
-    d = A.shape[1]
-    H = sketched_A.T @ sketched_A + gamma * np.eye(d)
-    bias = np.linalg.solve(H, A.T @ (A @ model.truth)) - model.truth
-    bias_sq = float(bias @ bias)
-    inv = np.linalg.solve(H, np.eye(d))
-    var_trace = model.noise_sd ** 2 * float(np.linalg.norm(A @ inv, "fro") ** 2)
-    return _finish(bias_sq, var_trace)
+    SA = np.asarray(sketched_A, dtype=float)
+    return _grid(A, A, SA, InverseOperator(SA, 1.0), model, gamma)
 
 
 @dataclass(frozen=True)

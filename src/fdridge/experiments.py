@@ -23,8 +23,8 @@ from .diagnostics import (LinearModelSpec, classical_sketch_diagnostics,
 from .random_sketch import (GaussianSketchSpec, SjltSketchSpec,
                             realize_gaussian, realize_sjlt)
 from .sketch import MODE_FD, MODE_RFD, StreamingSketch, tail_masses
-from .solvers import (DivergenceError, RidgeProblem, ifdrr_solve,
-                      iterative_randomized_solve)
+from .solvers import (DivergenceError, InverseOperator, RidgeProblem,
+                      ifdrr_solve, iterative_randomized_solve)
 
 
 class ConfigError(ValueError):
@@ -71,7 +71,6 @@ class SweepConfig:
     libsvm_path: str | None = None
     m: int = 256
     gammas: tuple = tuple(2.0 ** k for k in range(-8, 7))
-    thetas: tuple = (0.3, 0.5, 0.7)
     methods: tuple = STATISTICAL_METHODS
     trials: int = 10
     seed: int = 0
@@ -91,8 +90,6 @@ class SweepConfig:
             raise ConfigError("the regularizer grid is empty")
         if any(not g > 0 for g in self.gammas):
             raise ConfigError("every regularizer in the grid must be positive")
-        if any(not 0 < th < 1 for th in self.thetas):
-            raise ConfigError("every theta target must lie in (0, 1)")
         unknown = [meth for meth in self.methods if meth not in ALL_METHODS]
         if unknown:
             raise ConfigError(
@@ -108,7 +105,7 @@ class SweepConfig:
 _INT_KEYS = {"n", "d", "raw_dim", "rff_features", "m", "trials", "seed", "sjlt_s"}
 _FLOAT_KEYS = {"r", "noise_sd", "rff_gamma"}
 _STR_KEYS = {"dataset", "libsvm_path", "out"}
-_LIST_KEYS = {"gammas", "thetas", "methods"}
+_LIST_KEYS = {"gammas", "methods"}
 
 
 def _parse_number(token: str) -> float:
@@ -296,20 +293,19 @@ def run_bias_variance_sweep(config: SweepConfig, jobs: int = 1,
             "(synthetic or gaussian-rff with noise_sd > 0)")
     n, d = A.shape
     gammas = sorted(set(config.gammas))
-    baseline = {g: optimal_diagnostics(A, model, g) for g in gammas}
+    baseline = optimal_diagnostics(A, model, gammas)
 
-    deterministic = {}
+    def relative(reports):
+        return [with_relatives(rep, base) for rep, base in zip(reports, baseline)]
+
+    single = {"exact": relative(baseline)}
     if "fdrr" in config.methods or "rfdrr" in config.methods:
         sk = StreamingSketch(config.m, d)
         sk.extend(A)
-        outputs = {"fdrr": sk.finalize(MODE_FD), "rfdrr": sk.finalize(MODE_RFD)}
-        for meth in ("fdrr", "rfdrr"):
+        for meth, mode in (("fdrr", MODE_FD), ("rfdrr", MODE_RFD)):
             if meth in config.methods:
-                deterministic[meth] = {
-                    g: with_relatives(
-                        sketched_diagnostics(A, outputs[meth], model, g),
-                        baseline[g])
-                    for g in gammas}
+                single[meth] = relative(
+                    sketched_diagnostics(A, sk.finalize(mode), model, gammas))
 
     random_methods = [meth for meth in config.methods
                       if meth.startswith(("classical:", "hessian:"))]
@@ -322,36 +318,25 @@ def run_bias_variance_sweep(config: SweepConfig, jobs: int = 1,
         seed = child_seed(config.seed, _SWEEP_TAG, _METHOD_INDEX[meth], trial)
         S = _realize(flavor, config.m, n, config.sjlt_s, seed)
         SA = np.asarray(S @ A)
-        reports = {}
-        for g in gammas:
-            if kind == "classical":
-                rep = classical_sketch_diagnostics(A, S, model, g, sketched_A=SA)
-            else:
-                rep = hessian_sketch_diagnostics(A, SA, model, g)
-            reports[g] = with_relatives(rep, baseline[g])
-        return reports
+        if kind == "classical":
+            return relative(classical_sketch_diagnostics(
+                A, S, model, gammas, sketched_A=SA))
+        return relative(hessian_sketch_diagnostics(A, SA, model, gammas))
 
     by_cell = _map_cells(cells, worker, jobs)
 
     rows = []
     raw_rows = []
     for meth in config.methods:
-        if meth == "exact":
-            for g in gammas:
-                rows.append(_report_row(
-                    meth, g, with_relatives(baseline[g], baseline[g])))
-        elif meth in deterministic:
-            for g in gammas:
-                rows.append(_report_row(meth, g, deterministic[meth][g]))
-        else:
-            for g in gammas:
-                trial_rows = []
-                for trial in range(config.trials):
-                    trial_row = _report_row(meth, g, by_cell[(meth, trial)][g])
-                    trial_row["trial"] = trial
-                    trial_rows.append(trial_row)
-                raw_rows.extend(trial_rows)
-                rows.append(_median_row(meth, g, trial_rows))
+        if meth in single:
+            rows += [_report_row(meth, g, rep)
+                     for g, rep in zip(gammas, single[meth])]
+            continue
+        for i, g in enumerate(gammas):
+            trial_rows = [dict(_report_row(meth, g, by_cell[(meth, trial)][i]),
+                               trial=trial) for trial in range(config.trials)]
+            raw_rows.extend(trial_rows)
+            rows.append(_median_row(meth, g, trial_rows))
     rows.sort(key=lambda r: (r["method"], r["gamma"]))
     raw_rows.sort(key=lambda r: (r["method"], r["gamma"], r["trial"]))
 
@@ -393,11 +378,11 @@ def run_iterative_experiment(config: SweepConfig, t: int, jobs: int = 1,
     if not config.methods:
         raise ConfigError("no methods requested")
     A, y, _ = load_instance(config)
-    n, d = A.shape
+    n = A.shape[0]
     gammas = sorted(set(config.gammas))
-    gram = A.T @ A
+    exact = InverseOperator(A, gammas[0])
     cross = A.T @ y
-    x_star = {g: np.linalg.solve(gram + g * np.eye(d), cross) for g in gammas}
+    x_star = {g: exact.retarget(g).apply(cross) for g in gammas}
     norm_star = {g: float(np.linalg.norm(x_star[g])) for g in gammas}
     gamma_index = {g: i for i, g in enumerate(gammas)}
 

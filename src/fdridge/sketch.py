@@ -28,13 +28,18 @@ SV_CUTOFF = 1e-12
 
 
 def _svd_rows(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Economy SVD returning (singular values, right factor Vt)."""
+    """Economy SVD returning (singular values, right factor Vt); raises
+    ValueError rather than let an overflowing spectrum wipe the buffer."""
     try:
         _, s, vt = np.linalg.svd(block, full_matrices=False)
     except np.linalg.LinAlgError:
         # gesdd occasionally fails to converge; gesvd is slower but solid.
         _, s, vt = scipy.linalg.svd(block, full_matrices=False,
                                     lapack_driver="gesvd")
+    with np.errstate(over="ignore"):
+        if not np.isfinite(s ** 2).all():
+            raise ValueError("the sketch spectrum is not finite: the rows "
+                             "are too large to square in float64")
     return s, vt
 
 
@@ -93,27 +98,29 @@ class StreamingSketch:
         self.shift_total = 0.0
 
     def update(self, row: np.ndarray) -> None:
-        """Insert one row, shrinking if the buffer becomes full."""
+        """Insert one row: :meth:`extend` with a one-row block."""
         row = np.asarray(row, dtype=float)
         if row.shape != (self.d,):
             raise ValueError(
                 f"expected a row of shape ({self.d},), got {row.shape}")
-        self.buffer[self.fill] = row
-        self.fill += 1
-        if self.fill == 2 * self.m:
-            self._shrink()
+        self.extend(row[None, :])
 
     def extend(self, rows: np.ndarray) -> None:
         """Insert many rows; equivalent to calling update on each in order.
 
         Rows are copied into the free slots in blocks, so the sequence of
         buffer states at shrink time is identical to the one produced by
-        row-at-a-time updates.
+        row-at-a-time updates.  A block holding a NaN or infinite entry is
+        rejected whole, naming its first such row, before any row is added.
         """
         rows = np.asarray(rows, dtype=float)
         if rows.ndim != 2 or rows.shape[1] != self.d:
             raise ValueError(
                 f"expected rows of shape (k, {self.d}), got {rows.shape}")
+        bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+        if bad.size:
+            raise ValueError(
+                f"row {bad[0]} has a non-finite entry; no rows were added")
         pos = 0
         total = rows.shape[0]
         while pos < total:
@@ -127,10 +134,6 @@ class StreamingSketch:
 
     def _shrink(self) -> None:
         s, vt = _svd_rows(self.buffer[:self.fill])
-        if s.size == 0 or s[0] == 0.0:
-            self.buffer[:] = 0.0
-            self.fill = 0
-            return
         reduction = float(s[self.m - 1] ** 2) if s.size >= self.m else 0.0
         squared = s ** 2 - reduction
         squared[s <= SV_CUTOFF * s[0]] = 0.0

@@ -11,9 +11,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.linalg
 
-from .sketch import MODE_FD, SketchOutput, StreamingSketch
+from .sketch import MODE_FD, SketchOutput, StreamingSketch, sketch_matrix
 
 # An iterate whose norm exceeds this multiple of |A^T y| / gamma has left
 # the region where any ridge solution can live; treat it as divergence.
@@ -57,34 +56,51 @@ class RidgeProblem:
 
 
 class InverseOperator:
-    """Fast application of (M^T M + g I)^{-1} for a short-and-fat sketch M.
+    """Fast application of (X^T X + g I)^{-1} for any factor X.
 
-    One economy SVD of M at construction gives orthonormal right singular
-    vectors and the squared spectrum; each apply is then
+    The operator holds the gamma-free pair (``spectrum``, ``basis``): the
+    nonzero eigenvalues of X^T X, largest first, and their orthonormal
+    eigenvectors, from one eigendecomposition of the smaller Gram matrix
+    (X X^T, in Woodbury form, for a short-and-fat factor).  Each apply is
 
         v / g + V diag(1 / (spectrum + g) - 1 / g) V^T v,
 
-    which costs O(m d) per vector instead of a dense d x d solve.
-    Instances are immutable after construction and thread-safe to apply.
+    O(r d) per vector for r kept directions; ``retarget`` reuses the pair
+    under another regularizer.  Instances are immutable and thread-safe.
     """
 
     def __init__(self, matrix: np.ndarray, gamma_total: float):
         matrix = np.asarray(matrix, dtype=float)
         if matrix.ndim != 2:
-            raise ValueError(f"expected a 2-d sketch, got shape {matrix.shape}")
-        if not gamma_total > 0:
-            raise ValueError(
-                f"total regularizer must be positive, got {gamma_total}")
-        _, s, vt = np.linalg.svd(matrix, full_matrices=False)
-        self.basis = vt.T
-        self.spectrum = s ** 2
-        self.gamma_total = float(gamma_total)
-        self.dim = matrix.shape[1]
+            raise ValueError(f"expected a 2-d factor, got shape {matrix.shape}")
+        self._set(_gram_eigh(matrix), gamma_total)
 
     @classmethod
     def from_sketch(cls, output: SketchOutput, gamma: float) -> "InverseOperator":
-        """Operator for a finalized sketch; the shift adds to gamma."""
-        return cls(output.matrix, gamma + output.shift)
+        """Operator for a finalized sketch; the shift adds to gamma.  The
+        sketch rows are orthogonal, so they give the eigenpairs directly."""
+        norms = np.linalg.norm(output.matrix, axis=1)
+        kept = norms > 0.0
+        basis = (output.matrix[kept] / norms[kept, None]).T
+        return cls.__new__(cls)._set((norms[kept] ** 2, basis),
+                                     gamma + output.shift)
+
+    def _set(self, factors: tuple, gamma_total: float) -> "InverseOperator":
+        if not gamma_total > 0:
+            raise ValueError(
+                f"total regularizer must be positive, got {gamma_total}")
+        self.spectrum, self.basis = factors
+        self.gamma_total = float(gamma_total)
+        return self
+
+    @property
+    def dim(self) -> int:
+        return self.basis.shape[0]
+
+    def retarget(self, gamma_total: float) -> "InverseOperator":
+        """The same factorization under another total regularizer."""
+        return InverseOperator.__new__(InverseOperator)._set(
+            (self.spectrum, self.basis), gamma_total)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """Apply to a vector or to each column of a matrix."""
@@ -100,16 +116,30 @@ class InverseOperator:
         return v / g + self.basis @ (coeff[:, None] * proj)
 
 
+def _gram_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of X^T X, largest first, from the smaller Gram matrix,
+    which resolves them only down to eps times the largest: any below
+    that are roundoff and dropped."""
+    short = matrix.shape[0] < matrix.shape[1]
+    spectrum, vecs = np.linalg.eigh(matrix @ matrix.T if short else matrix.T @ matrix)
+    floor = np.finfo(float).eps * spectrum.max(initial=0.0)
+    kept = np.flatnonzero(spectrum > floor)[::-1]
+    spectrum, vecs = spectrum[kept], vecs[:, kept]
+    if short:
+        vecs = matrix.T @ vecs
+        vecs /= np.linalg.norm(vecs, axis=0)
+    return spectrum, vecs
+
+
 @dataclass
 class IterativeTrace:
     """History of an iterative solve.
 
-    ``iterates[i]`` is the i-th iterate starting from the zero vector;
-    ``residual_norms[i]`` is its distance to a supplied reference solution
-    (``None`` when no reference was given).
+    ``residual_norms[i]`` is the distance of the i-th iterate, starting
+    from the zero vector, to a supplied reference solution (``None`` when
+    no reference was given).
     """
 
-    iterates: list
     residual_norms: Optional[list] = None
 
 
@@ -143,12 +173,10 @@ def fdrr_solve(problem: RidgeProblem, m: int, mode: str = MODE_FD) -> np.ndarray
     """Sketched ridge estimate (B^T B + (gamma + shift) I)^{-1} A^T y.
 
     One streaming pass builds the sketch and the cross product together;
-    the solve itself costs O(m d) after one SVD of the sketch.
+    the solve itself costs O(m d) on the sketch's orthogonal rows.
     """
     sk, cross = sketch_with_targets(problem.A, problem.y, m)
-    out = sk.finalize(mode)
-    op = InverseOperator.from_sketch(out, problem.gamma)
-    return op.apply(cross)
+    return InverseOperator.from_sketch(sk.finalize(mode), problem.gamma).apply(cross)
 
 
 def classical_sketch_solve(sketched_A: np.ndarray, sketched_y: np.ndarray,
@@ -156,25 +184,15 @@ def classical_sketch_solve(sketched_A: np.ndarray, sketched_y: np.ndarray,
     """Sketch-and-solve with both sides compressed:
     (A^T S^T S A + gamma I)^{-1} A^T S^T S y."""
     sketched_A = np.asarray(sketched_A, dtype=float)
-    sketched_y = np.asarray(sketched_y, dtype=float)
-    if not gamma > 0:
-        raise ValueError(f"regularizer must be positive, got {gamma}")
-    d = sketched_A.shape[1]
-    H = sketched_A.T @ sketched_A + gamma * np.eye(d)
-    return np.linalg.solve(H, sketched_A.T @ sketched_y)
+    return InverseOperator(sketched_A, gamma).apply(
+        sketched_A.T @ np.asarray(sketched_y, dtype=float))
 
 
 def hessian_sketch_solve(sketched_A: np.ndarray, cross: np.ndarray,
                          gamma: float) -> np.ndarray:
     """Partial sketching: curvature from S A, full-data right-hand side
     (A^T S^T S A + gamma I)^{-1} A^T y."""
-    sketched_A = np.asarray(sketched_A, dtype=float)
-    cross = np.asarray(cross, dtype=float)
-    if not gamma > 0:
-        raise ValueError(f"regularizer must be positive, got {gamma}")
-    d = sketched_A.shape[1]
-    H = sketched_A.T @ sketched_A + gamma * np.eye(d)
-    return np.linalg.solve(H, cross)
+    return InverseOperator(sketched_A, gamma).apply(cross)
 
 
 def _newton_iterate(problem: RidgeProblem,
@@ -195,8 +213,7 @@ def _newton_iterate(problem: RidgeProblem,
     d = A.shape[1]
     x = np.zeros(d)
     track = x_star is not None
-    trace = IterativeTrace(iterates=[x.copy()],
-                           residual_norms=[float(np.linalg.norm(x - x_star))]
+    trace = IterativeTrace(residual_norms=[float(np.linalg.norm(x - x_star))]
                            if track else None)
     guard = DIVERGENCE_FACTOR * np.linalg.norm(A.T @ y) / gamma
     for i in range(t):
@@ -204,7 +221,6 @@ def _newton_iterate(problem: RidgeProblem,
         x = x - apply_inverse(grad, i)
         if not np.isfinite(x).all() or np.linalg.norm(x) > guard:
             raise DivergenceError(iteration=i + 1, trace=trace)
-        trace.iterates.append(x.copy())
         if track:
             trace.residual_norms.append(float(np.linalg.norm(x - x_star)))
     return x, trace
@@ -215,14 +231,12 @@ def ifdrr_solve(problem: RidgeProblem, m: int, t: int, mode: str = MODE_FD,
                 ) -> tuple[np.ndarray, IterativeTrace]:
     """Iterative refinement with a fixed Frequent Directions preconditioner.
 
-    The sketch is built once (same pass also accumulates A^T y) and its
-    inverse operator is reused every iteration, so the first iterate
-    coincides with :func:`fdrr_solve` and later iterates sharpen it at
-    O(nd) per step.
+    The sketch is built once and its inverse operator is reused every
+    iteration, so the first iterate coincides with :func:`fdrr_solve` and
+    later iterates sharpen it at O(nd) per step.
     """
-    sk, _ = sketch_with_targets(problem.A, problem.y, m)
-    out = sk.finalize(mode)
-    op = InverseOperator.from_sketch(out, problem.gamma)
+    op = InverseOperator.from_sketch(sketch_matrix(problem.A, m, mode),
+                                     problem.gamma)
     return _newton_iterate(problem, lambda g, _i: op.apply(g), t, x_star)
 
 
@@ -240,19 +254,10 @@ def iterative_randomized_solve(problem: RidgeProblem,
     factory is called once and the same factorization is reused, which
     with S = I reproduces the exact solution after one step.
     """
-    gamma = problem.gamma
-    d = problem.A.shape[1]
-    if refresh:
-        def apply_inverse(g: np.ndarray, i: int) -> np.ndarray:
-            SA = np.asarray(sketch_factory(i), dtype=float)
-            H = SA.T @ SA + gamma * np.eye(d)
-            return np.linalg.solve(H, g)
-    else:
-        SA = np.asarray(sketch_factory(0), dtype=float)
-        H = SA.T @ SA + gamma * np.eye(d)
-        factor = scipy.linalg.cho_factor(H)
+    fixed = None if refresh else InverseOperator(sketch_factory(0), problem.gamma)
 
-        def apply_inverse(g: np.ndarray, _i: int) -> np.ndarray:
-            return scipy.linalg.cho_solve(factor, g)
+    def apply_inverse(g: np.ndarray, i: int) -> np.ndarray:
+        op = fixed or InverseOperator(sketch_factory(i), problem.gamma)
+        return op.apply(g)
 
     return _newton_iterate(problem, apply_inverse, t, x_star)

@@ -17,7 +17,8 @@ from fdridge.diagnostics import (BudgetError, DiagnosticsReport,
                                  optimal_diagnostics, sketched_diagnostics,
                                  theta_interval, with_relatives)
 from fdridge.datasets import SyntheticSpec, synthetic_regression
-from fdridge.random_sketch import GaussianSketchSpec, realize_gaussian
+from fdridge.random_sketch import (GaussianSketchSpec, SjltSketchSpec,
+                                   realize_gaussian, realize_sjlt)
 from fdridge.sketch import (MODE_FD, MODE_RFD, StreamingSketch, sketch_matrix,
                             tail_mass)
 
@@ -87,6 +88,8 @@ def test_diagnostics_reject_bad_gamma():
         classical_sketch_diagnostics(A, np.eye(3), model, 0.0)
     with pytest.raises(ValueError):
         hessian_sketch_diagnostics(A, A, model, 0.0)
+    with pytest.raises(ValueError):
+        optimal_diagnostics(A, model, [1.0, 0.0])
 
 
 def _mc_moments(solve_batch, A, model, draws=200_000, seed=99):
@@ -160,6 +163,115 @@ def test_hessian_diagnostics_against_monte_carlo(mc_instance):
     report = hessian_sketch_diagnostics(A, SA, model, gamma)
     assert report.bias_sq == pytest.approx(bias_sq, rel=0.02)
     assert report.var_trace == pytest.approx(var, rel=0.02)
+
+
+# Dense per-gamma oracles: one d x d solve per regularizer, written out
+# independently of the spectral grid routine the package uses.
+
+def dense_optimal(A, model, gamma):
+    d = A.shape[1]
+    H = A.T @ A + gamma * np.eye(d)
+    pulled = np.linalg.solve(H, model.truth)
+    inv = np.linalg.solve(H, np.eye(d))
+    return (gamma ** 2 * float(pulled @ pulled),
+            model.noise_sd ** 2 * float(np.linalg.norm(A @ inv, "fro") ** 2))
+
+
+def dense_sketched(A, B, model, gamma_total):
+    """Curvature from B, noise through A (one-shot sketched and Hessian)."""
+    d = A.shape[1]
+    H = B.T @ B + gamma_total * np.eye(d)
+    bias = np.linalg.solve(H, A.T @ (A @ model.truth)) - model.truth
+    inv = np.linalg.solve(H, np.eye(d))
+    return (float(bias @ bias),
+            model.noise_sd ** 2 * float(np.linalg.norm(A @ inv, "fro") ** 2))
+
+
+def dense_classical(A, S, model, gamma):
+    d = A.shape[1]
+    SA = np.asarray(S @ A)
+    H = SA.T @ SA + gamma * np.eye(d)
+    bias = np.linalg.solve(H, SA.T @ (SA @ model.truth)) - model.truth
+    inv = np.linalg.solve(H, np.eye(d))
+    smeared = np.asarray(S.T @ (SA @ inv))
+    return (float(bias @ bias),
+            model.noise_sd ** 2 * float(np.linalg.norm(smeared, "fro") ** 2))
+
+
+GRID = [2.0 ** k for k in range(-8, 7)]
+
+
+@pytest.fixture(scope="module")
+def grid_instance():
+    rng = np.random.default_rng(21)
+    A = rng.standard_normal((60, 16)) * np.linspace(3.0, 0.1, 16)
+    model = LinearModelSpec(rng.standard_normal(16), 1.3)
+    return A, model
+
+
+def assert_grid_matches(reports, oracle):
+    assert len(reports) == len(GRID)
+    for rep, g in zip(reports, GRID):
+        bias_sq, var = oracle(g)
+        assert rep.bias_sq == pytest.approx(bias_sq, rel=1e-9)
+        assert rep.var_trace == pytest.approx(var, rel=1e-9)
+        assert rep.mse == rep.bias_sq + rep.var_trace
+
+
+def test_grid_exact_matches_dense(grid_instance):
+    A, model = grid_instance
+    reports = optimal_diagnostics(A, model, GRID)
+    assert_grid_matches(reports, lambda g: dense_optimal(A, model, g))
+    # a scalar gamma is the one-entry grid
+    assert optimal_diagnostics(A, model, GRID[3]) == reports[3]
+
+
+@pytest.mark.parametrize("mode", [MODE_FD, MODE_RFD])
+def test_grid_sketched_matches_dense(grid_instance, mode):
+    A, model = grid_instance
+    out = sketch_matrix(A, 6, mode)
+    assert (out.shift > 0) == (mode == MODE_RFD)
+    reports = sketched_diagnostics(A, out, model, GRID)
+    assert_grid_matches(
+        reports, lambda g: dense_sketched(A, out.matrix, model, g + out.shift))
+
+
+def _draws(n, m):
+    return {"gauss": realize_gaussian(GaussianSketchSpec(m=m, n=n, seed=5)),
+            "sjlt": realize_sjlt(SjltSketchSpec(m=m, n=n, s=2, seed=5))}
+
+
+@pytest.mark.parametrize("flavor", ["gauss", "sjlt"])
+def test_grid_random_sketches_match_dense(grid_instance, flavor):
+    A, model = grid_instance
+    for m in (10, 24):  # short-and-fat and tall S A
+        S = _draws(A.shape[0], m)[flavor]
+        SA = np.asarray(S @ A)
+        assert_grid_matches(hessian_sketch_diagnostics(A, SA, model, GRID),
+                            lambda g: dense_sketched(A, SA, model, g))
+        assert_grid_matches(classical_sketch_diagnostics(A, S, model, GRID),
+                            lambda g: dense_classical(A, S, model, g))
+
+
+def test_grid_rank_deficient_factors():
+    rng = np.random.default_rng(22)
+    A = rng.standard_normal((60, 3)) @ rng.standard_normal((3, 16))
+    model = LinearModelSpec(rng.standard_normal(16), 0.8)
+    assert_grid_matches(optimal_diagnostics(A, model, GRID),
+                        lambda g: dense_optimal(A, model, g))
+    zero = StreamingSketch(4, 16).finalize(MODE_FD)
+    assert_grid_matches(sketched_diagnostics(A, zero, model, GRID),
+                        lambda g: dense_sketched(A, zero.matrix, model, g))
+    assert_grid_matches(
+        hessian_sketch_diagnostics(A, np.zeros((4, 16)), model, GRID),
+        lambda g: dense_sketched(A, np.zeros((4, 16)), model, g))
+    # m = 8 exceeds the rank 3 of A, so S A is rank deficient too
+    for S in _draws(60, 8).values():
+        SA = np.asarray(S @ A)
+        assert_grid_matches(hessian_sketch_diagnostics(A, SA, model, GRID),
+                            lambda g: dense_sketched(A, SA, model, g))
+        assert_grid_matches(classical_sketch_diagnostics(A, S, model, GRID),
+                            lambda g: dense_classical(A, S, model, g))
 
 
 def test_relative_errors():

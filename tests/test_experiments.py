@@ -85,7 +85,6 @@ def test_load_config_error_positions(tmp_path):
     dict(trials=0),
     dict(gammas=()),
     dict(gammas=(0.0, 1.0)),
-    dict(thetas=(1.5,)),
     dict(methods=("zigzag",)),
     dict(dataset="libsvm"),
     dict(methods=("classical:sjlt",), sjlt_s=7, m=256),

@@ -230,6 +230,45 @@ def test_extend_matches_row_at_a_time():
     assert blocked.shift_total == single.shift_total
 
 
+def _state(sk):
+    return sk.buffer.copy(), sk.fill, sk.shift_total
+
+
+def _assert_state(sk, state):
+    buffer, fill, shift_total = state
+    np.testing.assert_array_equal(sk.buffer, buffer)
+    assert sk.fill == fill
+    assert sk.shift_total == shift_total
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_non_finite_rows_are_rejected(bad):
+    rng = np.random.default_rng(10)
+    sk = StreamingSketch(2, 5)
+    sk.extend(rng.standard_normal((3, 5)))
+    before = _state(sk)
+    # row 6 of 10 sits past the first shrinks a clean block would trigger
+    block = rng.standard_normal((10, 5))
+    block[6, 2] = bad
+    block[8, 0] = bad
+    with pytest.raises(ValueError, match="row 6 "):
+        sk.extend(block)
+    _assert_state(sk, before)
+    row = rng.standard_normal(5)
+    row[4] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        sk.update(row)
+    _assert_state(sk, before)
+
+
+def test_overflowing_spectrum_raises():
+    # finite rows whose squared singular values overflow: the shrink must
+    # refuse rather than drop every row it holds
+    sk = StreamingSketch(2, 3)
+    with pytest.raises(ValueError, match="not finite"):
+        sk.extend(np.full((4, 3), 1e200))
+
+
 def test_output_is_immutable():
     out = sketch_matrix(np.eye(3), 2, MODE_FD)
     with pytest.raises(dataclasses.FrozenInstanceError):

@@ -82,6 +82,34 @@ def test_operator_matches_dense_inverse():
     np.testing.assert_allclose(op.apply(V), dense @ V, rtol=1e-10, atol=1e-12)
 
 
+def test_operator_tall_factor_matches_dense_inverse():
+    # A tall factor goes through its own d x d Gram matrix, full rank or
+    # rank deficient.
+    rng = np.random.default_rng(19)
+    g = 0.7
+    for X in (rng.standard_normal((20, 6)),
+              rng.standard_normal((20, 2)) @ rng.standard_normal((2, 6))):
+        op = InverseOperator(X, g)
+        np.testing.assert_allclose(op.basis.T @ op.basis,
+                                   np.eye(op.basis.shape[1]), atol=1e-12)
+        dense = np.linalg.inv(X.T @ X + g * np.eye(6))
+        V = rng.standard_normal((6, 3))
+        np.testing.assert_allclose(op.apply(V), dense @ V, rtol=1e-10,
+                                   atol=1e-12)
+
+
+def test_operator_retarget_shares_the_factorization():
+    rng = np.random.default_rng(20)
+    B = rng.standard_normal((4, 9))
+    op = InverseOperator(B, 0.5).retarget(3.0)
+    assert op.gamma_total == 3.0
+    v = rng.standard_normal(9)
+    np.testing.assert_allclose(op.apply(v), InverseOperator(B, 3.0).apply(v),
+                               rtol=1e-12)
+    with pytest.raises(ValueError):
+        op.retarget(0.0)
+
+
 def test_operator_eigenvector_action():
     rng = np.random.default_rng(3)
     op = InverseOperator(rng.standard_normal((5, 7)), 1.2)
@@ -201,10 +229,12 @@ def test_ifdrr_first_iterate_is_fdrr():
     problem = make_problem(11, n=60, d=10)
     for mode in (MODE_FD, MODE_RFD):
         one_shot = fdrr_solve(problem, 5, mode=mode)
-        x, trace = ifdrr_solve(problem, 5, t=1, mode=mode)
+        x, trace = ifdrr_solve(problem, 5, t=1, mode=mode, x_star=one_shot)
         assert rel_err(x, one_shot) < 1e-10
-        assert len(trace.iterates) == 2
-        np.testing.assert_array_equal(trace.iterates[0], np.zeros(10))
+        assert len(trace.residual_norms) == 2
+        # the run starts at zero, exactly |x*| from the reference
+        assert trace.residual_norms[0] == np.linalg.norm(one_shot)
+        assert trace.residual_norms[1] < 1e-10 * np.linalg.norm(one_shot)
 
 
 def test_ifdrr_lossless_converges_immediately():
@@ -212,17 +242,17 @@ def test_ifdrr_lossless_converges_immediately():
     x_star = solve_exact(problem)
     x, trace = ifdrr_solve(problem, m=32, t=5, mode=MODE_FD, x_star=x_star)
     norm = np.linalg.norm(x_star)
-    for iterate in trace.iterates[1:]:
-        assert np.linalg.norm(iterate - x_star) <= 1e-10 * norm
-    assert trace.residual_norms is not None
     assert len(trace.residual_norms) == 6
+    for dist in trace.residual_norms[1:]:
+        assert dist <= 1e-10 * norm
 
 
 def test_trace_norms_absent_without_reference():
     problem = make_problem(13)
     _, trace = ifdrr_solve(problem, 4, t=3)
     assert trace.residual_norms is None
-    assert len(trace.iterates) == 4
+    _, tracked = ifdrr_solve(problem, 4, t=3, x_star=solve_exact(problem))
+    assert len(tracked.residual_norms) == 4
 
 
 def test_zero_targets_fix_the_origin():
@@ -230,9 +260,9 @@ def test_zero_targets_fix_the_origin():
     # exact fixed point.
     rng = np.random.default_rng(14)
     problem = RidgeProblem(rng.standard_normal((20, 5)), np.zeros(20), 0.5)
-    x, trace = ifdrr_solve(problem, 3, t=4)
-    for iterate in trace.iterates:
-        np.testing.assert_array_equal(iterate, np.zeros(5))
+    x, trace = ifdrr_solve(problem, 3, t=4, x_star=np.zeros(5))
+    assert trace.residual_norms == [0.0] * 5
+    np.testing.assert_array_equal(x, np.zeros(5))
 
 
 def test_iteration_count_validation():
@@ -291,7 +321,7 @@ def test_single_identity_sketch_solves_in_one_step():
     x_star = solve_exact(problem)
     x, trace = iterative_randomized_solve(
         problem, lambda _i: problem.A, t=3, refresh=False, x_star=x_star)
-    assert rel_err(trace.iterates[1], x_star) < 1e-10
+    assert trace.residual_norms[1] < 1e-10 * np.linalg.norm(x_star)
     assert rel_err(x, x_star) < 1e-10
 
 
@@ -328,6 +358,5 @@ def test_divergence_guard_trips():
                                    x_star=solve_exact(problem))
     err = info.value
     assert err.iteration >= 1
-    assert len(err.trace.iterates) == err.iteration
-    for iterate in err.trace.iterates:
-        assert np.isfinite(iterate).all()
+    assert len(err.trace.residual_norms) == err.iteration
+    assert np.isfinite(err.trace.residual_norms).all()
