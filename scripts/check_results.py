@@ -16,7 +16,11 @@ Rules, per cell:
   vanish on the exact rows and near-lossless sketches:
   ``|new - ref| <= 1e-9 + 1e-8 |ref|`` (the ``numpy.isclose`` rule);
 - ``log10_error`` values at or below -12 are clipped to -12 first, so
-  errors at the floor count as ties;
+  errors at the floor count as ties, and then compared in error units
+  with one float64 ulp of ``|x*|`` as absolute slack:
+  ``|10^new - 10^ref| <= 1e-8 10^ref + eps``.  Errors near the floor
+  sit within an ulp of ``|x*|``, so a relative bound on their logarithm
+  would fail on any reordering of the solver's arithmetic;
 - every other column (keys, ``within_bound``, ``diverged``) matches
   exactly, as text.
 
@@ -38,6 +42,7 @@ from pathlib import Path
 RESULTS = Path(__file__).resolve().parent.parent / "results"
 RTOL = 1e-8
 ATOL = 1e-9
+EPS = sys.float_info.epsilon  # one ulp of |x*| in relative-error units
 FLOOR = -12.0
 RELATIVE = ("bias_sq", "var_trace", "mse", "log10_error", "spectral_error",
             "bound")
@@ -59,13 +64,17 @@ def _value(col: str, text: str) -> float:
 
 
 def _deviation(col: str, new: float, ref: float) -> tuple:
-    """(relative deviation, absolute deviation, share of the tolerance)."""
+    """(relative deviation, absolute deviation, share of the tolerance);
+    ``log10_error`` deviations are in error units."""
     if not (math.isfinite(new) and math.isfinite(ref)):
         same = (math.isnan(new) and math.isnan(ref)) or new == ref
         return (0.0, 0.0, 0.0) if same else (math.inf, math.inf, math.inf)
+    slack = ATOL if col in ABSOLUTE else 0.0
+    if col == "log10_error":
+        new, ref, slack = 10.0 ** new, 10.0 ** ref, EPS
     diff = abs(new - ref)
     rel = diff / abs(ref) if ref else (0.0 if diff == 0.0 else math.inf)
-    tol = RTOL * abs(ref) + (ATOL if col in ABSOLUTE else 0.0)
+    tol = RTOL * abs(ref) + slack
     share = diff / tol if tol else (0.0 if diff == 0.0 else math.inf)
     return rel, diff, share
 

@@ -15,12 +15,12 @@ from .experiments import (ConfigError, SweepConfig, load_config, load_instance,
 from .random_sketch import (GaussianSketchSpec, SjltSketchSpec, apply_gaussian,
                             apply_sjlt, realize_gaussian, realize_sjlt)
 from .sketch import (MODE_FD, MODE_RFD, SketchOutput, StreamingSketch,
-                     TailMass, load_sketch_csv, save_sketch_csv, sketch_matrix,
-                     tail_mass, tail_masses)
+                     load_sketch_csv, save_sketch_csv, sketch_matrix,
+                     tail_masses)
 from .solvers import (DivergenceError, InverseOperator, IterativeTrace,
                       RidgeProblem, classical_sketch_solve, fdrr_solve,
                       hessian_sketch_solve, ifdrr_solve,
-                      iterative_randomized_solve, sketch_with_targets,
+                      iterative_randomized_solve, refine, sketch_with_targets,
                       solve_exact)
 
 __all__ = [
@@ -28,17 +28,17 @@ __all__ = [
     "GaussianSketchSpec", "InverseOperator", "IterativeTrace",
     "LibsvmParseError", "LinearModelSpec", "MODE_FD", "MODE_RFD",
     "RidgeProblem", "SjltSketchSpec", "SketchOutput", "SparseRowMatrix",
-    "StreamingSketch", "SweepConfig", "SyntheticSpec", "TailMass",
+    "StreamingSketch", "SweepConfig", "SyntheticSpec",
     "ThetaBudget", "apply_gaussian", "apply_sjlt", "budget_for_theta",
     "classical_sketch_diagnostics", "classical_sketch_solve", "dct_rotation",
     "dump_libsvm", "fdrr_solve", "hessian_sketch_diagnostics",
     "hessian_sketch_solve", "ifdrr_solve", "iterative_randomized_solve",
     "load_config", "load_instance", "load_sketch_csv", "optimal_diagnostics",
-    "parse_libsvm", "realize_gaussian", "realize_sjlt", "rff_expand",
+    "parse_libsvm", "realize_gaussian", "realize_sjlt", "refine", "rff_expand",
     "run_bias_variance_sweep", "run_iterative_experiment",
     "run_sketch_accuracy", "save_matrix_csv", "save_sketch_csv",
     "sketch_matrix", "sketch_with_targets", "sketched_diagnostics",
-    "solve_exact", "synthetic_regression", "tail_mass", "tail_masses",
+    "solve_exact", "synthetic_regression", "tail_masses",
     "theta_interval", "with_relatives",
 ]
 

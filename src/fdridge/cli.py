@@ -22,11 +22,20 @@ _DEFAULT_OUT = {"sweep": "fdridge-sweep.csv",
                 "sketch-acc": "fdridge-sketch-acc.csv"}
 
 
+def _jobs(text: str) -> int:
+    try:
+        jobs = int(text)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer of at least 1, got {text!r}")
+    return jobs
+
+
 def _add_common(sub):
     sub.add_argument("--config", required=True, help="path to a key=value config file")
     sub.add_argument("--out", default=None, help="output CSV path")
-    sub.add_argument("--jobs", type=int, default=1,
-                     help="parallel workers for independent grid cells")
     sub.add_argument("--set", dest="overrides", action="append", default=[],
                      metavar="KEY=VALUE", help="override a config entry")
 
@@ -45,6 +54,10 @@ def _build_parser() -> argparse.ArgumentParser:
     iterate = sub.add_parser("iterate", help="error per iteration of iterative solvers")
     _add_common(iterate)
     iterate.add_argument("--t", type=int, required=True, help="iteration count")
+
+    for gridded in (sweep, iterate):
+        gridded.add_argument("--jobs", type=_jobs, default=1,
+                             help="parallel workers for independent grid cells")
 
     acc = sub.add_parser("sketch-acc", help="sketch covariance error vs bounds")
     _add_common(acc)

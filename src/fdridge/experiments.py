@@ -22,9 +22,9 @@ from .diagnostics import (LinearModelSpec, classical_sketch_diagnostics,
                           sketched_diagnostics, with_relatives)
 from .random_sketch import (GaussianSketchSpec, SjltSketchSpec,
                             realize_gaussian, realize_sjlt)
-from .sketch import MODE_FD, MODE_RFD, StreamingSketch, tail_masses
+from .sketch import MODE_FD, MODE_RFD, MODES, StreamingSketch, tail_masses
 from .solvers import (DivergenceError, InverseOperator, RidgeProblem,
-                      ifdrr_solve, iterative_randomized_solve)
+                      iterative_randomized_solve, refine)
 
 
 class ConfigError(ValueError):
@@ -211,6 +211,13 @@ def _realize(flavor: str, m: int, n: int, s: int, seed: int):
     raise ConfigError(f"unknown sketch flavor {flavor!r}")
 
 
+def _sketch_both(A: np.ndarray, m: int) -> dict:
+    """Stream A once through one sketch; its FD and RFD outputs by mode."""
+    sk = StreamingSketch(m, A.shape[1])
+    sk.extend(A)
+    return {mode: sk.finalize(mode) for mode in MODES}
+
+
 def _map_cells(cells, worker, jobs):
     if jobs <= 1:
         return {cell: worker(cell) for cell in cells}
@@ -291,7 +298,7 @@ def run_bias_variance_sweep(config: SweepConfig, jobs: int = 1,
         raise ConfigError(
             "bias/variance diagnostics need an instance with known weights "
             "(synthetic or gaussian-rff with noise_sd > 0)")
-    n, d = A.shape
+    n = A.shape[0]
     gammas = sorted(set(config.gammas))
     baseline = optimal_diagnostics(A, model, gammas)
 
@@ -300,12 +307,11 @@ def run_bias_variance_sweep(config: SweepConfig, jobs: int = 1,
 
     single = {"exact": relative(baseline)}
     if "fdrr" in config.methods or "rfdrr" in config.methods:
-        sk = StreamingSketch(config.m, d)
-        sk.extend(A)
+        sketches = _sketch_both(A, config.m)
         for meth, mode in (("fdrr", MODE_FD), ("rfdrr", MODE_RFD)):
             if meth in config.methods:
                 single[meth] = relative(
-                    sketched_diagnostics(A, sk.finalize(mode), model, gammas))
+                    sketched_diagnostics(A, sketches[mode], model, gammas))
 
     random_methods = [meth for meth in config.methods
                       if meth.startswith(("classical:", "hessian:"))]
@@ -385,14 +391,18 @@ def run_iterative_experiment(config: SweepConfig, t: int, jobs: int = 1,
     x_star = {g: exact.retarget(g).apply(cross) for g in gammas}
     norm_star = {g: float(np.linalg.norm(x_star[g])) for g in gammas}
     gamma_index = {g: i for i, g in enumerate(gammas)}
+    # One sketch serves every ifdrr cell: it depends on neither mode nor gamma.
+    sketches = (_sketch_both(A, config.m)
+                if any(meth.startswith("ifdrr") for meth in config.methods)
+                else {})
 
     def run_one(meth, g, trial):
         problem = RidgeProblem(A, y, g)
         kind, _, flavor = meth.partition(":")
         try:
             if kind == "ifdrr":
-                _, trace = ifdrr_solve(problem, config.m, t, mode=flavor,
-                                       x_star=x_star[g])
+                op = InverseOperator.from_sketch(sketches[flavor], g)
+                _, trace = refine(problem, lambda _i: op, t, x_star=x_star[g])
             else:
                 refresh = kind == "ihs"
 
@@ -452,7 +462,7 @@ def run_sketch_accuracy(config: SweepConfig, out=None) -> list:
 
     For the deterministic sketches the error |A^T A - (B^T B + shift I)|_2
     is exact; for the random ones it is the median over trials.  Each row
-    compares the error to tail_mass(k) / (m - k) (halved for the robust
+    compares the error to |A - A_k|_F^2 / (m - k) (halved for the robust
     variant); the random sketches carry no such guarantee, so their
     within_bound column is purely observational.
     """
@@ -461,12 +471,8 @@ def run_sketch_accuracy(config: SweepConfig, out=None) -> list:
     gram = A.T @ A
     tails = tail_masses(A)
     m = config.m
-    sk = StreamingSketch(m, d)
-    sk.extend(A)
-    errors = {}
-    for mode, name in ((MODE_FD, "fd"), (MODE_RFD, "rfd")):
-        output = sk.finalize(mode)
-        errors[name] = _spectral_norm_sym(gram - output.covariance())
+    errors = {mode: _spectral_norm_sym(gram - output.covariance())
+              for mode, output in _sketch_both(A, m).items()}
     for flavor in ("gauss", "sjlt"):
         per_trial = []
         for trial in range(config.trials):

@@ -43,6 +43,16 @@ def _svd_rows(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return s, vt
 
 
+def _reduced_rows(s: np.ndarray, vt: np.ndarray, reduction: float) -> np.ndarray:
+    """Rows sqrt(s_i^2 - reduction) v_i of every direction whose squared
+    singular value exceeds the reduction; singular values at or below
+    SV_CUTOFF times the largest count as zero and never survive."""
+    squared = s ** 2 - reduction
+    squared[s <= SV_CUTOFF * s[0]] = 0.0
+    kept = squared > 0.0
+    return np.sqrt(squared[kept])[:, None] * vt[kept]
+
+
 @dataclass(frozen=True, eq=False)
 class SketchOutput:
     """Finalized sketch: an m x d matrix with pairwise orthogonal rows.
@@ -135,11 +145,7 @@ class StreamingSketch:
     def _shrink(self) -> None:
         s, vt = _svd_rows(self.buffer[:self.fill])
         reduction = float(s[self.m - 1] ** 2) if s.size >= self.m else 0.0
-        squared = s ** 2 - reduction
-        squared[s <= SV_CUTOFF * s[0]] = 0.0
-        np.maximum(squared, 0.0, out=squared)
-        kept = squared > 0.0
-        survivors = np.sqrt(squared[kept])[:, None] * vt[kept]
+        survivors = _reduced_rows(s, vt, reduction)
         self.buffer[:] = 0.0
         self.buffer[:survivors.shape[0]] = survivors
         self.fill = survivors.shape[0]
@@ -160,17 +166,11 @@ class StreamingSketch:
         shift_total = self.shift_total
         if self.fill:
             s, vt = _svd_rows(self.buffer[:self.fill])
-            if s.size and s[0] > 0.0:
-                squared = s ** 2
-                squared[s <= SV_CUTOFF * s[0]] = 0.0
-                rank = int(np.count_nonzero(squared))
-                if rank > self.m:
-                    reduction = float(s[self.m - 1] ** 2)
-                    squared -= reduction
-                    np.maximum(squared, 0.0, out=squared)
-                    shift_total += reduction / 2.0
-                kept = np.flatnonzero(squared > 0.0)[:self.m]
-                out[:kept.size] = np.sqrt(squared[kept])[:, None] * vt[kept]
+            rank = int(np.count_nonzero(s > SV_CUTOFF * s[0]))
+            reduction = float(s[self.m - 1] ** 2) if rank > self.m else 0.0
+            rows = _reduced_rows(s, vt, reduction)
+            out[:rows.shape[0]] = rows
+            shift_total += reduction / 2.0
         shift = shift_total if mode == MODE_RFD else 0.0
         return SketchOutput(matrix=out, shift=shift, mode=mode)
 
@@ -185,37 +185,11 @@ def sketch_matrix(A: np.ndarray, m: int, mode: str = MODE_FD) -> SketchOutput:
     return sk.finalize(mode)
 
 
-@dataclass(frozen=True)
-class TailMass:
-    """Squared Frobenius mass of A beyond its best rank-k approximation."""
-
-    k: int
-    mass: float
-    alpha: float  # 1 / (m - k) for the sketch size the caller supplied
-
-
 def tail_masses(A: np.ndarray) -> np.ndarray:
     """All tail masses at once: entry k is |A - A_k|_F^2, k = 0..min(n, d)."""
     s = np.linalg.svd(np.asarray(A, dtype=float), compute_uv=False)
     tails = np.concatenate([np.cumsum((s ** 2)[::-1])[::-1], [0.0]])
     return tails
-
-
-def tail_mass(A: np.ndarray, k: int, m: int) -> TailMass:
-    """Tail mass at rank k together with the error constant 1 / (m - k).
-
-    Computed from a dense SVD, so this is an oracle for small matrices and
-    a preprocessing step for experiment instances, not a streaming
-    primitive.
-    """
-    A = np.asarray(A, dtype=float)
-    limit = min(A.shape)
-    if not 0 <= k <= limit:
-        raise ValueError(f"rank k must lie in [0, {limit}], got {k}")
-    if not k < m:
-        raise ValueError(f"error constant needs k < m, got k={k}, m={m}")
-    tails = tail_masses(A)
-    return TailMass(k=int(k), mass=float(tails[k]), alpha=1.0 / (m - k))
 
 
 def save_sketch_csv(output: SketchOutput, path) -> None:

@@ -195,13 +195,14 @@ def hessian_sketch_solve(sketched_A: np.ndarray, cross: np.ndarray,
     return InverseOperator(sketched_A, gamma).apply(cross)
 
 
-def _newton_iterate(problem: RidgeProblem,
-                    apply_inverse: Callable[[np.ndarray, int], np.ndarray],
-                    t: int,
-                    x_star: Optional[np.ndarray] = None
-                    ) -> tuple[np.ndarray, IterativeTrace]:
-    """Shared loop: x <- x - apply_inverse(gradient, iteration).
+def refine(problem: RidgeProblem,
+           preconditioner: Callable[[int], InverseOperator],
+           t: int,
+           x_star: Optional[np.ndarray] = None
+           ) -> tuple[np.ndarray, IterativeTrace]:
+    """Iterative refinement from zero: x <- x - preconditioner(i) gradient.
 
+    ``preconditioner(i)`` returns the inverse operator for iteration i.
     The ridge gradient A^T (A x - y) + gamma x is evaluated as two
     streaming matrix-vector products; the d x d Gram matrix is never
     formed.  Raises :class:`DivergenceError` when the iterate norm passes
@@ -218,7 +219,7 @@ def _newton_iterate(problem: RidgeProblem,
     guard = DIVERGENCE_FACTOR * np.linalg.norm(A.T @ y) / gamma
     for i in range(t):
         grad = A.T @ (A @ x - y) + gamma * x
-        x = x - apply_inverse(grad, i)
+        x = x - preconditioner(i).apply(grad)
         if not np.isfinite(x).all() or np.linalg.norm(x) > guard:
             raise DivergenceError(iteration=i + 1, trace=trace)
         if track:
@@ -237,7 +238,7 @@ def ifdrr_solve(problem: RidgeProblem, m: int, t: int, mode: str = MODE_FD,
     """
     op = InverseOperator.from_sketch(sketch_matrix(problem.A, m, mode),
                                      problem.gamma)
-    return _newton_iterate(problem, lambda g, _i: op.apply(g), t, x_star)
+    return refine(problem, lambda _i: op, t, x_star)
 
 
 def iterative_randomized_solve(problem: RidgeProblem,
@@ -255,9 +256,5 @@ def iterative_randomized_solve(problem: RidgeProblem,
     with S = I reproduces the exact solution after one step.
     """
     fixed = None if refresh else InverseOperator(sketch_factory(0), problem.gamma)
-
-    def apply_inverse(g: np.ndarray, i: int) -> np.ndarray:
-        op = fixed or InverseOperator(sketch_factory(i), problem.gamma)
-        return op.apply(g)
-
-    return _newton_iterate(problem, apply_inverse, t, x_star)
+    return refine(problem, lambda i: fixed or InverseOperator(
+        sketch_factory(i), problem.gamma), t, x_star)

@@ -1,0 +1,91 @@
+"""Tolerance rules of scripts/check_results.py, on small hand-made tables."""
+import importlib.util
+import math
+import sys
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "check_results.py"
+
+
+@pytest.fixture(scope="module")
+def check():
+    spec = importlib.util.spec_from_file_location("check_results", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def sweep_rows():
+    moments = {"exact": 1.0, "fdrr": 2.0, "rfdrr": 1.5, "hessian:gauss": 3.0}
+    return [{"method": meth, "gamma": "1", "bias_sq": repr(v),
+             "var_trace": repr(v + 0.25), "mse": repr(2 * v + 0.25),
+             "rel_bias": repr(v - 1.0), "rel_var": repr(v - 1.0),
+             "rel_mse": repr(v - 1.0), "diverged": "0"}
+            for meth, v in moments.items()]
+
+
+def iterate_rows(levels):
+    return [{"method": meth, "gamma": "100", "iteration": "1",
+             "log10_error": repr(level), "diverged": "0"}
+            for meth, level in levels.items()]
+
+
+def levels(rfd=-5.0, fd=-4.5, ihs=-2.0):
+    return {"ifdrr:rfd": rfd, "ifdrr:fd": fd, "ihs:sjlt": ihs}
+
+
+def moved(error_level, by):
+    """log10 of 10^error_level + by, i.e. the error moved by ``by``."""
+    return math.log10(10.0 ** error_level + by)
+
+
+def test_identical_tables_pass(check):
+    assert check.compare(sweep_rows(), sweep_rows(), "sweep")
+    assert check.compare(iterate_rows(levels()), iterate_rows(levels()), "iter")
+
+
+def test_relative_change_on_a_moment_fails(check):
+    new = sweep_rows()
+    new[3]["bias_sq"] = repr(float(new[3]["bias_sq"]) * (1 + 1e-6))
+    assert not check.compare(new, sweep_rows(), "sweep")
+
+
+def test_sub_ulp_move_near_the_floor_passes(check):
+    # half an ulp of |x*| at an error of 1e-11 moves the log by ~5e-6
+    # relative: far past 1e-8 on the log, well within float64 resolution
+    ref = iterate_rows(levels(rfd=-11.0))
+    new = iterate_rows(levels(rfd=moved(-11.0, 0.5 * sys.float_info.epsilon)))
+    assert new != ref
+    assert check.compare(new, ref, "iter")
+
+
+def test_relative_move_of_a_large_error_fails(check):
+    ref = iterate_rows(levels(fd=-4.0))
+    new = iterate_rows(levels(fd=moved(-4.0, 1e-6 * 1e-4)))
+    assert not check.compare(new, ref, "iter")
+
+
+def test_flipped_criterion_6_ordering_fails(check):
+    # rfd and fd 1e-10 apart in the log: swapping them stays within every
+    # per-cell tolerance but reverses the order criterion 6 asserts
+    low, high = -5.0, -5.0 + 1e-10
+    ref = iterate_rows(levels(rfd=low, fd=high))
+    new = iterate_rows(levels(rfd=high, fd=low))
+    assert not check.compare(new, ref, "iter")
+
+
+def test_missing_table_fails(check, tmp_path, monkeypatch, capsys):
+    results = tmp_path / "results"
+    fresh = tmp_path / "fresh"
+    results.mkdir()
+    fresh.mkdir()
+    for name in ("a.csv", "b.csv"):
+        (results / name).write_text("method,gamma\nexact,1\n")
+    (fresh / "a.csv").write_text("# regenerated\nmethod,gamma\nexact,1\n")
+    monkeypatch.setattr(check, "RESULTS", results)
+    assert check.main([str(fresh)]) == 1
+    assert "b.csv: missing" in capsys.readouterr().out
+    (fresh / "b.csv").write_text("method,gamma\nexact,1\n")
+    assert check.main([str(fresh)]) == 0

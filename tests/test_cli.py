@@ -117,6 +117,20 @@ def test_cli_errors_exit_2(config_path, capsys, argv_tail, fragment):
     assert fragment in err
 
 
+@pytest.mark.parametrize("command,argv_tail", [
+    ("sweep", ["--jobs", "0"]),
+    ("iterate", ["--t", "2", "--jobs", "-3"]),
+    ("iterate", ["--t", "2", "--jobs", "two"]),
+    ("sketch-acc", ["--jobs", "2"]),
+])
+def test_jobs_flag_rejected(config_path, capsys, command, argv_tail):
+    # --jobs exists only where cells run in parallel, and must be >= 1
+    with pytest.raises(SystemExit) as info:
+        main([command, "--config", str(config_path)] + argv_tail)
+    assert info.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
 def test_missing_config_file(tmp_path, capsys):
     code = main(["sweep", "--config", str(tmp_path / "nope.cfg")])
     assert code == 2

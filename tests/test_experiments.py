@@ -22,7 +22,7 @@ from fdridge.experiments import (ACC_COLUMNS, ConfigError, ITER_COLUMNS,
                                  run_iterative_experiment,
                                  run_sketch_accuracy, write_csv)
 from fdridge.random_sketch import GaussianSketchSpec, realize_gaussian
-from fdridge.sketch import tail_masses
+from fdridge.sketch import StreamingSketch, tail_masses
 
 
 def small_config(**kw):
@@ -258,6 +258,27 @@ def test_iterate_records_divergence():
     assert len(rows) == 6
     assert all(row["diverged"] == 1 for row in rows)
     assert any(math.isnan(row["log10_error"]) for row in rows)
+
+
+def test_iterate_streams_each_instance_once(monkeypatch):
+    # One sketch serves every ifdrr cell, whatever the mode and gamma;
+    # randomized methods never build one.
+    streamed = []
+    extend = StreamingSketch.extend
+
+    def counting(self, rows):
+        streamed.append(len(rows))
+        return extend(self, rows)
+
+    monkeypatch.setattr(StreamingSketch, "extend", counting)
+    config = small_config(methods=("ifdrr:fd", "ifdrr:rfd"), gammas=(0.5, 2.0))
+    rows = run_iterative_experiment(config, t=3)
+    assert len(rows) == 12
+    assert sum(streamed) == config.n
+    streamed.clear()
+    run_iterative_experiment(
+        small_config(methods=("ihs:gauss", "single:gauss"), m=32), t=2)
+    assert sum(streamed) == 0
 
 
 def test_iterate_validation():

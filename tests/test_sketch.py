@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from fdridge.sketch import (MODE_FD, MODE_RFD, SketchOutput, StreamingSketch,
                             load_sketch_csv, save_sketch_csv, sketch_matrix,
-                            tail_mass, tail_masses)
+                            tail_masses)
 
 
 def spectral_norm(M):
@@ -159,24 +159,14 @@ def test_tail_masses_identity():
     assert tails[7] == pytest.approx(0.0, abs=1e-12)
 
 
-def test_tail_mass_matches_svd_sum():
+def test_tail_masses_match_svd_sums():
     rng = np.random.default_rng(7)
     A = rng.standard_normal((50, 10))
     s = np.linalg.svd(A, compute_uv=False)
-    tm = tail_mass(A, 3, m=6)
-    assert tm.mass == pytest.approx(float(np.sum(s[3:] ** 2)), rel=1e-12)
-    assert tm.alpha == pytest.approx(1.0 / 3.0)
-    assert tm.k == 3
-
-
-def test_tail_mass_validation():
-    A = np.eye(4)
-    with pytest.raises(ValueError):
-        tail_mass(A, 5, m=6)
-    with pytest.raises(ValueError):
-        tail_mass(A, -1, m=6)
-    with pytest.raises(ValueError):
-        tail_mass(A, 3, m=3)
+    tails = tail_masses(A)
+    assert tails.shape == (11,)
+    for k in range(11):
+        assert tails[k] == pytest.approx(float(np.sum(s[k:] ** 2)), rel=1e-12)
 
 
 @given(st.integers(0, 200), st.integers(5, 40))
