@@ -15,42 +15,47 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 MODE_FD = "fd"
 MODE_RFD = "rfd"
 MODES = (MODE_FD, MODE_RFD)
 
-# Singular values below this fraction of the largest one are treated as
-# exact zeros during a shrink, so roundoff noise never survives the
-# subtract-and-sqrt step.
-SV_CUTOFF = 1e-12
 
+def _gram_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of X^T X, largest first: the squared singular values of
+    X and its right singular vectors as the columns of a d x r basis.
 
-def _svd_rows(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Economy SVD returning (singular values, right factor Vt); raises
-    ValueError rather than let an overflowing spectrum wipe the buffer."""
-    try:
-        _, s, vt = np.linalg.svd(block, full_matrices=False)
-    except np.linalg.LinAlgError:
-        # gesdd occasionally fails to converge; gesvd is slower but solid.
-        _, s, vt = scipy.linalg.svd(block, full_matrices=False,
-                                    lapack_driver="gesvd")
+    One ``eigh`` of the smaller Gram matrix (X X^T for a short-and-fat
+    factor, X^T X for a tall one) gives them; for X X^T the right factor is
+    X^T U with its columns normalized.  ``eigh`` resolves eigenvalues only
+    down to (Gram size) * eps times the largest, i.e. about sqrt(eps) on
+    singular values: any at or below that floor are roundoff and dropped,
+    so a rank-deficient X yields exactly its rank.  Raises ValueError when
+    the Gram matrix overflows rather than let it wipe a spectrum.
+    """
+    short = matrix.shape[0] < matrix.shape[1]
     with np.errstate(over="ignore"):
-        if not np.isfinite(s ** 2).all():
-            raise ValueError("the sketch spectrum is not finite: the rows "
-                             "are too large to square in float64")
-    return s, vt
+        gram = matrix @ matrix.T if short else matrix.T @ matrix
+    if not np.isfinite(gram).all():
+        raise ValueError("the Gram matrix is not finite: the rows are too "
+                         "large to square in float64")
+    spectrum, vecs = np.linalg.eigh(gram)
+    floor = gram.shape[0] * np.finfo(float).eps * spectrum.max(initial=0.0)
+    kept = np.flatnonzero(spectrum > floor)[::-1]
+    spectrum, vecs = spectrum[kept], vecs[:, kept]
+    if short:
+        vecs = matrix.T @ vecs
+        vecs /= np.linalg.norm(vecs, axis=0)
+    return spectrum, vecs
 
 
-def _reduced_rows(s: np.ndarray, vt: np.ndarray, reduction: float) -> np.ndarray:
-    """Rows sqrt(s_i^2 - reduction) v_i of every direction whose squared
-    singular value exceeds the reduction; singular values at or below
-    SV_CUTOFF times the largest count as zero and never survive."""
-    squared = s ** 2 - reduction
-    squared[s <= SV_CUTOFF * s[0]] = 0.0
+def _reduced_rows(spectrum: np.ndarray, basis: np.ndarray,
+                  reduction: float) -> np.ndarray:
+    """Rows sqrt(lambda_i - reduction) v_i of every direction whose
+    eigenvalue exceeds the reduction."""
+    squared = spectrum - reduction
     kept = squared > 0.0
-    return np.sqrt(squared[kept])[:, None] * vt[kept]
+    return np.sqrt(squared[kept])[:, None] * basis[:, kept].T
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,16 +89,17 @@ class StreamingSketch:
     """Frequent Directions sketch over a row stream.
 
     Maintains a ``2m x d`` buffer.  Rows are copied into free slots; when
-    the buffer fills, it is re-expressed through an SVD, every squared
-    singular value is reduced by the m-th largest, and at least m + 1
-    slots become free again.  Half of each reduction accumulates into
-    ``shift_total``.
+    the buffer fills, it is re-expressed through one eigendecomposition of
+    its smaller Gram matrix (:func:`_gram_eigh`), every squared singular
+    value is reduced by the m-th largest, and at least m + 1 slots become
+    free again.  Half of each reduction accumulates into ``shift_total``.
 
     The per-row update cost is amortized O(m d); each shrink costs one
-    SVD of the buffer.  Instances are single-writer: concurrent ``update``
-    calls must be serialized by the caller.  ``finalize`` does not mutate
-    state, so a finalized snapshot can be taken mid-stream and updates may
-    continue afterwards.
+    Gram product and one eigendecomposition of size min(2m, d).
+    Instances are single-writer: concurrent ``update`` calls must be
+    serialized by the caller.  ``finalize`` does not mutate state, so a
+    finalized snapshot can be taken mid-stream and updates may continue
+    afterwards.
     """
 
     def __init__(self, m: int, d: int):
@@ -143,9 +149,10 @@ class StreamingSketch:
                 self._shrink()
 
     def _shrink(self) -> None:
-        s, vt = _svd_rows(self.buffer[:self.fill])
-        reduction = float(s[self.m - 1] ** 2) if s.size >= self.m else 0.0
-        survivors = _reduced_rows(s, vt, reduction)
+        spectrum, basis = _gram_eigh(self.buffer[:self.fill])
+        rank = spectrum.size
+        reduction = float(spectrum[self.m - 1]) if rank >= self.m else 0.0
+        survivors = _reduced_rows(spectrum, basis, reduction)
         self.buffer[:] = 0.0
         self.buffer[:survivors.shape[0]] = survivors
         self.fill = survivors.shape[0]
@@ -154,21 +161,22 @@ class StreamingSketch:
     def finalize(self, mode: str = MODE_FD) -> SketchOutput:
         """Produce an m x d snapshot without disturbing the stream.
 
-        The occupied part of the buffer is re-expressed through an SVD so
-        the output rows are orthogonal.  If more than m directions carry
-        mass, one extra shrink brings the count down to at most m - 1;
-        otherwise the re-expression is exact.  In "fd" mode the reported
-        shift is zero, in "rfd" mode it is the accumulated total.
+        The occupied part of the buffer is re-expressed through one Gram
+        eigendecomposition (:func:`_gram_eigh`) so the output rows are
+        orthogonal.  If more than m directions carry mass above the
+        roundoff floor, one extra shrink brings the count down to at most
+        m - 1; otherwise the re-expression is exact.  In "fd" mode the
+        reported shift is zero, in "rfd" mode it is the accumulated total.
         """
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
         out = np.zeros((self.m, self.d))
         shift_total = self.shift_total
         if self.fill:
-            s, vt = _svd_rows(self.buffer[:self.fill])
-            rank = int(np.count_nonzero(s > SV_CUTOFF * s[0]))
-            reduction = float(s[self.m - 1] ** 2) if rank > self.m else 0.0
-            rows = _reduced_rows(s, vt, reduction)
+            spectrum, basis = _gram_eigh(self.buffer[:self.fill])
+            rank = spectrum.size
+            reduction = float(spectrum[self.m - 1]) if rank > self.m else 0.0
+            rows = _reduced_rows(spectrum, basis, reduction)
             out[:rows.shape[0]] = rows
             shift_total += reduction / 2.0
         shift = shift_total if mode == MODE_RFD else 0.0

@@ -12,7 +12,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .sketch import MODE_FD, SketchOutput, StreamingSketch, sketch_matrix
+from .sketch import (MODE_FD, SketchOutput, StreamingSketch, _gram_eigh,
+                     sketch_matrix)
 
 # An iterate whose norm exceeds this multiple of |A^T y| / gamma has left
 # the region where any ridge solution can live; treat it as divergence.
@@ -59,9 +60,10 @@ class InverseOperator:
     """Fast application of (X^T X + g I)^{-1} for any factor X.
 
     The operator holds the gamma-free pair (``spectrum``, ``basis``): the
-    nonzero eigenvalues of X^T X, largest first, and their orthonormal
-    eigenvectors, from one eigendecomposition of the smaller Gram matrix
-    (X X^T, in Woodbury form, for a short-and-fat factor).  Each apply is
+    eigenvalues of X^T X above the roundoff floor, largest first, and
+    their orthonormal eigenvectors, from the same eigendecomposition of
+    the smaller Gram matrix that the sketch shrinks with (X X^T, in
+    Woodbury form, for a short-and-fat factor).  Each apply is
 
         v / g + V diag(1 / (spectrum + g) - 1 / g) V^T v,
 
@@ -114,21 +116,6 @@ class InverseOperator:
         if v.ndim == 1:
             return v / g + self.basis @ (coeff * proj)
         return v / g + self.basis @ (coeff[:, None] * proj)
-
-
-def _gram_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of X^T X, largest first, from the smaller Gram matrix,
-    which resolves them only down to eps times the largest: any below
-    that are roundoff and dropped."""
-    short = matrix.shape[0] < matrix.shape[1]
-    spectrum, vecs = np.linalg.eigh(matrix @ matrix.T if short else matrix.T @ matrix)
-    floor = np.finfo(float).eps * spectrum.max(initial=0.0)
-    kept = np.flatnonzero(spectrum > floor)[::-1]
-    spectrum, vecs = spectrum[kept], vecs[:, kept]
-    if short:
-        vecs = matrix.T @ vecs
-        vecs /= np.linalg.norm(vecs, axis=0)
-    return spectrum, vecs
 
 
 @dataclass

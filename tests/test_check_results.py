@@ -32,6 +32,21 @@ def iterate_rows(levels):
             for meth, level in levels.items()]
 
 
+def accuracy_rows(fd_error=7.9e-8, gauss_error=489.9, m=256,
+                  frobenius_sq=24883.0):
+    rows = []
+    for meth, err in (("fd", fd_error), ("rfd", fd_error / 2),
+                      ("gauss", gauss_error)):
+        for k in range(3):
+            bound = (frobenius_sq - 100.0 * k) / (m - k)
+            if meth == "rfd":
+                bound /= 2.0
+            rows.append({"method": meth, "m": str(m), "k": str(k),
+                         "spectral_error": repr(err), "bound": repr(bound),
+                         "within_bound": str(int(err <= bound))})
+    return rows
+
+
 def levels(rfd=-5.0, fd=-4.5, ihs=-2.0):
     return {"ifdrr:rfd": rfd, "ifdrr:fd": fd, "ihs:sjlt": ihs}
 
@@ -65,6 +80,22 @@ def test_relative_move_of_a_large_error_fails(check):
     ref = iterate_rows(levels(fd=-4.0))
     new = iterate_rows(levels(fd=moved(-4.0, 1e-6 * 1e-4)))
     assert not check.compare(new, ref, "iter")
+
+
+def test_sub_ulp_move_of_a_near_lossless_error_passes(check):
+    # half an ulp of |A|_F^2 on an error of 7.9e-8: the roundoff of any
+    # backward-stable shrink, 1.7e4 times past a relative 1e-8
+    ref = accuracy_rows()
+    new = accuracy_rows(
+        fd_error=7.9e-8 + 0.5 * sys.float_info.epsilon * 24883.0)
+    assert new != ref
+    assert check.compare(new, ref, "acc")
+
+
+def test_relative_move_of_a_random_sketch_error_fails(check):
+    ref = accuracy_rows()
+    new = accuracy_rows(gauss_error=489.9 * (1 + 1e-6))
+    assert not check.compare(new, ref, "acc")
 
 
 def test_flipped_criterion_6_ordering_fails(check):

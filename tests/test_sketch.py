@@ -13,6 +13,9 @@ from hypothesis import given, settings, strategies as st
 from fdridge.sketch import (MODE_FD, MODE_RFD, SketchOutput, StreamingSketch,
                             load_sketch_csv, save_sketch_csv, sketch_matrix,
                             tail_masses)
+from fdridge.solvers import InverseOperator
+
+EPS = np.finfo(float).eps
 
 
 def spectral_norm(M):
@@ -128,6 +131,68 @@ def test_finalize_is_nondestructive():
         b = interrupted.finalize(mode)
         np.testing.assert_array_equal(a.matrix, b.matrix)
         assert a.shift == b.shift
+
+
+def svd_fd(A, m):
+    """Reference FD through np.linalg.svd: shrink at every 2m rows, then
+    finalize with one more shrink when more than m directions remain.
+    Returns (sketch rows, accumulated shift)."""
+    def shrink(B, always):
+        _, s, vt = np.linalg.svd(B, full_matrices=False)
+        cut = s[m - 1] ** 2 if s.size > m or (always and s.size == m) else 0.0
+        squared = s ** 2 - cut
+        kept = squared > 0.0
+        return np.sqrt(squared[kept])[:, None] * vt[kept], cut / 2.0
+
+    B, shift = np.zeros((0, A.shape[1])), 0.0
+    for row in A:
+        B = np.vstack([B, row])
+        if B.shape[0] == 2 * m:
+            B, half = shrink(B, True)
+            shift += half
+    B, half = shrink(B, False)
+    return B, shift + half
+
+
+@pytest.mark.parametrize("d", [24, 32, 64])
+def test_gram_shrink_matches_svd_reference(d):
+    # m = 16: the 2m x d buffer is tall (d < 2m), square, and short-and-fat
+    # (d = 4m), so both Gram branches run; the stream ends mid-buffer with
+    # more than m directions, so finalize shrinks once more
+    m = 16
+    A = np.random.default_rng(d).standard_normal((5 * m + 7, d))
+    scale = 16 * EPS * np.sum(A ** 2)
+    sk = StreamingSketch(m, d)
+    sk.extend(A[:2 * m])
+    shrunk, shift = svd_fd(A[:2 * m], m)
+    assert sk.fill == m - 1
+    buf = sk.buffer[:sk.fill]
+    np.testing.assert_allclose(buf.T @ buf, shrunk.T @ shrunk, rtol=0, atol=scale)
+    assert abs(2 * sk.shift_total - 2 * shift) <= scale
+    sk.extend(A[2 * m:])
+    ref, ref_shift = svd_fd(A, m)
+    out = sk.finalize(MODE_RFD)
+    np.testing.assert_allclose(out.matrix.T @ out.matrix, ref.T @ ref,
+                               rtol=0, atol=scale)
+    assert abs(out.shift - ref_shift) <= scale
+    gram = out.matrix @ out.matrix.T
+    assert np.abs(gram - np.diag(np.diag(gram))).max() <= scale
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_exact_low_rank_stream_keeps_zero_shift(seed):
+    # rank r < m: every direction past the rank is roundoff, so no shrink
+    # may reduce by it, and the sketch is the data's covariance exactly
+    rng = np.random.default_rng(seed)
+    r = 1 + seed % 7
+    A = rng.standard_normal((60, r)) @ rng.standard_normal((r, 20))
+    sk = StreamingSketch(8, 20)
+    sk.extend(A)
+    out = sk.finalize(MODE_RFD)
+    assert out.shift == 0.0
+    assert int(np.sum(np.any(out.matrix != 0.0, axis=1))) <= r
+    np.testing.assert_allclose(out.covariance(), A.T @ A, rtol=0,
+                               atol=16 * EPS * np.sum(A ** 2))
 
 
 def test_finalize_shrinks_only_when_over_budget():
@@ -253,10 +318,13 @@ def test_non_finite_rows_are_rejected(bad):
 
 def test_overflowing_spectrum_raises():
     # finite rows whose squared singular values overflow: the shrink must
-    # refuse rather than drop every row it holds
+    # refuse rather than drop every row it holds, and the operator must
+    # say why rather than fail to converge
     sk = StreamingSketch(2, 3)
     with pytest.raises(ValueError, match="not finite"):
         sk.extend(np.full((4, 3), 1e200))
+    with pytest.raises(ValueError, match="not finite"):
+        InverseOperator(np.full((4, 3), 1e200), 1.0)
 
 
 def test_output_is_immutable():
