@@ -133,8 +133,8 @@ def parse_libsvm(source, n_features: int | None = None
     ``#`` starts a comment.  The column count is the largest index seen
     unless ``n_features`` overrides it (useful when trailing features are
     absent from the file).  ``source`` may be a path or any iterable of
-    lines.  Malformed input raises :class:`LibsvmParseError` carrying the
-    1-based line and column.
+    lines.  Malformed input, a NaN or infinite label or value included,
+    raises :class:`LibsvmParseError` carrying the 1-based line and column.
     """
     if isinstance(source, (str, os.PathLike)):
         with open(source, "r", encoding="utf-8") as fh:
@@ -154,6 +154,9 @@ def parse_libsvm(source, n_features: int | None = None
         except ValueError:
             raise LibsvmParseError(lineno, head.start() + 1,
                                    f"label {head.group()!r} is not a number") from None
+        if not math.isfinite(label):
+            raise LibsvmParseError(lineno, head.start() + 1,
+                                   f"label {head.group()!r} is not finite")
         idx = []
         vals = []
         prev = 0
@@ -180,6 +183,9 @@ def parse_libsvm(source, n_features: int | None = None
             except ValueError:
                 raise LibsvmParseError(lineno, col,
                                        f"value {part[1]!r} is not a number") from None
+            if not math.isfinite(value):
+                raise LibsvmParseError(lineno, col,
+                                       f"value {part[1]!r} is not finite")
             idx.append(index - 1)
             vals.append(value)
             prev = index

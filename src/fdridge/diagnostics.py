@@ -136,21 +136,20 @@ def sketched_diagnostics(A: np.ndarray, output: SketchOutput,
 
 
 def classical_sketch_diagnostics(A: np.ndarray, S, model: LinearModelSpec,
-                                 gamma, sketched_A=None) -> DiagnosticsReport | list:
+                                 gamma) -> DiagnosticsReport | list:
     """Diagnostics of the fully sketched estimator for a realized S.
 
     Both moments involve S itself, not just S A: the estimator sees the
     noise only through S, so the variance trace is
-    sigma^2 |S^T S A (A^T S^T S A + gamma I)^{-1}|_F^2.  Pass the
-    precomputed product as ``sketched_A`` to skip recomputing it.
+    sigma^2 |S^T S A (A^T S^T S A + gamma I)^{-1}|_F^2.
     """
     A = np.asarray(A, dtype=float)
-    SA = np.asarray(S @ A if sketched_A is None else sketched_A, dtype=float)
+    SA = np.asarray(S @ A, dtype=float)
     noise_map = np.asarray(S.T @ SA)
     return _grid(A, noise_map, SA, InverseOperator(SA, 1.0), model, gamma)
 
 
-def hessian_sketch_diagnostics(A: np.ndarray, sketched_A: np.ndarray,
+def hessian_sketch_diagnostics(A: np.ndarray, SA: np.ndarray,
                                model: LinearModelSpec, gamma
                                ) -> DiagnosticsReport | list:
     """Diagnostics of the partially sketched estimator (full right-hand side).
@@ -159,7 +158,7 @@ def hessian_sketch_diagnostics(A: np.ndarray, sketched_A: np.ndarray,
     formulas match the one-shot sketched case with H_hat built from S A.
     """
     A = np.asarray(A, dtype=float)
-    SA = np.asarray(sketched_A, dtype=float)
+    SA = np.asarray(SA, dtype=float)
     return _grid(A, A, SA, InverseOperator(SA, 1.0), model, gamma)
 
 

@@ -23,8 +23,7 @@ from .diagnostics import (LinearModelSpec, classical_sketch_diagnostics,
 from .random_sketch import (GaussianSketchSpec, SjltSketchSpec,
                             realize_gaussian, realize_sjlt)
 from .sketch import MODE_FD, MODE_RFD, MODES, StreamingSketch, tail_masses
-from .solvers import (DivergenceError, InverseOperator, RidgeProblem,
-                      iterative_randomized_solve, refine)
+from .solvers import DivergenceError, InverseOperator, RidgeProblem, refine
 
 
 class ConfigError(ValueError):
@@ -88,12 +87,17 @@ class SweepConfig:
             raise ConfigError(f"trial count must be positive, got {self.trials}")
         if not self.gammas:
             raise ConfigError("the regularizer grid is empty")
-        if any(not g > 0 for g in self.gammas):
-            raise ConfigError("every regularizer in the grid must be positive")
+        bad_gammas = [g for g in self.gammas if not 0 < g < math.inf]
+        if bad_gammas:
+            raise ConfigError(
+                f"gammas must be positive and finite, got {bad_gammas}")
         unknown = [meth for meth in self.methods if meth not in ALL_METHODS]
         if unknown:
             raise ConfigError(
                 f"unknown methods {unknown}; valid names: {', '.join(ALL_METHODS)}")
+        if self.dataset == "gaussian-rff" and self.n < 1:
+            raise ConfigError(
+                f"dataset 'gaussian-rff' needs n >= 1, got n={self.n}")
         if self.dataset == "libsvm" and not self.libsvm_path:
             raise ConfigError("dataset 'libsvm' needs libsvm_path")
         needs_sjlt = any(meth.endswith(":sjlt") for meth in self.methods)
@@ -104,7 +108,6 @@ class SweepConfig:
 
 _INT_KEYS = {"n", "d", "raw_dim", "rff_features", "m", "trials", "seed", "sjlt_s"}
 _FLOAT_KEYS = {"r", "noise_sd", "rff_gamma"}
-_STR_KEYS = {"dataset", "libsvm_path", "out"}
 _LIST_KEYS = {"gammas", "methods"}
 
 
@@ -323,11 +326,9 @@ def run_bias_variance_sweep(config: SweepConfig, jobs: int = 1,
         kind, _, flavor = meth.partition(":")
         seed = child_seed(config.seed, _SWEEP_TAG, _METHOD_INDEX[meth], trial)
         S = _realize(flavor, config.m, n, config.sjlt_s, seed)
-        SA = np.asarray(S @ A)
         if kind == "classical":
-            return relative(classical_sketch_diagnostics(
-                A, S, model, gammas, sketched_A=SA))
-        return relative(hessian_sketch_diagnostics(A, SA, model, gammas))
+            return relative(classical_sketch_diagnostics(A, S, model, gammas))
+        return relative(hessian_sketch_diagnostics(A, S @ A, model, gammas))
 
     by_cell = _map_cells(cells, worker, jobs)
 
@@ -397,23 +398,23 @@ def run_iterative_experiment(config: SweepConfig, t: int, jobs: int = 1,
                 else {})
 
     def run_one(meth, g, trial):
-        problem = RidgeProblem(A, y, g)
         kind, _, flavor = meth.partition(":")
+
+        def draw(i):
+            seed = child_seed(config.seed, _ITER_TAG, _METHOD_INDEX[meth],
+                              gamma_index[g], trial, i)
+            return InverseOperator(
+                _realize(flavor, config.m, n, config.sjlt_s, seed) @ A, g)
+
+        if kind == "ihs":  # a fresh draw every iteration
+            preconditioner = draw
+        else:  # one fixed operator: the FD sketch or a single draw
+            op = (InverseOperator.from_sketch(sketches[flavor], g)
+                  if kind == "ifdrr" else draw(0))
+            preconditioner = lambda _i: op
         try:
-            if kind == "ifdrr":
-                op = InverseOperator.from_sketch(sketches[flavor], g)
-                _, trace = refine(problem, lambda _i: op, t, x_star=x_star[g])
-            else:
-                refresh = kind == "ihs"
-
-                def factory(i):
-                    seed = child_seed(config.seed, _ITER_TAG,
-                                      _METHOD_INDEX[meth], gamma_index[g],
-                                      trial, i if refresh else 0)
-                    return _realize(flavor, config.m, n, config.sjlt_s, seed) @ A
-
-                _, trace = iterative_randomized_solve(
-                    problem, factory, t, refresh=refresh, x_star=x_star[g])
+            _, trace = refine(RidgeProblem(A, y, g), preconditioner, t,
+                              x_star=x_star[g])
             norms = trace.residual_norms
             flag = 0
         except DivergenceError as err:

@@ -72,10 +72,6 @@ class SketchOutput:
     mode: str
 
     @property
-    def size(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
     def dim(self) -> int:
         return self.matrix.shape[1]
 
@@ -216,7 +212,11 @@ def save_sketch_csv(output: SketchOutput, path) -> None:
 
 
 def load_sketch_csv(path) -> SketchOutput:
-    """Inverse of :func:`save_sketch_csv`."""
+    """Inverse of :func:`save_sketch_csv`.
+
+    Raises ValueError naming ``path`` on a malformed header, a negative or
+    non-finite shift, a shape mismatch or a non-finite matrix entry.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
         if not header.startswith("#"):
@@ -228,8 +228,16 @@ def load_sketch_csv(path) -> SketchOutput:
         shift, mode = float(fields[2]), fields[3].strip()
         if mode not in MODES:
             raise ValueError(f"{path}: unknown sketch mode {mode!r}")
+        if not (np.isfinite(shift) and shift >= 0.0):
+            raise ValueError(
+                f"{path}: shift must be finite and non-negative, got {shift}")
         mat = np.loadtxt(fh, delimiter=",", ndmin=2)
     if mat.shape != (m, d):
         raise ValueError(
             f"{path}: header promises shape ({m}, {d}), file holds {mat.shape}")
+    bad = np.argwhere(~np.isfinite(mat))
+    if bad.size:
+        row, col = bad[0]
+        raise ValueError(
+            f"{path}: entry ({row}, {col}) of the matrix is not finite")
     return SketchOutput(matrix=mat, shift=shift, mode=mode)

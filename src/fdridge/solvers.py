@@ -1,9 +1,10 @@
 """Ridge regression solvers: exact, one-shot sketched, and iterative.
 
-The sketch-and-solve estimators never form the n x d data more than once;
-the iterative refinement scheme reuses a single Frequent Directions
-sketch as a fixed preconditioner and touches the data only through
-matrix-vector products.
+The sketch-and-solve estimators never form the n x d data more than once.
+The one refinement loop, :func:`refine`, touches the data only through
+matrix-vector products and asks for a preconditioner every iteration:
+:func:`ifdrr_solve` hands it one fixed Frequent Directions sketch, while
+randomized schemes hand it one draw or a fresh draw per iteration.
 """
 from __future__ import annotations
 
@@ -12,8 +13,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .sketch import (MODE_FD, SketchOutput, StreamingSketch, _gram_eigh,
-                     sketch_matrix)
+from .sketch import MODE_FD, SketchOutput, _gram_eigh, sketch_matrix
 
 # An iterate whose norm exceeds this multiple of |A^T y| / gamma has left
 # the region where any ridge solution can live; treat it as divergence.
@@ -138,48 +138,30 @@ def solve_exact(problem: RidgeProblem) -> np.ndarray:
     return np.linalg.solve(H, A.T @ y)
 
 
-def sketch_with_targets(A: np.ndarray, y: np.ndarray, m: int
-                        ) -> tuple[StreamingSketch, np.ndarray]:
-    """Single pass over the rows building the sketch and A^T y together."""
-    A = np.asarray(A, dtype=float)
-    y = np.asarray(y, dtype=float)
-    n, d = A.shape
-    sk = StreamingSketch(m, d)
-    cross = np.zeros(d)
-    pos = 0
-    while pos < n:
-        take = min(2 * sk.m - sk.fill, n - pos)
-        block = A[pos:pos + take]
-        cross += block.T @ y[pos:pos + take]
-        sk.extend(block)
-        pos += take
-    return sk, cross
-
-
 def fdrr_solve(problem: RidgeProblem, m: int, mode: str = MODE_FD) -> np.ndarray:
     """Sketched ridge estimate (B^T B + (gamma + shift) I)^{-1} A^T y.
 
-    One streaming pass builds the sketch and the cross product together;
-    the solve itself costs O(m d) on the sketch's orthogonal rows.
+    One streaming pass builds the sketch; the solve itself costs O(m d)
+    on the sketch's orthogonal rows.
     """
-    sk, cross = sketch_with_targets(problem.A, problem.y, m)
-    return InverseOperator.from_sketch(sk.finalize(mode), problem.gamma).apply(cross)
+    op = InverseOperator.from_sketch(sketch_matrix(problem.A, m, mode),
+                                     problem.gamma)
+    return op.apply(problem.A.T @ problem.y)
 
 
-def classical_sketch_solve(sketched_A: np.ndarray, sketched_y: np.ndarray,
+def classical_sketch_solve(SA: np.ndarray, Sy: np.ndarray,
                            gamma: float) -> np.ndarray:
     """Sketch-and-solve with both sides compressed:
     (A^T S^T S A + gamma I)^{-1} A^T S^T S y."""
-    sketched_A = np.asarray(sketched_A, dtype=float)
-    return InverseOperator(sketched_A, gamma).apply(
-        sketched_A.T @ np.asarray(sketched_y, dtype=float))
+    SA = np.asarray(SA, dtype=float)
+    return InverseOperator(SA, gamma).apply(SA.T @ np.asarray(Sy, dtype=float))
 
 
-def hessian_sketch_solve(sketched_A: np.ndarray, cross: np.ndarray,
+def hessian_sketch_solve(SA: np.ndarray, cross: np.ndarray,
                          gamma: float) -> np.ndarray:
     """Partial sketching: curvature from S A, full-data right-hand side
     (A^T S^T S A + gamma I)^{-1} A^T y."""
-    return InverseOperator(sketched_A, gamma).apply(cross)
+    return InverseOperator(SA, gamma).apply(cross)
 
 
 def refine(problem: RidgeProblem,
@@ -189,11 +171,13 @@ def refine(problem: RidgeProblem,
            ) -> tuple[np.ndarray, IterativeTrace]:
     """Iterative refinement from zero: x <- x - preconditioner(i) gradient.
 
-    ``preconditioner(i)`` returns the inverse operator for iteration i.
-    The ridge gradient A^T (A x - y) + gamma x is evaluated as two
-    streaming matrix-vector products; the d x d Gram matrix is never
-    formed.  Raises :class:`DivergenceError` when the iterate norm passes
-    the guard; the partial trace rides along on the exception.
+    ``preconditioner(i)`` returns the inverse operator for iteration i:
+    the same one every time for a fixed sketch, a new
+    ``InverseOperator(S_i A, gamma)`` for iterative Hessian sketching.  The
+    ridge gradient A^T (A x - y) + gamma x is evaluated as two streaming
+    matrix-vector products; the d x d Gram matrix is never formed.  Raises
+    :class:`DivergenceError` when the iterate norm passes the guard; the
+    partial trace rides along on the exception.
     """
     A, y, gamma = problem.A, problem.y, problem.gamma
     if t < 1:
@@ -226,22 +210,3 @@ def ifdrr_solve(problem: RidgeProblem, m: int, t: int, mode: str = MODE_FD,
     op = InverseOperator.from_sketch(sketch_matrix(problem.A, m, mode),
                                      problem.gamma)
     return refine(problem, lambda _i: op, t, x_star)
-
-
-def iterative_randomized_solve(problem: RidgeProblem,
-                               sketch_factory: Callable[[int], np.ndarray],
-                               t: int,
-                               refresh: bool,
-                               x_star: Optional[np.ndarray] = None
-                               ) -> tuple[np.ndarray, IterativeTrace]:
-    """Newton-type iterations with randomized curvature estimates.
-
-    ``sketch_factory(i)`` must return the compressed data S A for
-    iteration i.  With ``refresh=True`` a fresh sketch is drawn every
-    iteration (iterative Hessian sketching); with ``refresh=False`` the
-    factory is called once and the same factorization is reused, which
-    with S = I reproduces the exact solution after one step.
-    """
-    fixed = None if refresh else InverseOperator(sketch_factory(0), problem.gamma)
-    return refine(problem, lambda i: fixed or InverseOperator(
-        sketch_factory(i), problem.gamma), t, x_star)

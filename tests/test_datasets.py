@@ -188,12 +188,24 @@ def test_parse_reports_position_of_bad_label():
     ("1 3:1.0 2:1.0", "does not increase"),
     ("1 2:2.0 2:1.0", "does not increase"),
     ("1 1:abc", "not a number"),
+    ("1 1:nan", "not finite"),
+    ("1 1:inf", "not finite"),
+    ("-inf 1:2.0", "not finite"),
 ])
 def test_parse_rejects_malformed_features(line, fragment):
     with pytest.raises(LibsvmParseError) as info:
         parse_libsvm([line])
     assert info.value.line == 1
     assert fragment in info.value.reason
+
+
+def test_parse_reports_position_of_non_finite_entries():
+    with pytest.raises(LibsvmParseError) as info:
+        parse_libsvm(["1 1:2.0", "1 1:2.0 2:nan"])
+    assert (info.value.line, info.value.column) == (2, 9)
+    with pytest.raises(LibsvmParseError) as info:
+        parse_libsvm(["1 1:2.0", "  inf 1:2.0"])
+    assert (info.value.line, info.value.column) == (2, 3)
 
 
 def test_parse_feature_override():

@@ -88,6 +88,8 @@ def test_load_config_error_positions(tmp_path):
     dict(methods=("zigzag",)),
     dict(dataset="libsvm"),
     dict(methods=("classical:sjlt",), sjlt_s=7, m=256),
+    dict(gammas=(1.0, math.inf)),
+    dict(dataset="gaussian-rff", n=0),
 ])
 def test_config_validation(kw):
     with pytest.raises(ConfigError):

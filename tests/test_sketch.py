@@ -352,3 +352,17 @@ def test_csv_rejects_bad_header(tmp_path):
     path.write_text("# 2,3,0.0,weird\n0,0,0\n0,0,0\n", encoding="utf-8")
     with pytest.raises(ValueError):
         load_sketch_csv(path)
+
+
+@pytest.mark.parametrize("text", [
+    "# 2,2,0.0,rfd\nnan,1\n0,1\n",
+    "# 2,2,0.0,fd\n1,0\n0,inf\n",
+    "# 2,2,-5,rfd\n1,0\n0,1\n",
+    "# 2,2,inf,rfd\n1,0\n0,1\n",
+    "# 2,2,nan,rfd\n1,0\n0,1\n",
+])
+def test_csv_rejects_non_finite_entries_and_bad_shift(tmp_path, text):
+    path = tmp_path / "bad.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match="bad.csv"):
+        load_sketch_csv(path)

@@ -12,8 +12,7 @@ from fdridge.random_sketch import GaussianSketchSpec, realize_gaussian
 from fdridge.sketch import MODE_FD, MODE_RFD, sketch_matrix, tail_masses
 from fdridge.solvers import (DivergenceError, InverseOperator, RidgeProblem,
                              classical_sketch_solve, fdrr_solve,
-                             hessian_sketch_solve, ifdrr_solve,
-                             iterative_randomized_solve, sketch_with_targets,
+                             hessian_sketch_solve, ifdrr_solve, refine,
                              solve_exact)
 
 
@@ -143,14 +142,6 @@ def test_operator_linearity(seed, a, b):
     np.testing.assert_allclose(op.apply(a * u + b * v),
                                a * op.apply(u) + b * op.apply(v),
                                rtol=1e-12, atol=1e-12)
-
-
-def test_sketch_with_targets_single_pass():
-    problem = make_problem(5, n=50, d=8)
-    sk, cross = sketch_with_targets(problem.A, problem.y, 4)
-    np.testing.assert_allclose(cross, problem.A.T @ problem.y, rtol=1e-12)
-    reference = sketch_matrix(problem.A, 4, MODE_RFD)
-    np.testing.assert_array_equal(sk.finalize(MODE_RFD).matrix, reference.matrix)
 
 
 @pytest.mark.parametrize("mode", [MODE_FD, MODE_RFD])
@@ -319,8 +310,8 @@ def test_preconditioner_contracts_when_budget_is_safe():
 def test_single_identity_sketch_solves_in_one_step():
     problem = make_problem(17)
     x_star = solve_exact(problem)
-    x, trace = iterative_randomized_solve(
-        problem, lambda _i: problem.A, t=3, refresh=False, x_star=x_star)
+    op = InverseOperator(problem.A, problem.gamma)
+    x, trace = refine(problem, lambda _i: op, t=3, x_star=x_star)
     assert trace.residual_norms[1] < 1e-10 * np.linalg.norm(x_star)
     assert rel_err(x, x_star) < 1e-10
 
@@ -335,11 +326,10 @@ def test_refreshed_sketch_error_decreases():
     x_star = solve_exact(problem)
     monotone = 0
     for seed in range(10):
-        def factory(i, seed=seed):
+        def draw(i, seed=seed):
             spec = GaussianSketchSpec(m=40, n=80, seed=1000 * seed + i)
-            return realize_gaussian(spec) @ A
-        _, trace = iterative_randomized_solve(problem, factory, t=10,
-                                              refresh=True, x_star=x_star)
+            return InverseOperator(realize_gaussian(spec) @ A, problem.gamma)
+        _, trace = refine(problem, draw, t=10, x_star=x_star)
         diffs = np.diff(trace.residual_norms[1:])
         monotone += int(np.all(diffs < 0))
     assert monotone >= 8
@@ -352,10 +342,9 @@ def test_divergence_guard_trips():
     problem = RidgeProblem(A, y, 1e-3)
     # A zero sketch leaves only the ridge term in the surrogate Hessian,
     # so each step multiplies the residual by roughly |A^T A| / gamma.
+    op = InverseOperator(np.zeros((4, 6)), problem.gamma)
     with pytest.raises(DivergenceError) as info:
-        iterative_randomized_solve(problem, lambda _i: np.zeros((4, 6)),
-                                   t=10, refresh=False,
-                                   x_star=solve_exact(problem))
+        refine(problem, lambda _i: op, t=10, x_star=solve_exact(problem))
     err = info.value
     assert err.iteration >= 1
     assert len(err.trace.residual_norms) == err.iteration
