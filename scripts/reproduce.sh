@@ -5,7 +5,7 @@ set -eu
 cd "$(dirname "$0")/.."
 mkdir -p results
 
-python3 -m fdridge.cli sweep      --config scripts/configs/sweep_lowrank.cfg    --jobs 4 --raw
-python3 -m fdridge.cli sweep      --config scripts/configs/sweep_midrank.cfg    --jobs 4 --raw
-python3 -m fdridge.cli iterate    --config scripts/configs/iterate_rff.cfg      --jobs 4 --t 10
+python3 -m fdridge.cli sweep      --config scripts/configs/sweep_lowrank.cfg    --raw
+python3 -m fdridge.cli sweep      --config scripts/configs/sweep_midrank.cfg    --raw
+python3 -m fdridge.cli iterate    --config scripts/configs/iterate_rff.cfg      --t 10
 python3 -m fdridge.cli sketch-acc --config scripts/configs/sketch_accuracy.cfg

@@ -3,7 +3,7 @@ baselines, exact bias/variance diagnostics, and an experiment harness."""
 
 from .datasets import (LibsvmParseError, SparseRowMatrix, SyntheticSpec,
                        dct_rotation, dump_libsvm, parse_libsvm, rff_expand,
-                       save_matrix_csv, synthetic_regression)
+                       synthetic_regression)
 from .diagnostics import (BudgetError, DiagnosticsReport, LinearModelSpec,
                           ThetaBudget, budget_for_theta,
                           classical_sketch_diagnostics,
@@ -12,8 +12,8 @@ from .diagnostics import (BudgetError, DiagnosticsReport, LinearModelSpec,
 from .experiments import (ConfigError, SweepConfig, load_config, load_instance,
                           run_bias_variance_sweep, run_iterative_experiment,
                           run_sketch_accuracy)
-from .random_sketch import (GaussianSketchSpec, SjltSketchSpec, apply_gaussian,
-                            apply_sjlt, realize_gaussian, realize_sjlt)
+from .random_sketch import (GaussianSketchSpec, SjltSketchSpec,
+                            realize_gaussian, realize_sjlt)
 from .sketch import (MODE_FD, MODE_RFD, SketchOutput, StreamingSketch,
                      load_sketch_csv, save_sketch_csv, sketch_matrix,
                      tail_masses)
@@ -27,16 +27,15 @@ __all__ = [
     "LibsvmParseError", "LinearModelSpec", "MODE_FD", "MODE_RFD",
     "RidgeProblem", "SjltSketchSpec", "SketchOutput", "SparseRowMatrix",
     "StreamingSketch", "SweepConfig", "SyntheticSpec", "ThetaBudget",
-    "apply_gaussian", "apply_sjlt", "budget_for_theta",
-    "classical_sketch_diagnostics", "classical_sketch_solve", "dct_rotation",
-    "dump_libsvm", "fdrr_solve", "hessian_sketch_diagnostics",
-    "hessian_sketch_solve", "ifdrr_solve", "load_config", "load_instance",
-    "load_sketch_csv", "optimal_diagnostics", "parse_libsvm",
-    "realize_gaussian", "realize_sjlt", "refine", "rff_expand",
+    "budget_for_theta", "classical_sketch_diagnostics",
+    "classical_sketch_solve", "dct_rotation", "dump_libsvm", "fdrr_solve",
+    "hessian_sketch_diagnostics", "hessian_sketch_solve", "ifdrr_solve",
+    "load_config", "load_instance", "load_sketch_csv", "optimal_diagnostics",
+    "parse_libsvm", "realize_gaussian", "realize_sjlt", "refine", "rff_expand",
     "run_bias_variance_sweep", "run_iterative_experiment",
-    "run_sketch_accuracy", "save_matrix_csv", "save_sketch_csv",
-    "sketch_matrix", "sketched_diagnostics", "solve_exact",
-    "synthetic_regression", "tail_masses", "theta_interval", "with_relatives",
+    "run_sketch_accuracy", "save_sketch_csv", "sketch_matrix",
+    "sketched_diagnostics", "solve_exact", "synthetic_regression",
+    "tail_masses", "theta_interval", "with_relatives",
 ]
 
 __version__ = "0.1.0"

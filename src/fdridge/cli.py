@@ -1,7 +1,7 @@
 """Command-line entry point.
 
-    fdridge sweep --config sweep.cfg [--out table.csv] [--jobs 4] [--raw]
-    fdridge iterate --config iter.cfg --t 10 [--out table.csv] [--jobs 4]
+    fdridge sweep --config sweep.cfg [--out table.csv] [--raw]
+    fdridge iterate --config iter.cfg --t 10 [--out table.csv]
     fdridge sketch-acc --config acc.cfg [--out table.csv]
 
 Any config key can be overridden with repeated --set key=value flags.
@@ -20,17 +20,6 @@ from .experiments import (ConfigError, load_config, run_bias_variance_sweep,
 _DEFAULT_OUT = {"sweep": "fdridge-sweep.csv",
                 "iterate": "fdridge-iterate.csv",
                 "sketch-acc": "fdridge-sketch-acc.csv"}
-
-
-def _jobs(text: str) -> int:
-    try:
-        jobs = int(text)
-    except ValueError:
-        jobs = 0
-    if jobs < 1:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer of at least 1, got {text!r}")
-    return jobs
 
 
 def _add_common(sub):
@@ -55,9 +44,10 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(iterate)
     iterate.add_argument("--t", type=int, required=True, help="iteration count")
 
+    # Kept, with its one value, so that command lines passing --jobs 1 parse.
     for gridded in (sweep, iterate):
-        gridded.add_argument("--jobs", type=_jobs, default=1,
-                             help="parallel workers for independent grid cells")
+        gridded.add_argument("--jobs", type=int, choices=(1,),
+                             help="cells run one at a time; only 1 is accepted")
 
     acc = sub.add_parser("sketch-acc", help="sketch covariance error vs bounds")
     _add_common(acc)
@@ -83,11 +73,9 @@ def main(argv=None) -> int:
         config = load_config(args.config, _gather_overrides(args))
         out = args.out or config.out or _DEFAULT_OUT[args.command]
         if args.command == "sweep":
-            rows = run_bias_variance_sweep(config, jobs=args.jobs,
-                                           raw=args.raw, out=out)
+            rows = run_bias_variance_sweep(config, raw=args.raw, out=out)
         elif args.command == "iterate":
-            rows = run_iterative_experiment(config, args.t, jobs=args.jobs,
-                                            out=out)
+            rows = run_iterative_experiment(config, args.t, out=out)
         else:
             rows = run_sketch_accuracy(config, out=out)
     except (ConfigError, OSError, ValueError) as err:

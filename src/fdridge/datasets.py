@@ -1,8 +1,8 @@
 """Dataset construction and ingestion.
 
 Synthetic low-effective-rank regression instances, random Fourier feature
-expansion, a reader/writer pair for the plain-text sparse sample format
-(``label index:value ...`` with 1-based indices), and lossless CSV export.
+expansion, and a reader/writer pair for the plain-text sparse sample
+format (``label index:value ...`` with 1-based indices).
 """
 from __future__ import annotations
 
@@ -214,11 +214,3 @@ def dump_libsvm(matrix: SparseRowMatrix, labels: np.ndarray, path) -> None:
             parts.extend(f"{int(i) + 1}:{format(v, '.17g')}"
                          for i, v in zip(idx, vals))
             fh.write(" ".join(parts) + "\n")
-
-
-def save_matrix_csv(A: np.ndarray, path) -> None:
-    """Plain CSV export of a dense matrix at 17 significant digits."""
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2:
-        raise ValueError(f"expected a 2-d array, got shape {A.shape}")
-    np.savetxt(path, A, fmt="%.17g", delimiter=",", encoding="utf-8")

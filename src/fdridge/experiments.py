@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -22,7 +21,7 @@ from .diagnostics import (LinearModelSpec, classical_sketch_diagnostics,
                           sketched_diagnostics, with_relatives)
 from .random_sketch import (GaussianSketchSpec, SjltSketchSpec,
                             realize_gaussian, realize_sjlt)
-from .sketch import MODE_FD, MODE_RFD, MODES, StreamingSketch, tail_masses
+from .sketch import MODE_FD, MODE_RFD, StreamingSketch, tail_masses
 from .solvers import DivergenceError, InverseOperator, RidgeProblem, refine
 
 
@@ -98,6 +97,9 @@ class SweepConfig:
         if self.dataset == "gaussian-rff" and self.n < 1:
             raise ConfigError(
                 f"dataset 'gaussian-rff' needs n >= 1, got n={self.n}")
+        if self.dataset == "gaussian-rff" and self.raw_dim < 1:
+            raise ConfigError(
+                f"dataset 'gaussian-rff' needs raw_dim >= 1, got raw_dim={self.raw_dim}")
         if self.dataset == "libsvm" and not self.libsvm_path:
             raise ConfigError("dataset 'libsvm' needs libsvm_path")
         needs_sjlt = any(meth.endswith(":sjlt") for meth in self.methods)
@@ -215,18 +217,16 @@ def _realize(flavor: str, m: int, n: int, s: int, seed: int):
 
 
 def _sketch_both(A: np.ndarray, m: int) -> dict:
-    """Stream A once through one sketch; its FD and RFD outputs by mode."""
+    """Stream A once through one sketch; its FD and RFD outputs by mode.
+
+    The modes differ only in the reported shift, so one finalize serves
+    both: the FD output is the RFD output with a zero shift.
+    """
     sk = StreamingSketch(m, A.shape[1])
     sk.extend(A)
-    return {mode: sk.finalize(mode) for mode in MODES}
-
-
-def _map_cells(cells, worker, jobs):
-    if jobs <= 1:
-        return {cell: worker(cell) for cell in cells}
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = {cell: pool.submit(worker, cell) for cell in cells}
-        return {cell: fut.result() for cell, fut in futures.items()}
+    rfd = sk.finalize(MODE_RFD)
+    return {MODE_FD: replace(rfd, shift=0.0, mode=MODE_FD),
+            MODE_RFD: rfd}
 
 
 def _fmt(value) -> str:
@@ -282,8 +282,8 @@ def _median_row(method, gamma, trial_rows):
     return row
 
 
-def run_bias_variance_sweep(config: SweepConfig, jobs: int = 1,
-                            raw: bool = False, out=None) -> list:
+def run_bias_variance_sweep(config: SweepConfig, raw: bool = False,
+                            out=None) -> list:
     """Median bias/variance/MSE of one-shot estimators over the gamma grid.
 
     Writes the aggregated table to ``out`` when given (and the per-trial
@@ -316,21 +316,13 @@ def run_bias_variance_sweep(config: SweepConfig, jobs: int = 1,
                 single[meth] = relative(
                     sketched_diagnostics(A, sketches[mode], model, gammas))
 
-    random_methods = [meth for meth in config.methods
-                      if meth.startswith(("classical:", "hessian:"))]
-    cells = [(meth, trial) for meth in random_methods
-             for trial in range(config.trials)]
-
-    def worker(cell):
-        meth, trial = cell
+    def trial_reports(meth, trial):
         kind, _, flavor = meth.partition(":")
         seed = child_seed(config.seed, _SWEEP_TAG, _METHOD_INDEX[meth], trial)
         S = _realize(flavor, config.m, n, config.sjlt_s, seed)
         if kind == "classical":
             return relative(classical_sketch_diagnostics(A, S, model, gammas))
         return relative(hessian_sketch_diagnostics(A, S @ A, model, gammas))
-
-    by_cell = _map_cells(cells, worker, jobs)
 
     rows = []
     raw_rows = []
@@ -339,9 +331,10 @@ def run_bias_variance_sweep(config: SweepConfig, jobs: int = 1,
             rows += [_report_row(meth, g, rep)
                      for g, rep in zip(gammas, single[meth])]
             continue
+        per_trial = [trial_reports(meth, trial) for trial in range(config.trials)]
         for i, g in enumerate(gammas):
-            trial_rows = [dict(_report_row(meth, g, by_cell[(meth, trial)][i]),
-                               trial=trial) for trial in range(config.trials)]
+            trial_rows = [dict(_report_row(meth, g, reports[i]), trial=trial)
+                          for trial, reports in enumerate(per_trial)]
             raw_rows.extend(trial_rows)
             rows.append(_median_row(meth, g, trial_rows))
     rows.sort(key=lambda r: (r["method"], r["gamma"]))
@@ -367,8 +360,7 @@ def _log10(value: float) -> float:
     return math.log10(value)
 
 
-def run_iterative_experiment(config: SweepConfig, t: int, jobs: int = 1,
-                             out=None) -> list:
+def run_iterative_experiment(config: SweepConfig, t: int, out=None) -> list:
     """Relative error per iteration for the iterative solvers.
 
     Logs log10(|x_i - x*| / |x*|) for iterations 1..t at every gamma in
@@ -426,24 +418,21 @@ def run_iterative_experiment(config: SweepConfig, t: int, jobs: int = 1,
         errors[:got.size] = got
         return errors, flag
 
-    def worker(cell):
-        meth, g = cell
-        if meth.startswith("ifdrr"):
-            return run_one(meth, g, 0)
-        per_trial = [run_one(meth, g, trial) for trial in range(config.trials)]
-        stacked = np.vstack([errs for errs, _ in per_trial])
-        return np.median(stacked, axis=0), max(flag for _, flag in per_trial)
-
-    cells = [(meth, g) for meth in config.methods for g in gammas]
-    by_cell = _map_cells(cells, worker, jobs)
-
     rows = []
-    for meth, g in cells:
-        errors, flag = by_cell[(meth, g)]
-        for i in range(t):
-            rows.append({"method": meth, "gamma": g, "iteration": i + 1,
-                         "log10_error": _log10(float(errors[i])),
-                         "diverged": flag})
+    for meth in config.methods:
+        for g in gammas:
+            if meth.startswith("ifdrr"):
+                errors, flag = run_one(meth, g, 0)
+            else:
+                per_trial = [run_one(meth, g, trial)
+                             for trial in range(config.trials)]
+                errors = np.median(np.vstack([errs for errs, _ in per_trial]),
+                                   axis=0)
+                flag = max(flag for _, flag in per_trial)
+            for i in range(t):
+                rows.append({"method": meth, "gamma": g, "iteration": i + 1,
+                             "log10_error": _log10(float(errors[i])),
+                             "diverged": flag})
     rows.sort(key=lambda r: (r["method"], r["gamma"], r["iteration"]))
 
     if out is not None:

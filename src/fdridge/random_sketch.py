@@ -2,7 +2,7 @@
 
 Both sketches are described by a small frozen spec (dimensions plus an
 integer seed) and realized deterministically from a PCG64 generator, so
-applying the same spec twice gives bitwise-identical results.
+realizing the same spec twice gives bitwise-identical matrices.
 """
 from __future__ import annotations
 
@@ -75,26 +75,3 @@ def realize_sjlt(spec: SjltSketchSpec) -> scipy.sparse.csr_matrix:
         vals[lo:lo + spec.n] = scale * signs
     return scipy.sparse.csr_matrix(
         (vals, (rows, cols)), shape=(spec.m, spec.n))
-
-
-def _apply(S, X: np.ndarray) -> np.ndarray:
-    X = np.asarray(X, dtype=float)
-    if X.shape[0] != S.shape[1]:
-        raise ValueError(
-            f"sketch expects {S.shape[1]} input rows, got {X.shape[0]}")
-    out = S @ X
-    return np.asarray(out)
-
-
-def apply_gaussian(spec: GaussianSketchSpec, X: np.ndarray) -> np.ndarray:
-    """Compute S X for the realized Gaussian sketch; X may be 1-d or 2-d."""
-    return _apply(realize_gaussian(spec), X)
-
-
-def apply_sjlt(spec: SjltSketchSpec, X: np.ndarray) -> np.ndarray:
-    """Compute S X for the realized SJLT.
-
-    The sparse product touches each row of X once per block, i.e. it is a
-    streaming signed accumulation, never a dense m x n matrix.
-    """
-    return _apply(realize_sjlt(spec), X)

@@ -1,11 +1,16 @@
 """End-to-end command-line tests (in-process, plus one subprocess smoke)."""
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fdridge.cli import main
+from fdridge.cli import _build_parser, main
+
+REPO = Path(__file__).resolve().parents[1]
+REPRODUCE = REPO / "scripts" / "reproduce.sh"
 
 CONFIG_TEXT = """\
 # tiny instance so the suite stays fast
@@ -46,7 +51,7 @@ def test_sweep_subcommand(config_path, tmp_path, capsys):
 def test_sweep_raw_flag(config_path, tmp_path):
     out = tmp_path / "table.csv"
     code = main(["sweep", "--config", str(config_path), "--out", str(out),
-                 "--raw", "--jobs", "2"])
+                 "--raw"])
     assert code == 0
     assert (tmp_path / "table.csv.raw.csv").exists()
 
@@ -122,13 +127,41 @@ def test_cli_errors_exit_2(config_path, capsys, argv_tail, fragment):
     ("iterate", ["--t", "2", "--jobs", "-3"]),
     ("iterate", ["--t", "2", "--jobs", "two"]),
     ("sketch-acc", ["--jobs", "2"]),
+    ("sweep", ["--jobs", "2"]),
 ])
 def test_jobs_flag_rejected(config_path, capsys, command, argv_tail):
-    # --jobs exists only where cells run in parallel, and must be >= 1
+    # cells run one at a time: --jobs takes only 1, and only on gridded runs
     with pytest.raises(SystemExit) as info:
         main([command, "--config", str(config_path)] + argv_tail)
     assert info.value.code == 2
     assert "--jobs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["sweep"],
+    ["iterate", "--t", "2", "--set", "methods=ifdrr:fd"],
+])
+def test_jobs_one_still_runs(config_path, tmp_path, command):
+    out = tmp_path / "table.csv"
+    code = main(command + ["--config", str(config_path), "--out", str(out),
+                           "--jobs", "1"])
+    assert code == 0
+    assert out.exists()
+
+
+def test_reproduce_script_parses():
+    """Every fdridge line of scripts/reproduce.sh parses and names a config
+    that exists; nothing is run."""
+    lines = [shlex.split(line) for line in REPRODUCE.read_text().splitlines()
+             if line.startswith("python3 -m fdridge.cli ")]
+    assert {argv[3] for argv in lines} == {"sweep", "iterate", "sketch-acc"}
+    parser = _build_parser()
+    for argv in lines:
+        try:
+            args = parser.parse_args(argv[3:])
+        except SystemExit:
+            pytest.fail(f"reproduce.sh line does not parse: {shlex.join(argv)}")
+        assert (REPO / args.config).is_file(), args.config
 
 
 def test_missing_config_file(tmp_path, capsys):

@@ -13,8 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from fdridge.datasets import (LibsvmParseError, SparseRowMatrix,
                               SyntheticSpec, dct_rotation, dump_libsvm,
-                              parse_libsvm, rff_expand, save_matrix_csv,
-                              synthetic_regression)
+                              parse_libsvm, rff_expand, synthetic_regression)
 
 
 def test_effective_rank_rounding():
@@ -254,12 +253,3 @@ def test_dump_rejects_label_mismatch(tmp_path):
     matrix = SparseRowMatrix(1, 2, [(np.array([0]), np.array([1.0]))])
     with pytest.raises(ValueError):
         dump_libsvm(matrix, np.zeros(3), tmp_path / "bad.txt")
-
-
-def test_dense_csv_round_trip(tmp_path):
-    rng = np.random.default_rng(8)
-    A = rng.standard_normal((5, 3)) * np.exp(rng.uniform(-8, 8, size=(5, 3)))
-    path = tmp_path / "dense.csv"
-    save_matrix_csv(A, path)
-    back = np.loadtxt(path, delimiter=",")
-    assert np.array_equal(back, A)

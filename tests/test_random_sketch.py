@@ -3,49 +3,38 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fdridge.random_sketch import (GaussianSketchSpec, SjltSketchSpec,
-                                   apply_gaussian, apply_sjlt,
                                    realize_gaussian, realize_sjlt)
 
 
 def test_gaussian_zero_input():
     spec = GaussianSketchSpec(m=8, n=12, seed=0)
-    assert not apply_gaussian(spec, np.zeros((12, 3))).any()
+    assert not (realize_gaussian(spec) @ np.zeros((12, 3))).any()
 
 
 def test_gaussian_deterministic():
     spec = GaussianSketchSpec(m=8, n=12, seed=3)
     A = np.random.default_rng(1).standard_normal((12, 4))
-    np.testing.assert_array_equal(apply_gaussian(spec, A),
-                                  apply_gaussian(spec, A))
+    np.testing.assert_array_equal(realize_gaussian(spec) @ A,
+                                  realize_gaussian(spec) @ A)
 
 
 def test_gaussian_seed_changes_output():
     A = np.random.default_rng(1).standard_normal((12, 4))
-    a = apply_gaussian(GaussianSketchSpec(m=8, n=12, seed=0), A)
-    b = apply_gaussian(GaussianSketchSpec(m=8, n=12, seed=1), A)
+    a = realize_gaussian(GaussianSketchSpec(m=8, n=12, seed=0)) @ A
+    b = realize_gaussian(GaussianSketchSpec(m=8, n=12, seed=1)) @ A
     assert not np.array_equal(a, b)
 
 
 def test_gaussian_shape_mismatch():
     spec = GaussianSketchSpec(m=8, n=12, seed=0)
     with pytest.raises(ValueError):
-        apply_gaussian(spec, np.zeros((11, 3)))
+        realize_gaussian(spec) @ np.zeros((11, 3))
 
 
 def test_gaussian_entry_scale():
     # Entries are i.i.d. with variance 1/m.
     S = realize_gaussian(GaussianSketchSpec(m=400, n=50, seed=7))
     assert np.asarray(S).var() == pytest.approx(1.0 / 400, rel=0.05)
-
-
-def test_apply_matches_realized_matrix():
-    A = np.random.default_rng(2).standard_normal((20, 5))
-    gspec = GaussianSketchSpec(m=6, n=20, seed=4)
-    np.testing.assert_allclose(apply_gaussian(gspec, A),
-                               np.asarray(realize_gaussian(gspec)) @ A)
-    sspec = SjltSketchSpec(m=6, n=20, s=2, seed=4)
-    np.testing.assert_allclose(apply_sjlt(sspec, A),
-                               np.asarray(realize_sjlt(sspec).todense()) @ A)
 
 
 def test_sjlt_rejects_bad_block_count():
@@ -69,7 +58,7 @@ def test_sjlt_on_basis_vector():
     s = 8
     col = np.zeros((24, 1))
     col[13, 0] = 1.0
-    out = apply_sjlt(SjltSketchSpec(m=64, n=24, s=s, seed=6), col)
+    out = realize_sjlt(SjltSketchSpec(m=64, n=24, s=s, seed=6)) @ col
     nz = out[out != 0.0]
     assert nz.size == s
     assert np.allclose(np.abs(nz), 1.0 / np.sqrt(s))
@@ -80,7 +69,7 @@ def test_isometry_in_expectation_gaussian():
     x = rng.standard_normal(64)
     x /= np.linalg.norm(x)
     vals = [float(np.linalg.norm(
-        apply_gaussian(GaussianSketchSpec(m=512, n=64, seed=seed), x[:, None])) ** 2)
+        realize_gaussian(GaussianSketchSpec(m=512, n=64, seed=seed)) @ x) ** 2)
         for seed in range(200)]
     assert 0.9 <= np.mean(vals) <= 1.1
 
@@ -90,7 +79,7 @@ def test_isometry_in_expectation_sjlt():
     x = rng.standard_normal(64)
     x /= np.linalg.norm(x)
     vals = [float(np.linalg.norm(
-        apply_sjlt(SjltSketchSpec(m=512, n=64, s=8, seed=seed), x[:, None])) ** 2)
+        realize_sjlt(SjltSketchSpec(m=512, n=64, s=8, seed=seed)) @ x) ** 2)
         for seed in range(200)]
     assert 0.9 <= np.mean(vals) <= 1.1
 
@@ -104,9 +93,9 @@ def test_subspace_embedding_sanity(flavor):
     good = 0
     for seed in range(100):
         if flavor == "gauss":
-            SU = apply_gaussian(GaussianSketchSpec(m=1024, n=2048, seed=seed), U)
+            SU = realize_gaussian(GaussianSketchSpec(m=1024, n=2048, seed=seed)) @ U
         else:
-            SU = apply_sjlt(SjltSketchSpec(m=1024, n=2048, s=8, seed=seed), U)
+            SU = realize_sjlt(SjltSketchSpec(m=1024, n=2048, s=8, seed=seed)) @ U
         sv = np.linalg.svd(np.asarray(SU), compute_uv=False)
         good += int(sv.min() >= 0.5 and sv.max() <= 1.5)
     assert good >= 95
@@ -118,13 +107,8 @@ def test_application_is_linear(seed, a, b):
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((15, 3))
     Y = rng.standard_normal((15, 3))
-    gspec = GaussianSketchSpec(m=6, n=15, seed=seed)
-    np.testing.assert_allclose(
-        apply_gaussian(gspec, a * X + b * Y),
-        a * apply_gaussian(gspec, X) + b * apply_gaussian(gspec, Y),
-        rtol=1e-10, atol=1e-10)
-    sspec = SjltSketchSpec(m=6, n=15, s=3, seed=seed)
-    np.testing.assert_allclose(
-        apply_sjlt(sspec, a * X + b * Y),
-        a * apply_sjlt(sspec, X) + b * apply_sjlt(sspec, Y),
-        rtol=1e-10, atol=1e-10)
+    for S in (realize_gaussian(GaussianSketchSpec(m=6, n=15, seed=seed)),
+              realize_sjlt(SjltSketchSpec(m=6, n=15, s=3, seed=seed))):
+        np.testing.assert_allclose(S @ (a * X + b * Y),
+                                   a * (S @ X) + b * (S @ Y),
+                                   rtol=1e-10, atol=1e-10)
