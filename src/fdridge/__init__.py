@@ -13,7 +13,7 @@ from .experiments import (ConfigError, SweepConfig, load_config, load_instance,
                           run_bias_variance_sweep, run_iterative_experiment,
                           run_sketch_accuracy)
 from .random_sketch import (GaussianSketchSpec, SjltSketchSpec,
-                            realize_gaussian, realize_sjlt)
+                            apply_gaussian, realize_gaussian, realize_sjlt)
 from .sketch import (MODE_FD, MODE_RFD, SketchOutput, StreamingSketch,
                      load_sketch_csv, save_sketch_csv, sketch_matrix,
                      tail_masses)
@@ -27,7 +27,7 @@ __all__ = [
     "LibsvmParseError", "LinearModelSpec", "MODE_FD", "MODE_RFD",
     "RidgeProblem", "SjltSketchSpec", "SketchOutput", "SparseRowMatrix",
     "StreamingSketch", "SweepConfig", "SyntheticSpec", "ThetaBudget",
-    "budget_for_theta", "classical_sketch_diagnostics",
+    "apply_gaussian", "budget_for_theta", "classical_sketch_diagnostics",
     "classical_sketch_solve", "dct_rotation", "dump_libsvm", "fdrr_solve",
     "hessian_sketch_diagnostics", "hessian_sketch_solve", "ifdrr_solve",
     "load_config", "load_instance", "load_sketch_csv", "optimal_diagnostics",

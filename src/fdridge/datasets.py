@@ -91,7 +91,10 @@ def rff_expand(X: np.ndarray, n_features: int, gamma_rbf: float = 1.0,
     """Random Fourier features for the Gaussian kernel exp(-gamma |x-x'|^2).
 
     Rows of the projection are drawn N(0, 2 * gamma_rbf), offsets uniform
-    on [0, 2 pi); the map is sqrt(2 / n_features) * cos(X W^T + b).
+    on [0, 2 pi); the map is sqrt(2 / n_features) * cos(X W^T + b).  The
+    offset, cosine and scale are applied in place to the one
+    n x n_features product, so the expansion holds a single copy of its
+    output.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
@@ -103,7 +106,11 @@ def rff_expand(X: np.ndarray, n_features: int, gamma_rbf: float = 1.0,
     rng = np.random.default_rng(seed)
     W = rng.normal(0.0, math.sqrt(2.0 * gamma_rbf), size=(n_features, X.shape[1]))
     b = rng.uniform(0.0, 2.0 * math.pi, size=n_features)
-    return math.sqrt(2.0 / n_features) * np.cos(X @ W.T + b)
+    out = X @ W.T
+    out += b
+    np.cos(out, out=out)
+    out *= math.sqrt(2.0 / n_features)
+    return out
 
 
 @dataclass

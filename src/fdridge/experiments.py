@@ -20,7 +20,7 @@ from .diagnostics import (LinearModelSpec, classical_sketch_diagnostics,
                           hessian_sketch_diagnostics, optimal_diagnostics,
                           sketched_diagnostics, with_relatives)
 from .random_sketch import (GaussianSketchSpec, SjltSketchSpec,
-                            realize_gaussian, realize_sjlt)
+                            apply_gaussian, realize_gaussian, realize_sjlt)
 from .sketch import MODE_FD, MODE_RFD, StreamingSketch, tail_masses
 from .solvers import DivergenceError, InverseOperator, RidgeProblem, refine
 
@@ -55,7 +55,8 @@ class SweepConfig:
     weights), "gaussian-rff" (standard normal samples of dimension
     raw_dim pushed through random Fourier features to dimension d, with a
     planted unit-norm weight vector), or "libsvm" (read libsvm_path, keep
-    the first n samples, optionally expand to rff_features dimensions).
+    the first n samples, optionally expand to rff_features dimensions;
+    n = 0 keeps every sample).
     """
 
     dataset: str = "synthetic"
@@ -102,6 +103,9 @@ class SweepConfig:
                 f"dataset 'gaussian-rff' needs raw_dim >= 1, got raw_dim={self.raw_dim}")
         if self.dataset == "libsvm" and not self.libsvm_path:
             raise ConfigError("dataset 'libsvm' needs libsvm_path")
+        if self.dataset == "libsvm" and self.n < 0:
+            raise ConfigError(
+                f"dataset 'libsvm' needs n >= 0, got n={self.n}")
         needs_sjlt = any(meth.endswith(":sjlt") for meth in self.methods)
         if needs_sjlt and (self.sjlt_s < 1 or self.m % self.sjlt_s != 0):
             raise ConfigError(
@@ -216,6 +220,15 @@ def _realize(flavor: str, m: int, n: int, s: int, seed: int):
     raise ConfigError(f"unknown sketch flavor {flavor!r}")
 
 
+def _sketch_product(flavor: str, m: int, A: np.ndarray, s: int,
+                    seed: int) -> np.ndarray:
+    """S A for the draw that ``_realize`` would make, without holding a
+    dense Gaussian S."""
+    if flavor == "gauss":
+        return apply_gaussian(GaussianSketchSpec(m=m, n=A.shape[0], seed=seed), A)
+    return _realize(flavor, m, A.shape[0], s, seed) @ A
+
+
 def _sketch_both(A: np.ndarray, m: int) -> dict:
     """Stream A once through one sketch; its FD and RFD outputs by mode.
 
@@ -319,10 +332,11 @@ def run_bias_variance_sweep(config: SweepConfig, raw: bool = False,
     def trial_reports(meth, trial):
         kind, _, flavor = meth.partition(":")
         seed = child_seed(config.seed, _SWEEP_TAG, _METHOD_INDEX[meth], trial)
-        S = _realize(flavor, config.m, n, config.sjlt_s, seed)
         if kind == "classical":
+            S = _realize(flavor, config.m, n, config.sjlt_s, seed)
             return relative(classical_sketch_diagnostics(A, S, model, gammas))
-        return relative(hessian_sketch_diagnostics(A, S @ A, model, gammas))
+        SA = _sketch_product(flavor, config.m, A, config.sjlt_s, seed)
+        return relative(hessian_sketch_diagnostics(A, SA, model, gammas))
 
     rows = []
     raw_rows = []
@@ -377,7 +391,6 @@ def run_iterative_experiment(config: SweepConfig, t: int, out=None) -> list:
     if not config.methods:
         raise ConfigError("no methods requested")
     A, y, _ = load_instance(config)
-    n = A.shape[0]
     gammas = sorted(set(config.gammas))
     exact = InverseOperator(A, gammas[0])
     cross = A.T @ y
@@ -396,7 +409,7 @@ def run_iterative_experiment(config: SweepConfig, t: int, out=None) -> list:
             seed = child_seed(config.seed, _ITER_TAG, _METHOD_INDEX[meth],
                               gamma_index[g], trial, i)
             return InverseOperator(
-                _realize(flavor, config.m, n, config.sjlt_s, seed) @ A, g)
+                _sketch_product(flavor, config.m, A, config.sjlt_s, seed), g)
 
         if kind == "ihs":  # a fresh draw every iteration
             preconditioner = draw
@@ -468,7 +481,7 @@ def run_sketch_accuracy(config: SweepConfig, out=None) -> list:
         for trial in range(config.trials):
             seed = child_seed(config.seed, _ACC_TAG,
                               ("gauss", "sjlt").index(flavor), trial)
-            SA = np.asarray(_realize(flavor, m, n, config.sjlt_s, seed) @ A)
+            SA = _sketch_product(flavor, m, A, config.sjlt_s, seed)
             per_trial.append(_spectral_norm_sym(gram - SA.T @ SA))
         errors[flavor] = float(np.median(per_trial))
 

@@ -2,7 +2,9 @@
 
 Both sketches are described by a small frozen spec (dimensions plus an
 integer seed) and realized deterministically from a PCG64 generator, so
-realizing the same spec twice gives bitwise-identical matrices.
+realizing the same spec twice gives bitwise-identical matrices.  A caller
+that needs only the product S X of a Gaussian sketch uses
+:func:`apply_gaussian`, which never holds the whole m x n matrix.
 """
 from __future__ import annotations
 
@@ -10,6 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
+
+# Rows of a Gaussian sketch that apply_gaussian draws and multiplies at a
+# time.  Blocks this tall go through the same BLAS kernel as the whole
+# product (blocks of a few rows need not), so with OpenBLAS the result was
+# bit for bit realize_gaussian(spec) @ X whenever m is a multiple of it;
+# the rows of a short last block agree to roundoff.
+GAUSSIAN_BLOCK_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -49,9 +58,41 @@ class SjltSketchSpec:
 
 
 def realize_gaussian(spec: GaussianSketchSpec) -> np.ndarray:
-    """Materialize the m x n Gaussian sketch matrix for the given seed."""
+    """Materialize the m x n Gaussian sketch matrix for the given seed.
+
+    A single generator seeded with ``spec.seed`` fills S row by row with
+    standard normals, which are then scaled in place by 1/sqrt(m).  Use
+    :func:`apply_gaussian` when only S X is needed.
+    """
     rng = np.random.default_rng(spec.seed)
-    return rng.standard_normal((spec.m, spec.n)) / np.sqrt(spec.m)
+    S = rng.standard_normal((spec.m, spec.n))
+    S /= np.sqrt(spec.m)
+    return S
+
+
+def apply_gaussian(spec: GaussianSketchSpec, X: np.ndarray) -> np.ndarray:
+    """S X for the Gaussian sketch S of ``spec``, without materializing S.
+
+    S is drawn :data:`GAUSSIAN_BLOCK_ROWS` rows at a time into one reused
+    block, from the same generator in the same order as
+    :func:`realize_gaussian`; each block is scaled in place and multiplied
+    into its rows of the result.  Beyond X and the result, the call holds
+    one GAUSSIAN_BLOCK_ROWS x n block instead of the m x n matrix.
+    """
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[0] != spec.n:
+        raise ValueError(
+            f"expected a 2-d input with {spec.n} rows, got shape {X.shape}")
+    rng = np.random.default_rng(spec.seed)
+    scale = np.sqrt(spec.m)
+    out = np.empty((spec.m, X.shape[1]))
+    block = np.empty((min(GAUSSIAN_BLOCK_ROWS, spec.m), spec.n))
+    for lo in range(0, spec.m, GAUSSIAN_BLOCK_ROWS):
+        rows = block[:min(GAUSSIAN_BLOCK_ROWS, spec.m - lo)]
+        rng.standard_normal(out=rows)
+        rows /= scale
+        np.matmul(rows, X, out=out[lo:lo + rows.shape[0]])
+    return out
 
 
 def realize_sjlt(spec: SjltSketchSpec) -> scipy.sparse.csr_matrix:

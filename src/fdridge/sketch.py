@@ -22,16 +22,17 @@ MODES = (MODE_FD, MODE_RFD)
 
 
 def _gram_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of X^T X, largest first: the squared singular values of
-    X and its right singular vectors as the columns of a d x r basis.
+    """Eigenpairs of the smaller Gram matrix of X, largest first: the
+    squared singular values of X and, as columns, the eigenvectors of
+    X X^T for a short-and-fat factor or of X^T X for a tall one.
+    :func:`_right_vectors` turns any subset of them into right singular
+    vectors of X.
 
-    One ``eigh`` of the smaller Gram matrix (X X^T for a short-and-fat
-    factor, X^T X for a tall one) gives them; for X X^T the right factor is
-    X^T U with its columns normalized.  ``eigh`` resolves eigenvalues only
-    down to (Gram size) * eps times the largest, i.e. about sqrt(eps) on
-    singular values: any at or below that floor are roundoff and dropped,
-    so a rank-deficient X yields exactly its rank.  Raises ValueError when
-    the Gram matrix overflows rather than let it wipe a spectrum.
+    ``eigh`` resolves eigenvalues only down to (Gram size) * eps times the
+    largest, i.e. about sqrt(eps) on singular values: any at or below that
+    floor are roundoff and dropped, so a rank-deficient X yields exactly
+    its rank.  Raises ValueError when the Gram matrix overflows rather than
+    let it wipe a spectrum.
     """
     short = matrix.shape[0] < matrix.shape[1]
     with np.errstate(over="ignore"):
@@ -42,11 +43,18 @@ def _gram_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     spectrum, vecs = np.linalg.eigh(gram)
     floor = gram.shape[0] * np.finfo(float).eps * spectrum.max(initial=0.0)
     kept = np.flatnonzero(spectrum > floor)[::-1]
-    spectrum, vecs = spectrum[kept], vecs[:, kept]
-    if short:
+    return spectrum[kept], vecs[:, kept]
+
+
+def _right_vectors(matrix: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """Right singular vectors of X, as the columns of a d x r basis, for
+    eigenvectors from :func:`_gram_eigh`: X^T U with its columns
+    normalized for a short-and-fat factor, the eigenvectors themselves
+    for a tall one."""
+    if matrix.shape[0] < matrix.shape[1]:
         vecs = matrix.T @ vecs
         vecs /= np.linalg.norm(vecs, axis=0)
-    return spectrum, vecs
+    return vecs
 
 
 def _reduced_rows(spectrum: np.ndarray, basis: np.ndarray,
@@ -124,15 +132,19 @@ class StreamingSketch:
         buffer states at shrink time is identical to the one produced by
         row-at-a-time updates.  A block holding a NaN or infinite entry is
         rejected whole, naming its first such row, before any row is added.
+        The check walks the block 2m rows at a time, so its scratch space
+        is that of the buffer, not of the block.
         """
         rows = np.asarray(rows, dtype=float)
         if rows.ndim != 2 or rows.shape[1] != self.d:
             raise ValueError(
                 f"expected rows of shape (k, {self.d}), got {rows.shape}")
-        bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
-        if bad.size:
-            raise ValueError(
-                f"row {bad[0]} has a non-finite entry; no rows were added")
+        step = 2 * self.m
+        for lo in range(0, rows.shape[0], step):
+            bad = np.flatnonzero(~np.isfinite(rows[lo:lo + step]).all(axis=1))
+            if bad.size:
+                raise ValueError(f"row {lo + bad[0]} has a non-finite entry; "
+                                 "no rows were added")
         pos = 0
         total = rows.shape[0]
         while pos < total:
@@ -145,10 +157,15 @@ class StreamingSketch:
                 self._shrink()
 
     def _shrink(self) -> None:
-        spectrum, basis = _gram_eigh(self.buffer[:self.fill])
+        occupied = self.buffer[:self.fill]
+        spectrum, vecs = _gram_eigh(occupied)
         rank = spectrum.size
         reduction = float(spectrum[self.m - 1]) if rank >= self.m else 0.0
-        survivors = _reduced_rows(spectrum, basis, reduction)
+        # only the directions above the reduction survive: form their
+        # right vectors alone
+        above = spectrum > reduction
+        survivors = _reduced_rows(
+            spectrum[above], _right_vectors(occupied, vecs[:, above]), reduction)
         self.buffer[:] = 0.0
         self.buffer[:survivors.shape[0]] = survivors
         self.fill = survivors.shape[0]
@@ -169,10 +186,15 @@ class StreamingSketch:
         out = np.zeros((self.m, self.d))
         shift_total = self.shift_total
         if self.fill:
-            spectrum, basis = _gram_eigh(self.buffer[:self.fill])
+            occupied = self.buffer[:self.fill]
+            spectrum, vecs = _gram_eigh(occupied)
             rank = spectrum.size
             reduction = float(spectrum[self.m - 1]) if rank > self.m else 0.0
-            rows = _reduced_rows(spectrum, basis, reduction)
+            # Every kept direction's vector: on the iterate-rff instance
+            # (a 491 x 512 final buffer) a product trimmed to the survivors
+            # rounds differently and moves the last digits of its tables.
+            rows = _reduced_rows(
+                spectrum, _right_vectors(occupied, vecs), reduction)
             out[:rows.shape[0]] = rows
             shift_total += reduction / 2.0
         shift = shift_total if mode == MODE_RFD else 0.0
@@ -205,10 +227,11 @@ def save_sketch_csv(output: SketchOutput, path) -> None:
     """
     mat = output.matrix
     m, d = mat.shape
+    line = ",".join(["%.17g"] * d) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# {m},{d},{output.shift:.17g},{output.mode}\n")
-        for row in mat:
-            fh.write(",".join(format(v, ".17g") for v in row) + "\n")
+        for row in mat.tolist():
+            fh.write(line % tuple(row))
 
 
 def load_sketch_csv(path) -> SketchOutput:

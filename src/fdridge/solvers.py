@@ -13,7 +13,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .sketch import MODE_FD, SketchOutput, _gram_eigh, sketch_matrix
+from .sketch import (MODE_FD, SketchOutput, _gram_eigh, _right_vectors,
+                     sketch_matrix)
 
 # An iterate whose norm exceeds this multiple of |A^T y| / gamma has left
 # the region where any ridge solution can live; treat it as divergence.
@@ -75,7 +76,8 @@ class InverseOperator:
         matrix = np.asarray(matrix, dtype=float)
         if matrix.ndim != 2:
             raise ValueError(f"expected a 2-d factor, got shape {matrix.shape}")
-        self._set(_gram_eigh(matrix), gamma_total)
+        spectrum, vecs = _gram_eigh(matrix)
+        self._set((spectrum, _right_vectors(matrix, vecs)), gamma_total)
 
     @classmethod
     def from_sketch(cls, output: SketchOutput, gamma: float) -> "InverseOperator":

@@ -127,6 +127,14 @@ def test_rff_validation():
         rff_expand(np.zeros((3, 2)), 4, gamma_rbf=0.0)
 
 
+def test_rff_holds_one_copy_of_its_output(traced_peak):
+    # the offset, cosine and scale act on the one product X W^T: nothing
+    # beyond the output and the small projection is held at once
+    X = np.random.default_rng(6).standard_normal((2000, 4))
+    Z, peak = traced_peak(rff_expand, X, 256, 0.5, 3)
+    assert peak <= 1.25 * Z.nbytes
+
+
 def test_rff_inner_products_approximate_gaussian_kernel():
     # E[z(x) . z(x')] = exp(-gamma |x - x'|^2); average the estimate over
     # independent feature draws and compare against the kernel value.

@@ -91,6 +91,7 @@ def test_load_config_error_positions(tmp_path):
     dict(gammas=(1.0, math.inf)),
     dict(dataset="gaussian-rff", n=0),
     dict(dataset="gaussian-rff", raw_dim=0),
+    dict(dataset="libsvm", libsvm_path="data.txt", n=-2),
 ])
 def test_config_validation(kw):
     with pytest.raises(ConfigError):
@@ -135,6 +136,9 @@ def test_load_instance_libsvm(tmp_path):
     assert A.shape == (2, 3)
     assert model is None
     np.testing.assert_array_equal(y, [1.0, -1.0])
+    every, _, _ = load_instance(small_config(dataset="libsvm",
+                                             libsvm_path=str(path), n=0))
+    assert every.shape == (3, 3)
     expanded = small_config(dataset="libsvm", libsvm_path=str(path), n=2,
                             rff_features=10)
     A2, _, _ = load_instance(expanded)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fdridge.random_sketch import (GaussianSketchSpec, SjltSketchSpec,
+from fdridge.random_sketch import (GAUSSIAN_BLOCK_ROWS, GaussianSketchSpec,
+                                   SjltSketchSpec, apply_gaussian,
                                    realize_gaussian, realize_sjlt)
 
 
@@ -35,6 +36,33 @@ def test_gaussian_entry_scale():
     # Entries are i.i.d. with variance 1/m.
     S = realize_gaussian(GaussianSketchSpec(m=400, n=50, seed=7))
     assert np.asarray(S).var() == pytest.approx(1.0 / 400, rel=0.05)
+
+
+@pytest.mark.parametrize(
+    "m", [5, GAUSSIAN_BLOCK_ROWS, 40, 3 * GAUSSIAN_BLOCK_ROWS + 7])
+def test_apply_gaussian_matches_the_realized_product(m):
+    # m below one block, exactly one block, and heights that leave a
+    # partial last block: the row-block draw is the same S
+    spec = GaussianSketchSpec(m=m, n=300, seed=4)
+    X = np.random.default_rng(2).standard_normal((300, 7))
+    np.testing.assert_allclose(apply_gaussian(spec, X),
+                               realize_gaussian(spec) @ X, rtol=1e-12)
+
+
+def test_apply_gaussian_rejects_bad_input():
+    spec = GaussianSketchSpec(m=8, n=12, seed=0)
+    with pytest.raises(ValueError, match="12 rows"):
+        apply_gaussian(spec, np.zeros((11, 3)))
+    with pytest.raises(ValueError, match="2-d"):
+        apply_gaussian(spec, np.zeros(12))
+
+
+def test_apply_gaussian_never_holds_the_sketch(traced_peak):
+    spec = GaussianSketchSpec(m=256, n=4000, seed=1)
+    X = np.random.default_rng(3).standard_normal((4000, 8))
+    SX, peak = traced_peak(apply_gaussian, spec, X)
+    assert SX.shape == (256, 8)
+    assert peak < spec.m * spec.n * 8
 
 
 def test_sjlt_rejects_bad_block_count():

@@ -316,6 +316,16 @@ def test_non_finite_rows_are_rejected(bad):
     _assert_state(sk, before)
 
 
+def test_extend_checks_finiteness_without_a_block_sized_mask(traced_peak):
+    # the check walks the block 2m rows at a time; one boolean mask over
+    # the whole block would take n * d bytes
+    m, n, d = 32, 8000, 128
+    A = np.random.default_rng(12).standard_normal((n, d))
+    sk = StreamingSketch(m, d)
+    _, peak = traced_peak(sk.extend, A)
+    assert peak < n * d
+
+
 def test_overflowing_spectrum_raises():
     # finite rows whose squared singular values overflow: the shrink must
     # refuse rather than drop every row it holds, and the operator must
@@ -342,6 +352,18 @@ def test_csv_round_trip(tmp_path):
     np.testing.assert_array_equal(back.matrix, out.matrix)
     assert back.shift == out.shift
     assert back.mode == out.mode
+
+
+def test_csv_rows_match_per_value_formatting(tmp_path):
+    # one %-format per row writes the same bytes as formatting each value
+    # with format(v, ".17g"), signed zero and subnormals included
+    mat = np.array([[-0.0, 5e-324, 1e308, 0.1, 1.0 / 3.0],
+                    [1.0, -2.5, 0.0, -1e-300, 123456789.0]])
+    path = tmp_path / "sketch.csv"
+    save_sketch_csv(SketchOutput(matrix=mat, shift=0.25, mode=MODE_RFD), path)
+    expected = "# 2,5,0.25,rfd\n" + "".join(
+        ",".join(format(v, ".17g") for v in row) + "\n" for row in mat)
+    assert path.read_bytes() == expected.encode("utf-8")
 
 
 def test_csv_rejects_bad_header(tmp_path):
