@@ -12,7 +12,6 @@ import re
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 
 class LibsvmParseError(ValueError):
@@ -61,9 +60,15 @@ class SyntheticSpec:
 
 
 def dct_rotation(d: int) -> np.ndarray:
-    """Orthonormal type-II discrete cosine transform matrix (d x d)."""
+    """Orthonormal type-II discrete cosine transform matrix (d x d).
+
+    Needs scipy.fft, imported here on first call; nothing else in the
+    package uses it.
+    """
     if d < 1:
         raise ValueError(f"dimension must be positive, got {d}")
+    import scipy.fft
+
     return scipy.fft.dct(np.eye(d), type=2, norm="ortho", axis=0)
 
 
@@ -72,13 +77,15 @@ def synthetic_regression(spec: SyntheticSpec
     """Draw (A, y, truth) for the given spec.
 
     Draw order is fixed (data, then weights, then noise) so a seed pins
-    the entire instance.
+    the entire instance.  The rotation draws nothing and is built first,
+    so scipy.fft loads before the n x d draws rather than beside them.
     """
+    rotation = dct_rotation(spec.d)
     rng = np.random.default_rng(spec.seed)
     R = spec.effective_rank
     scales = np.exp(-(np.arange(spec.n) / R) ** 2)
     pre = scales[:, None] * rng.standard_normal((spec.n, spec.d))
-    A = pre @ dct_rotation(spec.d)
+    A = pre @ rotation
     truth = np.zeros(spec.d)
     truth[:R] = rng.standard_normal(R)
     truth /= np.linalg.norm(truth)

@@ -56,7 +56,8 @@ class SweepConfig:
     raw_dim pushed through random Fourier features to dimension d, with a
     planted unit-norm weight vector), or "libsvm" (read libsvm_path, keep
     the first n samples, optionally expand to rff_features dimensions;
-    n = 0 keeps every sample).
+    n = 0 keeps every sample, rff_features unset or 0 keeps the raw
+    features).
     """
 
     dataset: str = "synthetic"
@@ -98,6 +99,9 @@ class SweepConfig:
         if self.dataset == "gaussian-rff" and self.n < 1:
             raise ConfigError(
                 f"dataset 'gaussian-rff' needs n >= 1, got n={self.n}")
+        if self.dataset == "gaussian-rff" and self.d < 1:
+            raise ConfigError(
+                f"dataset 'gaussian-rff' needs d >= 1, got d={self.d}")
         if self.dataset == "gaussian-rff" and self.raw_dim < 1:
             raise ConfigError(
                 f"dataset 'gaussian-rff' needs raw_dim >= 1, got raw_dim={self.raw_dim}")
@@ -106,6 +110,9 @@ class SweepConfig:
         if self.dataset == "libsvm" and self.n < 0:
             raise ConfigError(
                 f"dataset 'libsvm' needs n >= 0, got n={self.n}")
+        if self.dataset == "libsvm" and (self.rff_features or 0) < 0:
+            raise ConfigError(f"dataset 'libsvm' needs rff_features >= 0, "
+                              f"got rff_features={self.rff_features}")
         needs_sjlt = any(meth.endswith(":sjlt") for meth in self.methods)
         if needs_sjlt and (self.sjlt_s < 1 or self.m % self.sjlt_s != 0):
             raise ConfigError(

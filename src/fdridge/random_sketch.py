@@ -4,14 +4,20 @@ Both sketches are described by a small frozen spec (dimensions plus an
 integer seed) and realized deterministically from a PCG64 generator, so
 realizing the same spec twice gives bitwise-identical matrices.  A caller
 that needs only the product S X of a Gaussian sketch uses
-:func:`apply_gaussian`, which never holds the whole m x n matrix.
+:func:`apply_gaussian`, which never holds the whole m x n matrix.  The
+Gaussian sketch needs only numpy; scipy.sparse is imported by
+:func:`realize_sjlt` on its first call, so a run that draws no SJLT never
+loads scipy.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse
+
+if TYPE_CHECKING:
+    import scipy.sparse
 
 # Rows of a Gaussian sketch that apply_gaussian draws and multiplies at a
 # time.  Blocks this tall go through the same BLAS kernel as the whole
@@ -95,24 +101,27 @@ def apply_gaussian(spec: GaussianSketchSpec, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def realize_sjlt(spec: SjltSketchSpec) -> scipy.sparse.csr_matrix:
-    """Materialize the SJLT as a CSR matrix with s * n nonzeros.
+def realize_sjlt(spec: SjltSketchSpec) -> scipy.sparse.csc_matrix:
+    """Materialize the SJLT as a CSC matrix with s * n nonzeros.
 
     Stream discipline: a single generator seeded with ``spec.seed`` draws,
     for block b = 0, 1, ..., s-1 in order, first the n row offsets inside
-    the block and then the n signs.
+    the block and then the n signs.  Column j holds one entry per block,
+    at row b * m/s + offset, so its row indices are already sorted and
+    the CSC arrays are filled straight from the draws.
     """
+    import scipy.sparse
+
     rng = np.random.default_rng(spec.seed)
     rows_per_block = spec.m // spec.s
     scale = 1.0 / np.sqrt(spec.s)
-    cols = np.tile(np.arange(spec.n), spec.s)
-    rows = np.empty(spec.s * spec.n, dtype=np.int64)
-    vals = np.empty(spec.s * spec.n)
+    rows = np.empty((spec.n, spec.s), dtype=np.int64)
+    vals = np.empty((spec.n, spec.s))
     for b in range(spec.s):
-        lo = b * spec.n
         offsets = rng.integers(0, rows_per_block, size=spec.n)
         signs = rng.integers(0, 2, size=spec.n) * 2 - 1
-        rows[lo:lo + spec.n] = b * rows_per_block + offsets
-        vals[lo:lo + spec.n] = scale * signs
-    return scipy.sparse.csr_matrix(
-        (vals, (rows, cols)), shape=(spec.m, spec.n))
+        rows[:, b] = b * rows_per_block + offsets
+        vals[:, b] = scale * signs
+    indptr = np.arange(0, spec.s * spec.n + 1, spec.s, dtype=np.int64)
+    return scipy.sparse.csc_matrix(
+        (vals.ravel(), rows.ravel(), indptr), shape=(spec.m, spec.n))

@@ -41,7 +41,10 @@ def _gram_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("the Gram matrix is not finite: the rows are too "
                          "large to square in float64")
     spectrum, vecs = np.linalg.eigh(gram)
-    floor = gram.shape[0] * np.finfo(float).eps * spectrum.max(initial=0.0)
+    del gram  # release it before the kept vectors are copied
+    floor = spectrum.size * np.finfo(float).eps * spectrum.max(initial=0.0)
+    # the kept pairs are copied largest first into a contiguous array: a
+    # negative-stride view handed to a matmul may bypass BLAS
     kept = np.flatnonzero(spectrum > floor)[::-1]
     return spectrum[kept], vecs[:, kept]
 
@@ -60,10 +63,11 @@ def _right_vectors(matrix: np.ndarray, vecs: np.ndarray) -> np.ndarray:
 def _reduced_rows(spectrum: np.ndarray, basis: np.ndarray,
                   reduction: float) -> np.ndarray:
     """Rows sqrt(lambda_i - reduction) v_i of every direction whose
-    eigenvalue exceeds the reduction."""
+    eigenvalue exceeds the reduction.  The spectrum is sorted largest
+    first, so those directions are a prefix, taken as a view."""
     squared = spectrum - reduction
-    kept = squared > 0.0
-    return np.sqrt(squared[kept])[:, None] * basis[:, kept].T
+    kept = np.count_nonzero(squared > 0.0)
+    return np.sqrt(squared[:kept])[:, None] * basis[:, :kept].T
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,8 +241,10 @@ def save_sketch_csv(output: SketchOutput, path) -> None:
 def load_sketch_csv(path) -> SketchOutput:
     """Inverse of :func:`save_sketch_csv`.
 
-    Raises ValueError naming ``path`` on a malformed header, a negative or
-    non-finite shift, a shape mismatch or a non-finite matrix entry.
+    Raises ValueError naming ``path`` on a malformed header (non-integer
+    m or d, a non-numeric shift included), a negative or non-finite
+    shift, an unparsable matrix entry, a shape mismatch (an empty body
+    included) or a non-finite matrix entry.
     """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
@@ -247,14 +253,25 @@ def load_sketch_csv(path) -> SketchOutput:
         fields = header.lstrip("#").strip().split(",")
         if len(fields) != 4:
             raise ValueError(f"{path}: malformed header {header!r}")
-        m, d = int(fields[0]), int(fields[1])
-        shift, mode = float(fields[2]), fields[3].strip()
+        try:
+            m, d, shift = int(fields[0]), int(fields[1]), float(fields[2])
+        except ValueError:
+            raise ValueError(f"{path}: header {header!r} needs integer m and d "
+                             "and a numeric shift") from None
+        mode = fields[3].strip()
         if mode not in MODES:
             raise ValueError(f"{path}: unknown sketch mode {mode!r}")
         if not (np.isfinite(shift) and shift >= 0.0):
             raise ValueError(
                 f"{path}: shift must be finite and non-negative, got {shift}")
-        mat = np.loadtxt(fh, delimiter=",", ndmin=2)
+        body = fh.readlines()
+    # loadtxt warns on a body without data; the shape check reports it
+    mat = np.empty((0, 0))
+    if any(line.split("#", 1)[0].strip() for line in body):
+        try:
+            mat = np.loadtxt(body, delimiter=",", ndmin=2)
+        except ValueError as err:
+            raise ValueError(f"{path}: {err}") from None
     if mat.shape != (m, d):
         raise ValueError(
             f"{path}: header promises shape ({m}, {d}), file holds {mat.shape}")

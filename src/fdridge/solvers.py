@@ -133,10 +133,12 @@ class IterativeTrace:
 
 
 def solve_exact(problem: RidgeProblem) -> np.ndarray:
-    """Dense oracle: factor the d x d regularized Gram matrix directly."""
+    """Dense oracle: factor the d x d regularized Gram matrix directly.
+    gamma is added to the diagonal in place, so the call forms one d x d
+    matrix."""
     A, y, gamma = problem.A, problem.y, problem.gamma
-    d = A.shape[1]
-    H = A.T @ A + gamma * np.eye(d)
+    H = A.T @ A
+    H.flat[::H.shape[0] + 1] += gamma
     return np.linalg.solve(H, A.T @ y)
 
 

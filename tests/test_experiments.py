@@ -92,6 +92,8 @@ def test_load_config_error_positions(tmp_path):
     dict(dataset="gaussian-rff", n=0),
     dict(dataset="gaussian-rff", raw_dim=0),
     dict(dataset="libsvm", libsvm_path="data.txt", n=-2),
+    dict(dataset="gaussian-rff", d=0),
+    dict(dataset="libsvm", libsvm_path="data.txt", rff_features=-3),
 ])
 def test_config_validation(kw):
     with pytest.raises(ConfigError):

@@ -82,6 +82,26 @@ def test_sjlt_column_structure():
     assert np.allclose(mags.sum(axis=1), 1.0 / np.sqrt(s))
 
 
+@pytest.mark.parametrize("m, n, s, seed", [
+    (16, 30, 4, 5), (64, 24, 8, 6), (6, 15, 3, 0), (256, 1000, 8, 11)])
+def test_sjlt_csc_matches_the_coordinate_construction(m, n, s, seed):
+    # the per-block draws laid out as (row, column, value) triples: the
+    # CSC arrays hold the same matrix
+    import scipy.sparse
+
+    rng = np.random.default_rng(seed)
+    rows, vals = [], []
+    for b in range(s):
+        rows.append(b * (m // s) + rng.integers(0, m // s, size=n))
+        vals.append((rng.integers(0, 2, size=n) * 2 - 1) / np.sqrt(s))
+    cols = np.tile(np.arange(n), s)
+    old = scipy.sparse.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), cols)), shape=(m, n))
+    S = realize_sjlt(SjltSketchSpec(m=m, n=n, s=s, seed=seed))
+    assert S.nnz == s * n and S.has_sorted_indices
+    np.testing.assert_array_equal(S.toarray(), old.toarray())
+
+
 def test_sjlt_on_basis_vector():
     s = 8
     col = np.zeros((24, 1))

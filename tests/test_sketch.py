@@ -5,6 +5,7 @@ test itself: tail masses from the full spectrum, spectral norms from
 eigvalsh of the symmetric difference.
 """
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -326,6 +327,20 @@ def test_extend_checks_finiteness_without_a_block_sized_mask(traced_peak):
     assert peak < n * d
 
 
+def test_shrink_holds_two_buffer_sized_temporaries(traced_peak):
+    # the row that fills a 512 x 512 buffer triggers one shrink: the Gram
+    # matrix is released before its kept eigenvectors are copied, and the
+    # surviving rows come from a prefix view, so no more than two 2 MiB
+    # temporaries are alive at once
+    m, d = 256, 512
+    A = np.random.default_rng(13).standard_normal((2 * m, d))
+    sk = StreamingSketch(m, d)
+    sk.extend(A[:-1])
+    _, peak = traced_peak(sk.extend, A[-1:])
+    assert sk.fill < m
+    assert peak <= 4.5 * 2 ** 20
+
+
 def test_overflowing_spectrum_raises():
     # finite rows whose squared singular values overflow: the shrink must
     # refuse rather than drop every row it holds, and the operator must
@@ -382,9 +397,24 @@ def test_csv_rejects_bad_header(tmp_path):
     "# 2,2,-5,rfd\n1,0\n0,1\n",
     "# 2,2,inf,rfd\n1,0\n0,1\n",
     "# 2,2,nan,rfd\n1,0\n0,1\n",
+    # unparsable header fields and entries, and a ragged row
+    "# 2.5,2,0.0,fd\n1,0\n0,1\n",
+    "# 2,two,0.0,fd\n1,0\n0,1\n",
+    "# 2,2,none,rfd\n1,0\n0,1\n",
+    "# 2,2,0.0,fd\n1,zero\n0,1\n",
+    "# 2,2,0.0,fd\n1,0\n0\n",
 ])
 def test_csv_rejects_non_finite_entries_and_bad_shift(tmp_path, text):
     path = tmp_path / "bad.csv"
     path.write_text(text, encoding="utf-8")
     with pytest.raises(ValueError, match="bad.csv"):
         load_sketch_csv(path)
+
+
+def test_csv_empty_body_is_a_shape_mismatch(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("# 2,2,0.0,fd\n", encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no loadtxt "no data" warning
+        with pytest.raises(ValueError, match=r"empty.csv.*\(2, 2\)"):
+            load_sketch_csv(path)

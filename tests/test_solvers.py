@@ -349,3 +349,17 @@ def test_divergence_guard_trips():
     assert err.iteration >= 1
     assert len(err.trace.residual_norms) == err.iteration
     assert np.isfinite(err.trace.residual_norms).all()
+
+
+def test_solve_exact_forms_one_gram_matrix(traced_peak):
+    # gamma goes onto the diagonal in place: one d x d matrix, bit for bit
+    # the solve of A^T A + gamma I
+    d = 256
+    rng = np.random.default_rng(14)
+    problem = RidgeProblem(rng.standard_normal((600, d)),
+                           rng.standard_normal(600), 2.0)
+    x, peak = traced_peak(solve_exact, problem)
+    A = problem.A
+    np.testing.assert_array_equal(
+        x, np.linalg.solve(A.T @ A + 2.0 * np.eye(d), A.T @ problem.y))
+    assert peak < 1.5 * d * d * 8
