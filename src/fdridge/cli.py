@@ -5,13 +5,10 @@
     fdridge sketch-acc --config acc.cfg [--out table.csv]
 
 Any config key can be overridden with repeated --set key=value flags.
-The environment variable FDRIDGE_SEED overrides the config seed (an
-explicit --set seed=... wins over the environment).
 """
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .experiments import (ConfigError, load_config, run_bias_variance_sweep,
@@ -56,9 +53,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _gather_overrides(args) -> dict:
     overrides: dict = {}
-    env_seed = os.environ.get("FDRIDGE_SEED")
-    if env_seed is not None:
-        overrides["seed"] = env_seed
     for item in args.overrides:
         key, eq, value = item.partition("=")
         if not eq:

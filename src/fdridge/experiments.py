@@ -21,7 +21,7 @@ from .diagnostics import (LinearModelSpec, classical_sketch_diagnostics,
                           sketched_diagnostics, with_relatives)
 from .random_sketch import (GaussianSketchSpec, SjltSketchSpec,
                             apply_gaussian, realize_gaussian, realize_sjlt)
-from .sketch import MODE_FD, MODE_RFD, StreamingSketch, tail_masses
+from .sketch import MODE_FD, MODE_RFD, sketch_matrix, tail_masses
 from .solvers import DivergenceError, InverseOperator, RidgeProblem, refine
 
 
@@ -242,9 +242,7 @@ def _sketch_both(A: np.ndarray, m: int) -> dict:
     The modes differ only in the reported shift, so one finalize serves
     both: the FD output is the RFD output with a zero shift.
     """
-    sk = StreamingSketch(m, A.shape[1])
-    sk.extend(A)
-    rfd = sk.finalize(MODE_RFD)
+    rfd = sketch_matrix(A, m, MODE_RFD)
     return {MODE_FD: replace(rfd, shift=0.0, mode=MODE_FD),
             MODE_RFD: rfd}
 
@@ -254,12 +252,7 @@ def _fmt(value) -> str:
         return value
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    v = float(value)
-    if math.isnan(v):
-        return "nan"
-    if math.isinf(v):
-        return "inf" if v > 0 else "-inf"
-    return format(v, ".17g")
+    return format(float(value), ".17g")
 
 
 def _config_comment(config: SweepConfig) -> str:

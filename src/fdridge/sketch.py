@@ -60,16 +60,6 @@ def _right_vectors(matrix: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     return vecs
 
 
-def _reduced_rows(spectrum: np.ndarray, basis: np.ndarray,
-                  reduction: float) -> np.ndarray:
-    """Rows sqrt(lambda_i - reduction) v_i of every direction whose
-    eigenvalue exceeds the reduction.  The spectrum is sorted largest
-    first, so those directions are a prefix, taken as a view."""
-    squared = spectrum - reduction
-    kept = np.count_nonzero(squared > 0.0)
-    return np.sqrt(squared[:kept])[:, None] * basis[:, :kept].T
-
-
 @dataclass(frozen=True, eq=False)
 class SketchOutput:
     """Finalized sketch: an m x d matrix with pairwise orthogonal rows.
@@ -98,9 +88,10 @@ class StreamingSketch:
 
     Maintains a ``2m x d`` buffer.  Rows are copied into free slots; when
     the buffer fills, it is re-expressed through one eigendecomposition of
-    its smaller Gram matrix (:func:`_gram_eigh`), every squared singular
-    value is reduced by the m-th largest, and at least m + 1 slots become
-    free again.  Half of each reduction accumulates into ``shift_total``.
+    its smaller Gram matrix (:func:`_gram_eigh`).  It is reduced only when
+    more than m directions carry mass: every squared singular value then
+    drops by the m-th largest.  Either way at least m slots are free again.
+    Half of each reduction accumulates into ``shift_total``.
 
     The per-row update cost is amortized O(m d); each shrink costs one
     Gram product and one eigendecomposition of size min(2m, d).
@@ -160,48 +151,43 @@ class StreamingSketch:
             if self.fill == 2 * self.m:
                 self._shrink()
 
-    def _shrink(self) -> None:
+    def _reduced(self) -> tuple[np.ndarray, float]:
+        """The FD reduction step on the occupied rows: one Gram
+        eigendecomposition (:func:`_gram_eigh`), reduced by the m-th
+        largest squared singular value only when more than m directions
+        carry mass.  Returns the orthogonal rows sqrt(lambda_i - reduction)
+        v_i of the directions above the reduction, whose right vectors
+        alone are formed, and the reduction."""
         occupied = self.buffer[:self.fill]
         spectrum, vecs = _gram_eigh(occupied)
-        rank = spectrum.size
-        reduction = float(spectrum[self.m - 1]) if rank >= self.m else 0.0
-        # only the directions above the reduction survive: form their
-        # right vectors alone
+        reduction = float(spectrum[self.m - 1]) if spectrum.size > self.m else 0.0
         above = spectrum > reduction
-        survivors = _reduced_rows(
-            spectrum[above], _right_vectors(occupied, vecs[:, above]), reduction)
+        rows = _right_vectors(occupied, vecs[:, above]).T
+        rows *= np.sqrt(spectrum[above] - reduction)[:, None]
+        return rows, reduction
+
+    def _shrink(self) -> None:
+        rows, reduction = self._reduced()
         self.buffer[:] = 0.0
-        self.buffer[:survivors.shape[0]] = survivors
-        self.fill = survivors.shape[0]
+        self.buffer[:rows.shape[0]] = rows
+        self.fill = rows.shape[0]
         self.shift_total += reduction / 2.0
 
     def finalize(self, mode: str = MODE_FD) -> SketchOutput:
         """Produce an m x d snapshot without disturbing the stream.
 
-        The occupied part of the buffer is re-expressed through one Gram
-        eigendecomposition (:func:`_gram_eigh`) so the output rows are
-        orthogonal.  If more than m directions carry mass above the
-        roundoff floor, one extra shrink brings the count down to at most
-        m - 1; otherwise the re-expression is exact.  In "fd" mode the
+        The occupied part of the buffer goes through the same reduction
+        step as a shrink, so the output rows are orthogonal: if more than
+        m directions carry mass above the roundoff floor, at most m - 1
+        survive; otherwise the re-expression is exact.  In "fd" mode the
         reported shift is zero, in "rfd" mode it is the accumulated total.
         """
         if mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+        rows, reduction = self._reduced()
         out = np.zeros((self.m, self.d))
-        shift_total = self.shift_total
-        if self.fill:
-            occupied = self.buffer[:self.fill]
-            spectrum, vecs = _gram_eigh(occupied)
-            rank = spectrum.size
-            reduction = float(spectrum[self.m - 1]) if rank > self.m else 0.0
-            # Every kept direction's vector: on the iterate-rff instance
-            # (a 491 x 512 final buffer) a product trimmed to the survivors
-            # rounds differently and moves the last digits of its tables.
-            rows = _reduced_rows(
-                spectrum, _right_vectors(occupied, vecs), reduction)
-            out[:rows.shape[0]] = rows
-            shift_total += reduction / 2.0
-        shift = shift_total if mode == MODE_RFD else 0.0
+        out[:rows.shape[0]] = rows
+        shift = self.shift_total + reduction / 2.0 if mode == MODE_RFD else 0.0
         return SketchOutput(matrix=out, shift=shift, mode=mode)
 
 

@@ -52,10 +52,6 @@ class RidgeProblem:
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "y", y)
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.A.shape
-
 
 class InverseOperator:
     """Fast application of (X^T X + g I)^{-1} for any factor X.

@@ -68,21 +68,6 @@ def test_set_overrides_config(config_path, tmp_path):
     assert not np.array_equal(table_a, table_b)
 
 
-def test_env_seed_and_precedence(config_path, tmp_path, monkeypatch):
-    base = tmp_path / "base.csv"
-    env = tmp_path / "env.csv"
-    forced = tmp_path / "forced.csv"
-    main(["sweep", "--config", str(config_path), "--out", str(base)])
-    monkeypatch.setenv("FDRIDGE_SEED", "9")
-    main(["sweep", "--config", str(config_path), "--out", str(env)])
-    assert env.read_text() != base.read_text()
-    # an explicit --set wins over the environment
-    monkeypatch.setenv("FDRIDGE_SEED", "12345")
-    main(["sweep", "--config", str(config_path), "--out", str(forced),
-          "--set", "seed=0"])
-    assert forced.read_text() == base.read_text()
-
-
 def test_iterate_subcommand(config_path, tmp_path, capsys):
     out = tmp_path / "iters.csv"
     code = main(["iterate", "--config", str(config_path), "--t", "3",

@@ -14,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 from fdridge.sketch import (MODE_FD, MODE_RFD, SketchOutput, StreamingSketch,
                             load_sketch_csv, save_sketch_csv, sketch_matrix,
                             tail_masses)
-from fdridge.solvers import InverseOperator
+from fdridge.solvers import (InverseOperator, RidgeProblem, fdrr_solve,
+                             solve_exact)
 
 EPS = np.finfo(float).eps
 
@@ -136,11 +137,11 @@ def test_finalize_is_nondestructive():
 
 def svd_fd(A, m):
     """Reference FD through np.linalg.svd: shrink at every 2m rows, then
-    finalize with one more shrink when more than m directions remain.
-    Returns (sketch rows, accumulated shift)."""
-    def shrink(B, always):
+    finalize with one more; each reduces only when more than m directions
+    remain.  Returns (sketch rows, accumulated shift)."""
+    def shrink(B):
         _, s, vt = np.linalg.svd(B, full_matrices=False)
-        cut = s[m - 1] ** 2 if s.size > m or (always and s.size == m) else 0.0
+        cut = s[m - 1] ** 2 if s.size > m else 0.0
         squared = s ** 2 - cut
         kept = squared > 0.0
         return np.sqrt(squared[kept])[:, None] * vt[kept], cut / 2.0
@@ -149,9 +150,9 @@ def svd_fd(A, m):
     for row in A:
         B = np.vstack([B, row])
         if B.shape[0] == 2 * m:
-            B, half = shrink(B, True)
+            B, half = shrink(B)
             shift += half
-    B, half = shrink(B, False)
+    B, half = shrink(B)
     return B, shift + half
 
 
@@ -194,6 +195,24 @@ def test_exact_low_rank_stream_keeps_zero_shift(seed):
     assert int(np.sum(np.any(out.matrix != 0.0, axis=1))) <= r
     np.testing.assert_allclose(out.covariance(), A.T @ A, rtol=0,
                                atol=16 * EPS * np.sum(A ** 2))
+
+
+@pytest.mark.parametrize("mode", [MODE_FD, MODE_RFD])
+@pytest.mark.parametrize("m, n, d", [(8, 64, 32), (16, 200, 64)])
+def test_rank_m_stream_is_lossless(m, n, d, mode):
+    # exactly m directions carry mass and the buffer fills at least once:
+    # neither a shrink nor finalize may reduce, so the sketch keeps the
+    # whole covariance and the one-shot solve is the exact one
+    rng = np.random.default_rng(n)
+    A = rng.standard_normal((n, m)) @ rng.standard_normal((m, d))
+    out = sketch_matrix(A, m, mode)
+    assert out.shift == 0.0
+    err = spectral_norm(A.T @ A - out.covariance())
+    assert err <= 16 * EPS * np.sum(A ** 2)
+    problem = RidgeProblem(A, rng.standard_normal(n), 1.0)
+    exact = solve_exact(problem)
+    x = fdrr_solve(problem, m, mode)
+    assert np.linalg.norm(x - exact) <= 1e-10 * np.linalg.norm(exact)
 
 
 def test_finalize_shrinks_only_when_over_budget():
@@ -330,14 +349,26 @@ def test_extend_checks_finiteness_without_a_block_sized_mask(traced_peak):
 def test_shrink_holds_two_buffer_sized_temporaries(traced_peak):
     # the row that fills a 512 x 512 buffer triggers one shrink: the Gram
     # matrix is released before its kept eigenvectors are copied, and the
-    # surviving rows come from a prefix view, so no more than two 2 MiB
-    # temporaries are alive at once
+    # surviving rows are scaled in place in their right vectors, so no more
+    # than two 2 MiB temporaries are alive at once
     m, d = 256, 512
     A = np.random.default_rng(13).standard_normal((2 * m, d))
     sk = StreamingSketch(m, d)
     sk.extend(A[:-1])
     _, peak = traced_peak(sk.extend, A[-1:])
     assert sk.fill < m
+    assert peak <= 4.5 * 2 ** 20
+
+
+def test_finalize_forms_only_the_surviving_rows(traced_peak):
+    # a 491 x 512 buffer with m = 256: the Gram matrix and its eigenvectors
+    # are 491 x 491 (1.8 MiB); finalize forms right vectors for the m - 1
+    # survivors only and allocates its m x d output after the reduction
+    m, d = 256, 512
+    sk = StreamingSketch(m, d)
+    sk.extend(np.random.default_rng(14).standard_normal((491, d)))
+    out, peak = traced_peak(sk.finalize, MODE_RFD)
+    assert int(np.sum(np.any(out.matrix != 0.0, axis=1))) == m - 1
     assert peak <= 4.5 * 2 ** 20
 
 
