@@ -62,14 +62,21 @@ class SyntheticSpec:
 def dct_rotation(d: int) -> np.ndarray:
     """Orthonormal type-II discrete cosine transform matrix (d x d).
 
-    Needs scipy.fft, imported here on first call; nothing else in the
-    package uses it.
+    Entry (k, j) is sqrt(2/d) cos(pi k (2j + 1) / (2d)), with row 0 at
+    sqrt(1/d): the matrix that scipy's orthonormal DCT-II applies to a
+    column vector, to within an ulp.  The phase k (2j + 1) is reduced
+    exactly in integers modulo the cosine's period 4d and looked up in
+    one table of 4d cosines, so no large argument reaches np.cos.  Only
+    numpy is used.
     """
     if d < 1:
         raise ValueError(f"dimension must be positive, got {d}")
-    import scipy.fft
-
-    return scipy.fft.dct(np.eye(d), type=2, norm="ortho", axis=0)
+    phase = np.arange(d)[:, None] * np.arange(1, 2 * d, 2)
+    phase %= 4 * d
+    table = math.sqrt(2.0 / d) * np.cos(np.arange(4 * d) * (math.pi / (2 * d)))
+    rotation = table[phase]
+    rotation[0] = math.sqrt(1.0 / d)
+    return rotation
 
 
 def synthetic_regression(spec: SyntheticSpec
@@ -78,7 +85,8 @@ def synthetic_regression(spec: SyntheticSpec
 
     Draw order is fixed (data, then weights, then noise) so a seed pins
     the entire instance.  The rotation draws nothing and is built first,
-    so scipy.fft loads before the n x d draws rather than beside them.
+    so its d x d integer phase table is freed before the n x d draws
+    rather than held beside them.
     """
     rotation = dct_rotation(spec.d)
     rng = np.random.default_rng(spec.seed)

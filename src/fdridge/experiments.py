@@ -96,6 +96,10 @@ class SweepConfig:
         if unknown:
             raise ConfigError(
                 f"unknown methods {unknown}; valid names: {', '.join(ALL_METHODS)}")
+        repeated = sorted({meth for meth in self.methods
+                           if self.methods.count(meth) > 1})
+        if repeated:
+            raise ConfigError(f"methods listed more than once: {repeated}")
         if self.dataset == "gaussian-rff" and self.n < 1:
             raise ConfigError(
                 f"dataset 'gaussian-rff' needs n >= 1, got n={self.n}")
@@ -467,7 +471,9 @@ def run_sketch_accuracy(config: SweepConfig, out=None) -> list:
     is exact; for the random ones it is the median over trials.  Each row
     compares the error to |A - A_k|_F^2 / (m - k) (halved for the robust
     variant); the random sketches carry no such guarantee, so their
-    within_bound column is purely observational.
+    within_bound column is purely observational.  Rows run over
+    k = 0 .. min(m, n, d) - 1: at k = min(n, d) the tail, and so the
+    bound, is zero, while a lossless sketch still carries roundoff.
     """
     A, _, _ = load_instance(config)
     n, d = A.shape
@@ -486,7 +492,7 @@ def run_sketch_accuracy(config: SweepConfig, out=None) -> list:
         errors[flavor] = float(np.median(per_trial))
 
     rows = []
-    max_k = min(m - 1, min(n, d))
+    max_k = min(m, n, d) - 1
     for name in ("fd", "rfd", "gauss", "sjlt"):
         err = errors[name]
         for k in range(max_k + 1):

@@ -93,6 +93,14 @@ def test_rotation_is_orthonormal(d):
     np.testing.assert_allclose(Q.T @ Q, np.eye(d), atol=1e-12)
 
 
+@pytest.mark.parametrize("d", [1, 2, 7, 64, 512])
+def test_rotation_matches_scipy_dct(d):
+    import scipy.fft
+
+    reference = scipy.fft.dct(np.eye(d), type=2, norm="ortho", axis=0)
+    np.testing.assert_allclose(dct_rotation(d), reference, rtol=0, atol=1e-15)
+
+
 def test_rotation_trivial_and_invalid():
     np.testing.assert_allclose(dct_rotation(1), np.array([[1.0]]))
     with pytest.raises(ValueError):

@@ -77,6 +77,8 @@ def test_load_config_error_positions(tmp_path):
         load_config(None, overrides={"trials": "many"})
     with pytest.raises(ConfigError, match="unknown config key"):
         load_config(None, overrides={"zorp": "1"})
+    with pytest.raises(ConfigError, match="more than once.*'ifdrr:rfd'"):
+        load_config(None, overrides={"methods": "ifdrr:rfd, ifdrr:rfd"})
 
 
 @pytest.mark.parametrize("kw", [
@@ -94,6 +96,8 @@ def test_load_config_error_positions(tmp_path):
     dict(dataset="libsvm", libsvm_path="data.txt", n=-2),
     dict(dataset="gaussian-rff", d=0),
     dict(dataset="libsvm", libsvm_path="data.txt", rff_features=-3),
+    dict(methods=("exact", "exact")),
+    dict(methods=("ifdrr:rfd", "ihs:gauss", "ifdrr:rfd")),
 ])
 def test_config_validation(kw):
     with pytest.raises(ConfigError):
@@ -300,24 +304,27 @@ def test_iterate_randomized_median_runs():
 
 
 def test_sketch_accuracy_bounds():
-    config = small_config(n=128, d=32, m=16, trials=3,
-                          methods=STATISTICAL_METHODS[:1])
-    rows = run_sketch_accuracy(config)
-    per_method = {}
-    for row in rows:
-        per_method.setdefault(row["method"], []).append(row)
-    assert set(per_method) == {"fd", "rfd", "gauss", "sjlt"}
-    for name, group in per_method.items():
-        assert [r["k"] for r in group] == list(range(16))
-        assert all(set(r) == set(ACC_COLUMNS) for r in group)
-    # the deterministic sketches must honor their guarantee at every k
-    for name in ("fd", "rfd"):
-        assert all(r["within_bound"] == 1 for r in per_method[name])
-    for fd_row, rfd_row in zip(per_method["fd"], per_method["rfd"]):
-        assert rfd_row["bound"] == pytest.approx(fd_row["bound"] / 2.0)
-    # spectral error of the robust variant never exceeds the plain one
-    assert per_method["rfd"][0]["spectral_error"] <= \
-        per_method["fd"][0]["spectral_error"]
+    # d = 12 < m = 16: the sketches are lossless, and k stops at d - 1,
+    # below the zero tail (and zero bound) at k = d
+    for d, r, ks in ((32, 0.25, 16), (12, 0.5, 12)):
+        config = small_config(n=128, d=d, r=r, m=16, trials=3,
+                              methods=STATISTICAL_METHODS[:1])
+        rows = run_sketch_accuracy(config)
+        per_method = {}
+        for row in rows:
+            per_method.setdefault(row["method"], []).append(row)
+        assert set(per_method) == {"fd", "rfd", "gauss", "sjlt"}
+        for name, group in per_method.items():
+            assert [r["k"] for r in group] == list(range(ks))
+            assert all(set(r) == set(ACC_COLUMNS) for r in group)
+        # the deterministic sketches must honor their guarantee at every k
+        for name in ("fd", "rfd"):
+            assert all(r["within_bound"] == 1 for r in per_method[name])
+        for fd_row, rfd_row in zip(per_method["fd"], per_method["rfd"]):
+            assert rfd_row["bound"] == pytest.approx(fd_row["bound"] / 2.0)
+        # spectral error of the robust variant never exceeds the plain one
+        assert per_method["rfd"][0]["spectral_error"] <= \
+            per_method["fd"][0]["spectral_error"]
 
 
 def test_sketch_accuracy_writes_table(tmp_path):

@@ -1,10 +1,10 @@
 """Which calls load scipy.
 
-The streaming sketch, every solver, the random-features instance and
-the Gaussian sketch need only numpy; scipy is imported by the two
-functions that use it, ``realize_sjlt`` (scipy.sparse) and
-``dct_rotation`` (scipy.fft).  Each case runs in a fresh interpreter so
-that modules loaded by other tests do not leak in.
+The streaming sketch, every solver, both synthetic and random-features
+instances and the Gaussian sketch need only numpy; scipy is imported by
+the one function that uses it, ``realize_sjlt`` (scipy.sparse).  Each
+case runs in a fresh interpreter so that modules loaded by other tests
+do not leak in.
 """
 import os
 import subprocess
@@ -35,6 +35,7 @@ def test_numpy_only_paths_load_no_scipy():
                              SweepConfig, apply_gaussian, fdrr_solve,
                              ifdrr_solve, load_instance)
 
+        load_instance(SweepConfig(dataset="synthetic", n=64, d=16, m=8))
         A, y, _ = load_instance(SweepConfig(dataset="gaussian-rff", n=200,
                                             d=32, m=8))
         sk = StreamingSketch(8, 32)
@@ -52,8 +53,7 @@ def test_numpy_only_paths_load_no_scipy():
 @pytest.mark.parametrize("call, module", [
     ("fdridge.realize_sjlt(fdridge.SjltSketchSpec(m=8, n=20, s=2, seed=0))",
      "scipy.sparse"),
-    ("fdridge.dct_rotation(16)", "scipy.fft"),
-], ids=["realize_sjlt", "dct_rotation"])
+], ids=["realize_sjlt"])
 def test_scipy_callers_work_when_called_first(call, module):
     out = run_fresh(f"""
         import sys
