@@ -6,7 +6,8 @@
 Every table in ``results/`` must have a counterpart of the same name in
 DIR (regenerate with ``--out DIR/<name>`` on each command of
 ``scripts/reproduce.sh``).  ``results/`` is only read, never written.
-Lines starting with ``#`` are ignored, so the embedded config may differ.
+The ``#`` lines, which embed the run's config, must match exactly; the
+first that differs is printed.
 
 Rules, per cell:
 
@@ -40,6 +41,7 @@ Prints the largest deviation per column and exits 1 if any rule fails.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import sys
 from pathlib import Path
@@ -57,10 +59,13 @@ OURS = ("fdrr", "rfdrr")
 CHAIN = ("ifdrr:rfd", "ifdrr:fd", "ihs:sjlt")
 
 
-def read_table(path: Path) -> list:
+def read_table(path: Path) -> tuple:
+    """(the ``#`` lines, the rows below them as dicts)."""
     with open(path, encoding="utf-8") as fh:
-        return list(csv.DictReader(line for line in fh
-                                   if not line.startswith("#")))
+        lines = fh.readlines()
+    comments = [line.rstrip("\n") for line in lines if line.startswith("#")]
+    return comments, list(csv.DictReader(line for line in lines
+                                         if not line.startswith("#")))
 
 
 def _value(col: str, text: str) -> float:
@@ -132,8 +137,15 @@ def orderings(rows: list) -> dict:
     return out
 
 
-def compare(new_rows: list, ref_rows: list, name: str) -> bool:
+def compare(new_rows: list, ref_rows: list, name: str,
+            new_comments=(), ref_comments=()) -> bool:
     ok = True
+    for lineno, (new, ref) in enumerate(
+            itertools.zip_longest(new_comments, ref_comments), start=1):
+        if new != ref:
+            print(f"{name}: # line {lineno} differs: {new!r} != {ref!r}")
+            ok = False
+            break
     if len(new_rows) != len(ref_rows) or (
             new_rows and list(new_rows[0]) != list(ref_rows[0])):
         print(f"{name}: shape differs ({len(new_rows)} vs {len(ref_rows)} rows)")
@@ -180,7 +192,10 @@ def main(argv=None) -> int:
             print(f"{ref_path.name}: missing from {fresh}")
             ok = False
             continue
-        ok &= compare(read_table(new_path), read_table(ref_path), ref_path.name)
+        new_comments, new_rows = read_table(new_path)
+        ref_comments, ref_rows = read_table(ref_path)
+        ok &= compare(new_rows, ref_rows, ref_path.name,
+                      new_comments, ref_comments)
     print("PASS" if ok else "FAIL")
     return 0 if ok else 1
 

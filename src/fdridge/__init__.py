@@ -5,10 +5,9 @@ from .datasets import (LibsvmParseError, SparseRowMatrix, SyntheticSpec,
                        dct_rotation, dump_libsvm, parse_libsvm, rff_expand,
                        synthetic_regression)
 from .diagnostics import (BudgetError, DiagnosticsReport, LinearModelSpec,
-                          ThetaBudget, budget_for_theta,
-                          classical_sketch_diagnostics,
+                          budget_for_theta, classical_sketch_diagnostics,
                           hessian_sketch_diagnostics, optimal_diagnostics,
-                          sketched_diagnostics, theta_interval, with_relatives)
+                          sketched_diagnostics, theta_interval)
 from .experiments import (ConfigError, SweepConfig, load_config, load_instance,
                           run_bias_variance_sweep, run_iterative_experiment,
                           run_sketch_accuracy)
@@ -26,7 +25,7 @@ __all__ = [
     "GaussianSketchSpec", "InverseOperator", "IterativeTrace",
     "LibsvmParseError", "LinearModelSpec", "MODE_FD", "MODE_RFD",
     "RidgeProblem", "SjltSketchSpec", "SketchOutput", "SparseRowMatrix",
-    "StreamingSketch", "SweepConfig", "SyntheticSpec", "ThetaBudget",
+    "StreamingSketch", "SweepConfig", "SyntheticSpec",
     "apply_gaussian", "budget_for_theta", "classical_sketch_diagnostics",
     "classical_sketch_solve", "dct_rotation", "dump_libsvm", "fdrr_solve",
     "hessian_sketch_diagnostics", "hessian_sketch_solve", "ifdrr_solve",
@@ -35,7 +34,7 @@ __all__ = [
     "run_bias_variance_sweep", "run_iterative_experiment",
     "run_sketch_accuracy", "save_sketch_csv", "sketch_matrix",
     "sketched_diagnostics", "solve_exact", "synthetic_regression",
-    "tail_masses", "theta_interval", "with_relatives",
+    "tail_masses", "theta_interval",
 ]
 
 __version__ = "0.1.0"

@@ -6,16 +6,19 @@ forms.  These routines evaluate them exactly (up to floating point) given
 the data matrix, rather than by Monte Carlo.  Each takes one regularizer
 or a sequence of them; a sequence gives one report per entry, all from a
 single factorization of the estimator's curvature.
+
+:func:`theta_interval` states the sketched estimator's guarantee: any
+bound on the sketch's covariance error below gamma confines its moments
+to a constant-factor interval around the exact estimator's.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
-from .sketch import MODE_RFD, SketchOutput
+from .sketch import MODE_RFD, MODES, SketchOutput
 from .solvers import InverseOperator
 
 
@@ -41,40 +44,14 @@ class LinearModelSpec:
 
 @dataclass(frozen=True)
 class DiagnosticsReport:
-    """Squared bias norm, variance trace, and their sum.
-
-    The rel_* fields hold relative errors against a baseline report (the
-    exact estimator's diagnostics); they are None until attached via
-    :func:`with_relatives` and NaN where the baseline value is zero.
-    """
+    """Squared bias norm and variance trace of one estimator at one gamma."""
 
     bias_sq: float
     var_trace: float
-    mse: float
-    rel_bias: Optional[float] = None
-    rel_var: Optional[float] = None
-    rel_mse: Optional[float] = None
 
-
-def _finish(bias_sq: float, var_trace: float) -> DiagnosticsReport:
-    return DiagnosticsReport(bias_sq=float(bias_sq),
-                             var_trace=float(var_trace),
-                             mse=float(bias_sq + var_trace))
-
-
-def _relative(value: float, base: float) -> float:
-    if base == 0.0:
-        return float("nan")
-    return abs(value - base) / base
-
-
-def with_relatives(report: DiagnosticsReport,
-                   baseline: DiagnosticsReport) -> DiagnosticsReport:
-    """Attach relative errors of ``report`` against ``baseline``."""
-    return replace(report,
-                   rel_bias=_relative(report.bias_sq, baseline.bias_sq),
-                   rel_var=_relative(report.var_trace, baseline.var_trace),
-                   rel_mse=_relative(report.mse, baseline.mse))
+    @property
+    def mse(self) -> float:
+        return self.bias_sq + self.var_trace
 
 
 def _grid(A: np.ndarray, noise_map: np.ndarray, curvature: np.ndarray,
@@ -107,7 +84,8 @@ def _grid(A: np.ndarray, noise_map: np.ndarray, curvature: np.ndarray,
         total = g + shift
         bias = op.retarget(total).apply(resid - total * truth)
         var = weights @ (1.0 / (op.spectrum + total) ** 2) + outside / total ** 2
-        reports.append(_finish(bias @ bias, model.noise_sd ** 2 * var))
+        reports.append(DiagnosticsReport(float(bias @ bias),
+                                         float(model.noise_sd ** 2 * var)))
     return reports if grid.ndim else reports[0]
 
 
@@ -162,54 +140,41 @@ def hessian_sketch_diagnostics(A: np.ndarray, SA: np.ndarray,
     return _grid(A, A, SA, InverseOperator(SA, 1.0), model, gamma)
 
 
-@dataclass(frozen=True)
-class ThetaBudget:
-    """A (theta, m, k) triple linked by the accuracy/budget trade-off."""
+def theta_interval(bound: float, gamma: float) -> tuple[float, float]:
+    """Accuracy interval implied by a covariance-error bound.
 
-    theta: float
-    m: float
-    k: int
-
-
-def theta_interval(m: float, k: int, mass: float, gamma: float,
-                   mode: str = "fd") -> tuple[ThetaBudget, tuple[float, float]]:
-    """Accuracy interval implied by a sketch budget.
-
-    For sketch size m, tail mass at rank k, and regularizer gamma, the
-    one-shot estimator's squared bias, variance trace, and MSE each lie
-    within a factor interval [1 - theta, 1 / (1 - theta)] of the exact
-    estimator's, where 1 - theta = (1 - q)^2 with q = mass / ((m - k) gamma),
-    halved in "rfd" mode.  (The variance comparison is one-sided in the
+    If the sketch's covariance error is at most ``bound`` in spectral norm
+    and bound < gamma, the one-shot estimator's squared bias, variance
+    trace, and MSE each lie within a factor interval [1 - theta,
+    1 / (1 - theta)] of the exact estimator's, where 1 - theta =
+    (1 - bound / gamma)^2.  (The variance comparison is one-sided in the
     estimator's favor, so its lower bound is actually 1.)
+
+    A priori the bound is tail(k) / (m - k) for any k < m, halved for
+    "rfd"; after the fact it is the finalized "rfd" sketch's shift (twice
+    that for "fd").  Returns (1 - theta, 1 / (1 - theta)).
     """
     if not gamma > 0:
         raise ValueError(f"regularizer must be positive, got {gamma}")
-    if not (0 <= k < m):
-        raise ValueError(f"need 0 <= k < m, got k={k}, m={m}")
-    if mass < 0:
-        raise ValueError(f"tail mass cannot be negative, got {mass}")
-    alpha = 1.0 / (m - k)
-    if alpha * mass >= gamma:
+    if not bound >= 0:
+        raise ValueError(
+            f"covariance-error bound must be non-negative, got {bound}")
+    if bound >= gamma:
         raise BudgetError(
-            f"sketch budget infeasible: tail mass per remaining direction "
-            f"{alpha * mass:.6g} must stay below the regularizer {gamma:.6g}")
-    q = alpha * mass / gamma
-    if mode == MODE_RFD:
-        q /= 2.0
-    one_minus_theta = (1.0 - q) ** 2
-    theta = 1.0 - one_minus_theta
-    return (ThetaBudget(theta=theta, m=float(m), k=int(k)),
-            (one_minus_theta, 1.0 / one_minus_theta))
+            f"covariance-error bound {bound:.6g} must stay below the "
+            f"regularizer {gamma:.6g}")
+    one_minus_theta = (1.0 - bound / gamma) ** 2
+    return one_minus_theta, 1.0 / one_minus_theta
 
 
 def budget_for_theta(theta: float, k: int, mass: float, gamma: float,
                      mode: str = "fd") -> float:
     """Smallest (real-valued) sketch size delivering a theta interval.
 
-    Inverts the map in :func:`theta_interval`:
+    Inverts the a-priori bound: :func:`theta_interval` with bound
+    mass / (m - k), halved in "rfd" mode, gives theta exactly at
     m = mass / ((1 - sqrt(1 - theta)) gamma) + k, with the denominator
-    doubled in "rfd" mode.  Callers round up to an integer sketch size;
-    feeding the exact real value back recovers theta.
+    doubled in "rfd" mode.  Callers round up to an integer sketch size.
     """
     if not 0 < theta < 1:
         raise ValueError(f"theta must lie in (0, 1), got {theta}")
@@ -217,6 +182,8 @@ def budget_for_theta(theta: float, k: int, mass: float, gamma: float,
         raise ValueError(f"regularizer must be positive, got {gamma}")
     if mass <= 0:
         raise ValueError(f"tail mass must be positive, got {mass}")
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     denom = (1.0 - math.sqrt(1.0 - theta)) * gamma
     if mode == MODE_RFD:
         denom *= 2.0

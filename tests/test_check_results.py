@@ -114,9 +114,27 @@ def test_missing_table_fails(check, tmp_path, monkeypatch, capsys):
     fresh.mkdir()
     for name in ("a.csv", "b.csv"):
         (results / name).write_text("method,gamma\nexact,1\n")
-    (fresh / "a.csv").write_text("# regenerated\nmethod,gamma\nexact,1\n")
+    (fresh / "a.csv").write_text("method,gamma\nexact,1\n")
     monkeypatch.setattr(check, "RESULTS", results)
     assert check.main([str(fresh)]) == 1
     assert "b.csv: missing" in capsys.readouterr().out
     (fresh / "b.csv").write_text("method,gamma\nexact,1\n")
+    assert check.main([str(fresh)]) == 0
+
+
+def test_changed_config_line_fails(check, tmp_path, monkeypatch, capsys):
+    results = tmp_path / "results"
+    fresh = tmp_path / "fresh"
+    results.mkdir()
+    fresh.mkdir()
+    body = "method,gamma\nexact,1\n"
+    (results / "a.csv").write_text("# sweep\n# m=256 seed=0\n" + body)
+    (fresh / "a.csv").write_text("# sweep\n# m=256 seed=1\n" + body)
+    monkeypatch.setattr(check, "RESULTS", results)
+    assert check.main([str(fresh)]) == 1
+    out = capsys.readouterr().out
+    assert "a.csv: # line 2 differs: '# m=256 seed=1' != '# m=256 seed=0'" in out
+    (fresh / "a.csv").write_text("# sweep\n" + body)
+    assert check.main([str(fresh)]) == 1
+    (fresh / "a.csv").write_text("# sweep\n# m=256 seed=0\n" + body)
     assert check.main([str(fresh)]) == 0

@@ -8,14 +8,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from fdridge.diagnostics import (BudgetError, DiagnosticsReport,
-                                 LinearModelSpec, budget_for_theta,
+from fdridge.diagnostics import (BudgetError, LinearModelSpec,
+                                 budget_for_theta,
                                  classical_sketch_diagnostics,
                                  hessian_sketch_diagnostics,
                                  optimal_diagnostics, sketched_diagnostics,
-                                 theta_interval, with_relatives)
+                                 theta_interval)
 from fdridge.datasets import SyntheticSpec, synthetic_regression
 from fdridge.random_sketch import (GaussianSketchSpec, SjltSketchSpec,
                                    realize_gaussian, realize_sjlt)
@@ -271,50 +271,30 @@ def test_grid_rank_deficient_factors():
                             lambda g: dense_classical(A, S, model, g))
 
 
-def test_relative_errors():
-    base = DiagnosticsReport(bias_sq=2.0, var_trace=4.0, mse=6.0)
-    self_rel = with_relatives(base, base)
-    assert self_rel.rel_bias == 0.0
-    assert self_rel.rel_var == 0.0
-    assert self_rel.rel_mse == 0.0
-    other = with_relatives(DiagnosticsReport(1.0, 6.0, 7.0), base)
-    assert other.rel_bias == pytest.approx(0.5)
-    assert other.rel_var == pytest.approx(0.5)
-    assert other.rel_mse == pytest.approx(1 / 6)
-    degenerate = DiagnosticsReport(0.0, 4.0, 4.0)
-    rel = with_relatives(base, degenerate)
-    assert math.isnan(rel.rel_bias)
-    assert rel.rel_var == 0.0
-
-
 def test_theta_interval_zero_mass():
-    budget, interval = theta_interval(10, 2, 0.0, 1.0)
-    assert budget.theta == 0.0
-    assert interval == (1.0, 1.0)
+    assert theta_interval(0.0, 1.0) == (1.0, 1.0)
 
 
 def test_theta_interval_hand_computed_point():
-    # k = 0, mass = gamma = 1 and m = 1/(1 - sqrt(1/2)) give q = 1 - sqrt(1/2),
-    # hence 1 - theta = 1/2 exactly.
-    m = 1.0 / (1.0 - math.sqrt(0.5))
-    budget, interval = theta_interval(m, 0, 1.0, 1.0)
-    assert budget.theta == pytest.approx(0.5, abs=1e-12)
-    assert interval[0] == pytest.approx(0.5, abs=1e-12)
-    assert interval[1] == pytest.approx(2.0, abs=1e-12)
+    # bound = 1 - sqrt(1/2) at gamma = 1 gives 1 - theta = 1/2 exactly.
+    lo, hi = theta_interval(1.0 - math.sqrt(0.5), 1.0)
+    assert lo == pytest.approx(0.5, abs=1e-12)
+    assert hi == pytest.approx(2.0, abs=1e-12)
 
 
 def test_theta_interval_infeasible_budget():
+    with pytest.raises(BudgetError, match="below the regularizer"):
+        theta_interval(1.5, 1.0)
     with pytest.raises(BudgetError):
-        theta_interval(2, 1, 1.5, 1.0)
+        theta_interval(1.0, 1.0)
 
 
 def test_theta_interval_validation():
-    with pytest.raises(ValueError):
-        theta_interval(4, 4, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        theta_interval(4, 1, -1.0, 1.0)
-    with pytest.raises(ValueError):
-        theta_interval(4, 1, 1.0, 0.0)
+    for bound, gamma in ((-1.0, 1.0), (math.nan, 1.0), (0.5, 0.0),
+                         (0.5, -2.0), (0.5, math.nan)):
+        with pytest.raises(ValueError) as err:
+            theta_interval(bound, gamma)
+        assert not isinstance(err.value, BudgetError)
 
 
 def test_budget_validation():
@@ -326,30 +306,38 @@ def test_budget_validation():
         budget_for_theta(0.5, 1, 0.0, 1.0)
     with pytest.raises(ValueError):
         budget_for_theta(0.5, 1, 1.0, -2.0)
+    for mode in ("RFD", "rdf"):
+        with pytest.raises(ValueError, match="'fd', 'rfd'"):
+            budget_for_theta(0.5, 1, 1.0, 1.0, mode)
+
+
+def a_priori_bound(m, k, mass, mode):
+    """The covariance-error bound tail(k) / (m - k), halved for "rfd"."""
+    bound = mass / (m - k)
+    return bound / 2.0 if mode == MODE_RFD else bound
 
 
 @given(st.floats(0.01, 0.99), st.integers(0, 20),
        st.floats(1e-3, 1e3), st.floats(1e-3, 1e3),
        st.sampled_from([MODE_FD, MODE_RFD]))
+@example(0.9, 0, 1.0, 1.0, MODE_RFD)
 @settings(max_examples=60)
 def test_budget_and_interval_are_inverses(theta, k, mass, gamma, mode):
     m = budget_for_theta(theta, k, mass, gamma, mode)
-    budget, _ = theta_interval(m, k, mass, gamma, mode)
-    assert budget.theta == pytest.approx(theta, rel=1e-10, abs=1e-12)
-    assert budget.m == m
-    assert budget.k == k
+    lo, hi = theta_interval(a_priori_bound(m, k, mass, mode), gamma)
+    assert 1.0 - lo == pytest.approx(theta, rel=1e-10, abs=1e-12)
+    assert lo * hi == pytest.approx(1.0, rel=1e-12)
 
 
 def test_rfd_interval_is_tighter():
-    m, k, mass, gamma = 12.0, 3, 2.0, 0.9
-    fd_budget, fd_iv = theta_interval(m, k, mass, gamma, MODE_FD)
-    rfd_budget, rfd_iv = theta_interval(m, k, mass, gamma, MODE_RFD)
-    assert rfd_budget.theta < fd_budget.theta
+    bound, gamma = 2.0 / 9.0, 0.9
+    fd_iv = theta_interval(bound, gamma)
+    rfd_iv = theta_interval(bound / 2.0, gamma)
     assert rfd_iv[0] > fd_iv[0]
     assert rfd_iv[1] < fd_iv[1]
-    # halving q maps 1 - theta to ((1 + sqrt(1 - theta)) / 2)^2
-    implied = ((1.0 + math.sqrt(1.0 - fd_budget.theta)) / 2.0) ** 2
-    assert 1.0 - rfd_budget.theta == pytest.approx(implied, rel=1e-12)
+    # halving the bound maps 1 - theta to ((1 + sqrt(1 - theta)) / 2)^2
+    implied = ((1.0 + math.sqrt(fd_iv[0])) / 2.0) ** 2
+    assert rfd_iv[0] == pytest.approx(implied, rel=1e-12)
 
 
 def test_interval_contains_measured_ratios():
@@ -374,7 +362,7 @@ def test_interval_contains_measured_ratios():
 
     base = optimal_diagnostics(A, model, gamma)
     for mode in (MODE_FD, MODE_RFD):
-        _, interval = theta_interval(m, k, mass, gamma, mode)
+        interval = theta_interval(a_priori_bound(m, k, mass, mode), gamma)
         report = sketched_diagnostics(A, sketch_matrix(A, m, mode),
                                       model, gamma)
         for pair in ((report.bias_sq, base.bias_sq),
@@ -384,3 +372,33 @@ def test_interval_contains_measured_ratios():
             assert interval[0] - 1e-12 <= ratio <= interval[1] + 1e-12
         # the variance can only go down relative to the exact estimator
         assert report.var_trace >= base.var_trace * (1 - 1e-12)
+
+
+@given(st.integers(16, 300), st.integers(8, 40), st.floats(0.1, 0.5),
+       st.integers(2, 24), st.integers(0, 2**31 - 1))
+@settings(max_examples=60)
+def test_a_posteriori_interval_contains_measured_ratios(n, d, r, m, seed):
+    # The finalized RFD sketch's shift is half the total reduction Delta:
+    # a bound on the RFD covariance error, and Delta one on FD's.  Each
+    # bound carries the roundoff of forming A^T A, n eps |A|_F^2, which
+    # covers mass the shrink drops below its floor without counting it.
+    A, _, truth = synthetic_regression(
+        SyntheticSpec(n=n, d=d, r=r, noise_sd=1.0, seed=seed))
+    model = LinearModelSpec(truth, 1.0)
+    roundoff = n * np.finfo(float).eps * float(np.vdot(A, A))
+    rfd = sketch_matrix(A, m, MODE_RFD)
+    fd = sketch_matrix(A, m, MODE_FD)
+    assert fd.shift == 0.0
+    gammas = [1e-2, 1e-1, 1.0, 10.0]
+    base = optimal_diagnostics(A, model, gammas)
+    for output, bound in ((rfd, rfd.shift + roundoff),
+                          (fd, 2.0 * rfd.shift + roundoff)):
+        reports = sketched_diagnostics(A, output, model, gammas)
+        for g, report, exact in zip(gammas, reports, base):
+            if bound >= g:
+                continue
+            lo, hi = theta_interval(bound, g)
+            for got, ref in ((report.bias_sq, exact.bias_sq),
+                             (report.var_trace, exact.var_trace),
+                             (report.mse, exact.mse)):
+                assert lo <= got / ref <= hi
