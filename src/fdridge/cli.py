@@ -14,10 +14,6 @@ import sys
 from .experiments import (ConfigError, load_config, run_bias_variance_sweep,
                           run_iterative_experiment, run_sketch_accuracy)
 
-_DEFAULT_OUT = {"sweep": "fdridge-sweep.csv",
-                "iterate": "fdridge-iterate.csv",
-                "sketch-acc": "fdridge-sketch-acc.csv"}
-
 
 def _add_common(sub):
     sub.add_argument("--config", required=True, help="path to a key=value config file")
@@ -65,14 +61,14 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config = load_config(args.config, _gather_overrides(args))
-        out = args.out or config.out or _DEFAULT_OUT[args.command]
+        out = args.out or config.out or f"fdridge-{args.command}.csv"
         if args.command == "sweep":
             rows = run_bias_variance_sweep(config, raw=args.raw, out=out)
         elif args.command == "iterate":
             rows = run_iterative_experiment(config, args.t, out=out)
         else:
             rows = run_sketch_accuracy(config, out=out)
-    except (ConfigError, OSError, ValueError) as err:
+    except (OSError, ValueError) as err:  # ConfigError is a ValueError
         print(f"fdridge: error: {err}", file=sys.stderr)
         return 2
     print(f"wrote {out} ({len(rows)} rows)")

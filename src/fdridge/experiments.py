@@ -15,7 +15,8 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .datasets import SyntheticSpec, parse_libsvm, rff_expand, synthetic_regression
+from .datasets import (SparseRowMatrix, SyntheticSpec, parse_libsvm,
+                       rff_expand, synthetic_regression)
 from .diagnostics import (LinearModelSpec, classical_sketch_diagnostics,
                           hessian_sketch_diagnostics, optimal_diagnostics,
                           sketched_diagnostics)
@@ -35,6 +36,8 @@ STATISTICAL_METHODS = ("exact", "fdrr", "rfdrr",
 ITERATIVE_METHODS = ("ifdrr:fd", "ifdrr:rfd", "ihs:gauss", "ihs:sjlt",
                      "single:gauss", "single:sjlt")
 ALL_METHODS = STATISTICAL_METHODS + ITERATIVE_METHODS
+# Flavors of the randomized sketches, whose methods `_trials` repeats.
+_RANDOM_FLAVORS = ("gauss", "sjlt")
 
 # Stable integer tags for seed derivation; order must never change, or
 # archived runs stop being reproducible.
@@ -193,15 +196,17 @@ def child_seed(base: int, *key: int) -> int:
 
 
 def load_instance(config: SweepConfig):
-    """Materialize (A, y, model); model is None without known weights."""
+    """Materialize (A, y, model); model is None without known weights.
+
+    A libsvm instance densifies only the rows it keeps, so A owns its
+    data and holds none of the rows past the first n.
+    """
+    truth = None
     if config.dataset == "synthetic":
         spec = SyntheticSpec(n=config.n, d=config.d, r=config.r,
                              noise_sd=config.noise_sd, seed=config.seed)
         A, y, truth = synthetic_regression(spec)
-        model = (LinearModelSpec(truth, config.noise_sd)
-                 if config.noise_sd > 0 else None)
-        return A, y, model
-    if config.dataset == "gaussian-rff":
+    elif config.dataset == "gaussian-rff":
         rng = np.random.default_rng(child_seed(config.seed, _DATA_TAG))
         X = rng.standard_normal((config.n, config.raw_dim))
         A = rff_expand(X, config.d, config.rff_gamma,
@@ -209,35 +214,41 @@ def load_instance(config: SweepConfig):
         truth = rng.standard_normal(config.d)
         truth /= np.linalg.norm(truth)
         y = A @ truth + config.noise_sd * rng.standard_normal(config.n)
-        model = (LinearModelSpec(truth, config.noise_sd)
-                 if config.noise_sd > 0 else None)
-        return A, y, model
-    matrix, labels = parse_libsvm(config.libsvm_path)
-    A = matrix.toarray()
-    y = labels
-    if config.n and config.n < A.shape[0]:
-        A, y = A[:config.n], y[:config.n]
-    if config.rff_features:
-        A = rff_expand(A, config.rff_features, config.rff_gamma,
-                       seed=child_seed(config.seed, _DATA_TAG, 1))
-    return A, y, None
+    else:
+        matrix, labels = parse_libsvm(config.libsvm_path)
+        kept = matrix.rows[:config.n or None]
+        A = SparseRowMatrix(len(kept), matrix.d, kept).toarray()
+        y = labels[:len(kept)].copy()
+        if config.rff_features:
+            A = rff_expand(A, config.rff_features, config.rff_gamma,
+                           seed=child_seed(config.seed, _DATA_TAG, 1))
+    model = (LinearModelSpec(truth, config.noise_sd)
+             if truth is not None and config.noise_sd > 0 else None)
+    return A, y, model
 
 
-def _realize(flavor: str, m: int, n: int, s: int, seed: int):
+def _trials(config: SweepConfig, flavor: str) -> range:
+    """The trial rule: a randomized sketch (flavor gauss or sjlt) is drawn
+    ``config.trials`` times; every other method is deterministic and runs
+    once."""
+    return range(config.trials if flavor in _RANDOM_FLAVORS else 1)
+
+
+def _realize(config: SweepConfig, flavor: str, n: int, seed: int):
     if flavor == "gauss":
-        return realize_gaussian(GaussianSketchSpec(m=m, n=n, seed=seed))
-    if flavor == "sjlt":
-        return realize_sjlt(SjltSketchSpec(m=m, n=n, s=s, seed=seed))
-    raise ConfigError(f"unknown sketch flavor {flavor!r}")
+        return realize_gaussian(GaussianSketchSpec(m=config.m, n=n, seed=seed))
+    return realize_sjlt(SjltSketchSpec(m=config.m, n=n, s=config.sjlt_s,
+                                       seed=seed))
 
 
-def _sketch_product(flavor: str, m: int, A: np.ndarray, s: int,
+def _sketch_product(config: SweepConfig, flavor: str, A: np.ndarray,
                     seed: int) -> np.ndarray:
     """S A for the draw that ``_realize`` would make, without holding a
     dense Gaussian S."""
     if flavor == "gauss":
-        return apply_gaussian(GaussianSketchSpec(m=m, n=A.shape[0], seed=seed), A)
-    return _realize(flavor, m, A.shape[0], s, seed) @ A
+        return apply_gaussian(
+            GaussianSketchSpec(m=config.m, n=A.shape[0], seed=seed), A)
+    return _realize(config, flavor, A.shape[0], seed) @ A
 
 
 def _sketch_both(A: np.ndarray, m: int) -> dict:
@@ -282,6 +293,28 @@ def write_csv(path, columns, rows, comments=()) -> None:
             writer.writerow([_fmt(row[col]) for col in columns])
 
 
+def _write_tables(out, title: str, setting: str, tables) -> None:
+    """Write each ``(suffix, columns, rows)`` table to ``out`` + suffix
+    under the same three ``#`` lines: the title, the run's settings and
+    the rng.  Writes nothing when ``out`` is None."""
+    if out is None:
+        return
+    comments = (title, setting,
+                "rng: numpy PCG64 seeded via SeedSequence children of `seed`")
+    for suffix, columns, rows in tables:
+        write_csv(f"{out}{suffix}", columns, rows, comments)
+
+
+def _check_methods(config: SweepConfig, allowed: tuple, protocol: str) -> None:
+    """Reject an empty method list or one naming a method outside
+    ``allowed``; ``protocol`` says which methods the runner handles."""
+    bad = [meth for meth in config.methods if meth not in allowed]
+    if bad:
+        raise ConfigError(f"{protocol} only; cannot run {bad}")
+    if not config.methods:
+        raise ConfigError("no methods requested")
+
+
 def _report_row(method, gamma, rep, base):
     """A sweep row: ``rep``'s moments and their relative errors against
     the exact estimator's ``base`` (NaN where the base value is zero)."""
@@ -298,7 +331,7 @@ def _report_row(method, gamma, rep, base):
 def _median_row(method, gamma, trial_rows):
     row = {"method": method, "gamma": gamma}
     vals = {}
-    for colm in ("bias_sq", "var_trace", "mse", "rel_bias", "rel_var", "rel_mse"):
+    for colm in SWEEP_COLUMNS[2:-1]:
         vals[colm] = np.array([tr[colm] for tr in trial_rows], dtype=float)
         row[colm] = float(np.median(vals[colm]))
     row["diverged"] = int(any(not np.isfinite(v).all() for v in vals.values()))
@@ -310,75 +343,65 @@ def run_bias_variance_sweep(config: SweepConfig, raw: bool = False,
     """Median bias/variance/MSE of one-shot estimators over the gamma grid.
 
     Writes the aggregated table to ``out`` when given (and the per-trial
-    table alongside it with a .raw.csv suffix when ``raw``), returning the
-    aggregated rows either way.  Rows are sorted by (method, gamma).
+    table of the randomized methods alongside it with a .raw.csv suffix
+    when ``raw``), returning the aggregated rows either way.  Rows are
+    sorted by (method, gamma).
     """
-    bad = [meth for meth in config.methods if meth not in STATISTICAL_METHODS]
-    if bad:
-        raise ConfigError(
-            f"bias/variance sweep handles one-shot estimators only; cannot run {bad}")
-    if not config.methods:
-        raise ConfigError("no methods requested")
+    _check_methods(config, STATISTICAL_METHODS,
+                   "bias/variance sweep handles one-shot estimators")
     A, y, model = load_instance(config)
     if model is None:
         raise ConfigError(
             "bias/variance diagnostics need an instance with known weights "
             "(synthetic or gaussian-rff with noise_sd > 0)")
-    n = A.shape[0]
     gammas = sorted(set(config.gammas))
     baseline = optimal_diagnostics(A, model, gammas)
-    single = {"exact": baseline}
-    if "fdrr" in config.methods or "rfdrr" in config.methods:
-        sketches = _sketch_both(A, config.m)
-        for meth, mode in (("fdrr", MODE_FD), ("rfdrr", MODE_RFD)):
-            if meth in config.methods:
-                single[meth] = sketched_diagnostics(A, sketches[mode], model,
-                                                    gammas)
+    sketches = (_sketch_both(A, config.m)
+                if {"fdrr", "rfdrr"} & set(config.methods) else {})
 
     def trial_reports(meth, trial):
         kind, _, flavor = meth.partition(":")
+        if kind == "exact":
+            return baseline
+        if kind in ("fdrr", "rfdrr"):  # the FD sketch in mode fd or rfd
+            return sketched_diagnostics(A, sketches[kind.removesuffix("rr")],
+                                        model, gammas)
         seed = child_seed(config.seed, _SWEEP_TAG, _METHOD_INDEX[meth], trial)
         if kind == "classical":
-            S = _realize(flavor, config.m, n, config.sjlt_s, seed)
+            S = _realize(config, flavor, A.shape[0], seed)
             return classical_sketch_diagnostics(A, S, model, gammas)
-        SA = _sketch_product(flavor, config.m, A, config.sjlt_s, seed)
+        SA = _sketch_product(config, flavor, A, seed)
         return hessian_sketch_diagnostics(A, SA, model, gammas)
 
     rows = []
     raw_rows = []
     for meth in config.methods:
-        if meth in single:
-            rows += [_report_row(meth, g, rep, base)
-                     for g, rep, base in zip(gammas, single[meth], baseline)]
-            continue
-        per_trial = [trial_reports(meth, trial) for trial in range(config.trials)]
+        flavor = meth.partition(":")[2]
+        per_trial = [trial_reports(meth, trial)
+                     for trial in _trials(config, flavor)]
         for i, g in enumerate(gammas):
             trial_rows = [dict(_report_row(meth, g, reports[i], baseline[i]),
                                trial=trial)
                           for trial, reports in enumerate(per_trial)]
-            raw_rows.extend(trial_rows)
+            if flavor in _RANDOM_FLAVORS:  # the raw table holds draws only
+                raw_rows.extend(trial_rows)
             rows.append(_median_row(meth, g, trial_rows))
     rows.sort(key=lambda r: (r["method"], r["gamma"]))
     raw_rows.sort(key=lambda r: (r["method"], r["gamma"], r["trial"]))
 
-    if out is not None:
-        comments = ("bias/variance sweep; median over trials",
-                    _config_comment(config),
-                    "rng: numpy PCG64 seeded via SeedSequence children of `seed`")
-        write_csv(out, SWEEP_COLUMNS, rows, comments)
-        if raw:
-            raw_path = str(out) + ".raw.csv"
-            write_csv(raw_path, SWEEP_COLUMNS[:2] + ("trial",) + SWEEP_COLUMNS[2:],
-                      raw_rows, comments)
+    tables = [("", SWEEP_COLUMNS, rows)]
+    if raw:
+        tables.append((".raw.csv",
+                       SWEEP_COLUMNS[:2] + ("trial",) + SWEEP_COLUMNS[2:],
+                       raw_rows))
+    _write_tables(out, "bias/variance sweep; median over trials",
+                  _config_comment(config), tables)
     return rows
 
 
 def _log10(value: float) -> float:
-    if math.isnan(value):
-        return float("nan")
-    if value == 0.0:
-        return float("-inf")
-    return math.log10(value)
+    """log10 with log10(0) = -inf; a NaN passes through."""
+    return math.log10(value) if value != 0.0 else float("-inf")
 
 
 def run_iterative_experiment(config: SweepConfig, t: int, out=None) -> list:
@@ -391,32 +414,25 @@ def run_iterative_experiment(config: SweepConfig, t: int, out=None) -> list:
     """
     if t < 1:
         raise ConfigError(f"iteration count must be positive, got {t}")
-    bad = [meth for meth in config.methods if meth not in ITERATIVE_METHODS]
-    if bad:
-        raise ConfigError(
-            f"iteration study handles iterative solvers only; cannot run {bad}")
-    if not config.methods:
-        raise ConfigError("no methods requested")
+    _check_methods(config, ITERATIVE_METHODS,
+                   "iteration study handles iterative solvers")
     A, y, _ = load_instance(config)
     gammas = sorted(set(config.gammas))
     exact = InverseOperator(A, gammas[0])
     cross = A.T @ y
-    x_star = {g: exact.retarget(g).apply(cross) for g in gammas}
-    norm_star = {g: float(np.linalg.norm(x_star[g])) for g in gammas}
-    gamma_index = {g: i for i, g in enumerate(gammas)}
     # One sketch serves every ifdrr cell: it depends on neither mode nor gamma.
     sketches = (_sketch_both(A, config.m)
                 if any(meth.startswith("ifdrr") for meth in config.methods)
                 else {})
 
-    def run_one(meth, g, trial):
+    def run_one(meth, gi, problem, x_star, trial):
         kind, _, flavor = meth.partition(":")
+        g = problem.gamma
 
         def draw(i):
             seed = child_seed(config.seed, _ITER_TAG, _METHOD_INDEX[meth],
-                              gamma_index[g], trial, i)
-            return InverseOperator(
-                _sketch_product(flavor, config.m, A, config.sjlt_s, seed), g)
+                              gi, trial, i)
+            return InverseOperator(_sketch_product(config, flavor, A, seed), g)
 
         if kind == "ihs":  # a fresh draw every iteration
             preconditioner = draw
@@ -425,8 +441,7 @@ def run_iterative_experiment(config: SweepConfig, t: int, out=None) -> list:
                   if kind == "ifdrr" else draw(0))
             preconditioner = lambda _i: op
         try:
-            _, trace = refine(RidgeProblem(A, y, g), preconditioner, t,
-                              x_star=x_star[g])
+            _, trace = refine(problem, preconditioner, t, x_star=x_star)
             norms = trace.residual_norms
             flag = 0
         except DivergenceError as err:
@@ -434,32 +449,29 @@ def run_iterative_experiment(config: SweepConfig, t: int, out=None) -> list:
             flag = 1
         errors = np.full(t, np.nan)
         # norms[0] belongs to the zero start; iterations begin at 1
-        got = np.asarray(norms[1:], dtype=float) / norm_star[g]
+        got = np.asarray(norms[1:], dtype=float) / np.linalg.norm(x_star)
         errors[:got.size] = got
         return errors, flag
 
     rows = []
-    for meth in config.methods:
-        for g in gammas:
-            if meth.startswith("ifdrr"):
-                errors, flag = run_one(meth, g, 0)
-            else:
-                per_trial = [run_one(meth, g, trial)
-                             for trial in range(config.trials)]
-                errors = np.median(np.vstack([errs for errs, _ in per_trial]),
-                                   axis=0)
-                flag = max(flag for _, flag in per_trial)
+    for gi, g in enumerate(gammas):
+        problem = RidgeProblem(A, y, g)
+        x_star = exact.retarget(g).apply(cross)
+        for meth in config.methods:
+            per_trial = [run_one(meth, gi, problem, x_star, trial)
+                         for trial in _trials(config, meth.partition(":")[2])]
+            errors = np.median(np.vstack([errs for errs, _ in per_trial]),
+                               axis=0)
+            flag = max(flag for _, flag in per_trial)
             for i in range(t):
                 rows.append({"method": meth, "gamma": g, "iteration": i + 1,
                              "log10_error": _log10(float(errors[i])),
                              "diverged": flag})
     rows.sort(key=lambda r: (r["method"], r["gamma"], r["iteration"]))
 
-    if out is not None:
-        comments = ("iterative solve, relative error per iteration",
-                    _config_comment(config) + f" t={t}",
-                    "rng: numpy PCG64 seeded via SeedSequence children of `seed`")
-        write_csv(out, ITER_COLUMNS, rows, comments)
+    _write_tables(out, "iterative solve, relative error per iteration",
+                  _config_comment(config) + f" t={t}",
+                  [("", ITER_COLUMNS, rows)])
     return rows
 
 
@@ -485,16 +497,15 @@ def run_sketch_accuracy(config: SweepConfig, out=None) -> list:
     gram = A.T @ A
     tails = tail_masses(A)
     m = config.m
-    errors = {mode: _spectral_norm_sym(gram - output.covariance())
-              for mode, output in _sketch_both(A, m).items()}
-    for flavor in ("gauss", "sjlt"):
-        per_trial = []
-        for trial in range(config.trials):
-            seed = child_seed(config.seed, _ACC_TAG,
-                              ("gauss", "sjlt").index(flavor), trial)
-            SA = _sketch_product(flavor, m, A, config.sjlt_s, seed)
-            per_trial.append(_spectral_norm_sym(gram - SA.T @ SA))
-        errors[flavor] = float(np.median(per_trial))
+    sketches = _sketch_both(A, m)
+
+    def error(name, trial):
+        if name in sketches:
+            return _spectral_norm_sym(gram - sketches[name].covariance())
+        seed = child_seed(config.seed, _ACC_TAG,
+                          _RANDOM_FLAVORS.index(name), trial)
+        SA = _sketch_product(config, name, A, seed)
+        return _spectral_norm_sym(gram - SA.T @ SA)
 
     # Forming the n-term inner products of A^T A rounds each entry by up
     # to n eps |A|_F^2, so an error below that is not resolved: without
@@ -502,11 +513,12 @@ def run_sketch_accuracy(config: SweepConfig, out=None) -> list:
     roundoff = n * np.finfo(float).eps * float(tails[0])
     rows = []
     max_k = min(m, n, d) - 1
-    for name in ("fd", "rfd", "gauss", "sjlt"):
-        err = errors[name]
+    for name in (MODE_FD, MODE_RFD) + _RANDOM_FLAVORS:
+        err = float(np.median([error(name, trial)
+                               for trial in _trials(config, name)]))
         for k in range(max_k + 1):
             bound = float(tails[k]) / (m - k)
-            if name == "rfd":
+            if name == MODE_RFD:
                 bound /= 2.0
             rows.append({"method": name, "m": m, "k": k,
                          "spectral_error": err, "bound": bound,
@@ -514,10 +526,7 @@ def run_sketch_accuracy(config: SweepConfig, out=None) -> list:
                                              + roundoff)})
     rows.sort(key=lambda r: (r["method"], r["k"]))
 
-    if out is not None:
-        comments = ("sketch covariance error vs rank-k bounds; "
-                    "median over trials for random sketches",
-                    _config_comment(config),
-                    "rng: numpy PCG64 seeded via SeedSequence children of `seed`")
-        write_csv(out, ACC_COLUMNS, rows, comments)
+    _write_tables(out, "sketch covariance error vs rank-k bounds; "
+                  "median over trials for random sketches",
+                  _config_comment(config), [("", ACC_COLUMNS, rows)])
     return rows

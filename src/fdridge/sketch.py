@@ -49,6 +49,17 @@ def _gram_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return spectrum[kept], vecs[:, kept]
 
 
+def _first_nonfinite_row(rows: np.ndarray, window: int):
+    """Index of the first row of a 2-d array holding a NaN or infinite
+    entry, or None.  The scan walks ``window`` rows at a time, so its
+    scratch space is a window's mask, not one the size of the array."""
+    for lo in range(0, rows.shape[0], window):
+        bad = np.flatnonzero(~np.isfinite(rows[lo:lo + window]).all(axis=1))
+        if bad.size:
+            return lo + int(bad[0])
+    return None
+
+
 def _right_vectors(matrix: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     """Right singular vectors of X, as the columns of a d x r basis, for
     eigenvectors from :func:`_gram_eigh`: X^T U with its columns
@@ -91,6 +102,8 @@ class StreamingSketch:
     its smaller Gram matrix (:func:`_gram_eigh`).  It is reduced only when
     more than m directions carry mass: every squared singular value then
     drops by the m-th largest.  Either way at least m slots are free again.
+    Only the first ``fill`` rows are live; a shrink leaves stale rows past
+    them, which the next rows overwrite.
     Half of each reduction accumulates into ``shift_total``.
 
     The per-row update cost is amortized O(m d); each shrink costs one
@@ -134,12 +147,10 @@ class StreamingSketch:
         if rows.ndim != 2 or rows.shape[1] != self.d:
             raise ValueError(
                 f"expected rows of shape (k, {self.d}), got {rows.shape}")
-        step = 2 * self.m
-        for lo in range(0, rows.shape[0], step):
-            bad = np.flatnonzero(~np.isfinite(rows[lo:lo + step]).all(axis=1))
-            if bad.size:
-                raise ValueError(f"row {lo + bad[0]} has a non-finite entry; "
-                                 "no rows were added")
+        bad = _first_nonfinite_row(rows, 2 * self.m)
+        if bad is not None:
+            raise ValueError(f"row {bad} has a non-finite entry; "
+                             "no rows were added")
         pos = 0
         total = rows.shape[0]
         while pos < total:
@@ -168,7 +179,6 @@ class StreamingSketch:
 
     def _shrink(self) -> None:
         rows, reduction = self._reduced()
-        self.buffer[:] = 0.0
         self.buffer[:rows.shape[0]] = rows
         self.fill = rows.shape[0]
         self.shift_total += reduction / 2.0
@@ -215,13 +225,11 @@ def save_sketch_csv(output: SketchOutput, path) -> None:
     m lines hold d comma-separated decimals at 17 significant digits,
     enough for an exact float64 round trip.
     """
-    mat = output.matrix
-    m, d = mat.shape
-    line = ",".join(["%.17g"] * d) + "\n"
+    m, d = output.matrix.shape
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# {m},{d},{output.shift:.17g},{output.mode}\n")
-        for row in mat.tolist():
-            fh.write(line % tuple(row))
+        np.savetxt(fh, output.matrix, fmt="%.17g", delimiter=",",
+                   header=f"{m},{d},{output.shift:.17g},{output.mode}",
+                   comments="# ")
 
 
 def load_sketch_csv(path) -> SketchOutput:

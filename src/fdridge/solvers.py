@@ -13,12 +13,15 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .sketch import (MODE_FD, SketchOutput, _gram_eigh, _right_vectors,
-                     sketch_matrix)
+from .sketch import (MODE_FD, SketchOutput, _first_nonfinite_row, _gram_eigh,
+                     _right_vectors, sketch_matrix)
 
 # An iterate whose norm exceeds this multiple of |A^T y| / gamma has left
 # the region where any ridge solution can live; treat it as divergence.
 DIVERGENCE_FACTOR = 1e8
+# RidgeProblem scans its data for non-finite entries this many rows at a
+# time, so the scan's mask stays a small fraction of the data.
+_SCAN_ROWS = 1024
 
 
 class DivergenceError(RuntimeError):
@@ -33,7 +36,13 @@ class DivergenceError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class RidgeProblem:
-    """A ridge instance: n x d data, n targets, and a positive regularizer."""
+    """A ridge instance: n x d data, n targets, and a positive regularizer.
+
+    Raises ValueError on a shape mismatch, a non-positive regularizer, or
+    a NaN or infinite target or data entry, naming the first such target
+    index or data row.  The data is scanned ``_SCAN_ROWS`` rows at a time,
+    never with a mask the size of A.
+    """
 
     A: np.ndarray
     y: np.ndarray
@@ -49,6 +58,12 @@ class RidgeProblem:
                 f"targets must have shape ({A.shape[0]},), got {y.shape}")
         if not self.gamma > 0:
             raise ValueError(f"regularizer must be positive, got {self.gamma}")
+        bad = np.flatnonzero(~np.isfinite(y))
+        if bad.size:
+            raise ValueError(f"target {bad[0]} is not finite")
+        bad = _first_nonfinite_row(A, _SCAN_ROWS)
+        if bad is not None:
+            raise ValueError(f"data row {bad} has a non-finite entry")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "y", y)
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from fdridge.cli import _build_parser, main
+from fdridge.experiments import load_config
 
 REPO = Path(__file__).resolve().parents[1]
 REPRODUCE = REPO / "scripts" / "reproduce.sh"
@@ -136,7 +137,7 @@ def test_jobs_one_still_runs(config_path, tmp_path, command):
 
 def test_reproduce_script_parses():
     """Every fdridge line of scripts/reproduce.sh parses and names a config
-    that exists; nothing is run."""
+    that loads, so a bad key or value fails here; nothing is run."""
     lines = [shlex.split(line) for line in REPRODUCE.read_text().splitlines()
              if line.startswith("python3 -m fdridge.cli ")]
     assert {argv[3] for argv in lines} == {"sweep", "iterate", "sketch-acc"}
@@ -146,7 +147,7 @@ def test_reproduce_script_parses():
             args = parser.parse_args(argv[3:])
         except SystemExit:
             pytest.fail(f"reproduce.sh line does not parse: {shlex.join(argv)}")
-        assert (REPO / args.config).is_file(), args.config
+        load_config(REPO / args.config)
 
 
 def test_missing_config_file(tmp_path, capsys):

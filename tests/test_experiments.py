@@ -7,6 +7,7 @@ seed fan-out, and the iterative table is checked against contraction
 rates measured on a hand-tuned instance.
 """
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -149,6 +150,32 @@ def test_load_instance_libsvm(tmp_path):
                             rff_features=10)
     A2, _, _ = load_instance(expanded)
     assert A2.shape == (2, 10)
+
+
+def test_load_instance_libsvm_densifies_only_kept_rows(tmp_path, traced_peak):
+    # 4000 sparse rows of 200 features are 6.4 MB dense; n = 10 keeps
+    # 16 kB.  The returned A and y own their data, so the call retains
+    # about that much, not a view into every row of the file.
+    rng = np.random.default_rng(1)
+    n_file, d, n = 4000, 200, 10
+    rows = [(np.sort(rng.choice(d, 3, replace=False)), rng.standard_normal(3))
+            for _ in range(n_file)]
+    path = tmp_path / "wide.txt"
+    dump_libsvm(SparseRowMatrix(n_file, d, rows), rng.standard_normal(n_file),
+                path)
+    config = small_config(dataset="libsvm", libsvm_path=str(path), n=n)
+
+    def load():
+        load_instance(config)  # fills numpy's traced small-buffer cache
+        before = tracemalloc.get_traced_memory()[0]
+        A, y, _ = load_instance(config)
+        return A, y, tracemalloc.get_traced_memory()[0] - before
+
+    (A, y, retained), peak = traced_peak(load)
+    assert A.shape == (n, d) and y.shape == (n,)
+    assert A.flags.owndata and y.flags.owndata
+    assert retained < 2 * (A.nbytes + y.nbytes)
+    assert peak < n_file * d * 8
 
 
 def test_sweep_exact_baseline_is_zero():

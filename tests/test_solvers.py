@@ -42,6 +42,30 @@ def test_problem_validation():
         RidgeProblem(np.zeros(3), np.zeros(3), 1.0)
 
 
+@pytest.mark.parametrize("solve", [
+    solve_exact,
+    lambda problem: fdrr_solve(problem, 4),
+    lambda problem: refine(problem, lambda _i: InverseOperator(
+        np.zeros((1, problem.A.shape[1])), problem.gamma), t=2),
+], ids=["solve_exact", "fdrr_solve", "refine"])
+@pytest.mark.parametrize("where,bad,message", [
+    ("target", np.nan, "target 7 is not finite"),
+    ("data", np.inf, "data row 5 has a non-finite entry"),
+], ids=["nan-target", "inf-data"])
+def test_non_finite_input_is_named(solve, where, bad, message):
+    # the problem names the first bad target or data row, so no solver
+    # sees NaN or infinite input
+    rng = np.random.default_rng(19)
+    A = rng.standard_normal((30, 6))
+    y = rng.standard_normal(30)
+    if where == "target":
+        y[[7, 9]] = bad
+    else:
+        A[5, 2] = A[8, 0] = bad
+    with pytest.raises(ValueError, match=message):
+        solve(RidgeProblem(A, y, 1.0))
+
+
 def test_exact_identity_instance():
     y = np.array([2.0, -4.0, 6.0])
     x = solve_exact(RidgeProblem(np.eye(3), y, 1.0))
