@@ -19,12 +19,14 @@ import numpy as np
 if TYPE_CHECKING:
     import scipy.sparse
 
-# Rows of a Gaussian sketch that apply_gaussian draws and multiplies at a
-# time.  Blocks this tall go through the same BLAS kernel as the whole
-# product (blocks of a few rows need not), so with OpenBLAS the result was
-# bit for bit realize_gaussian(spec) @ X whenever m is a multiple of it;
-# the rows of a short last block agree to roundoff.
-GAUSSIAN_BLOCK_ROWS = 32
+# Bytes of a Gaussian sketch that apply_gaussian draws and multiplies at a
+# time: a block holds clamp(GAUSSIAN_BLOCK_BYTES // (8 n), 1, m) rows, 104
+# at n = 10^4 and all of m = 256 at n = 1024, so each GEMM is tall enough
+# to run near the speed of the whole product.  Blocks of tens of rows go
+# through the same BLAS kernel as the whole product: with OpenBLAS the
+# result was bit for bit realize_gaussian(spec) @ X, short last block
+# included; blocks of a few rows agree with it to roundoff.
+GAUSSIAN_BLOCK_BYTES = 8 * 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -79,11 +81,11 @@ def realize_gaussian(spec: GaussianSketchSpec) -> np.ndarray:
 def apply_gaussian(spec: GaussianSketchSpec, X: np.ndarray) -> np.ndarray:
     """S X for the Gaussian sketch S of ``spec``, without materializing S.
 
-    S is drawn :data:`GAUSSIAN_BLOCK_ROWS` rows at a time into one reused
-    block, from the same generator in the same order as
+    S is drawn in row blocks of about :data:`GAUSSIAN_BLOCK_BYTES` into
+    one reused block, from the same generator in the same order as
     :func:`realize_gaussian`; each block is scaled in place and multiplied
     into its rows of the result.  Beyond X and the result, the call holds
-    one GAUSSIAN_BLOCK_ROWS x n block instead of the m x n matrix.
+    that block instead of the m x n matrix.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] != spec.n:
@@ -92,9 +94,10 @@ def apply_gaussian(spec: GaussianSketchSpec, X: np.ndarray) -> np.ndarray:
     rng = np.random.default_rng(spec.seed)
     scale = np.sqrt(spec.m)
     out = np.empty((spec.m, X.shape[1]))
-    block = np.empty((min(GAUSSIAN_BLOCK_ROWS, spec.m), spec.n))
-    for lo in range(0, spec.m, GAUSSIAN_BLOCK_ROWS):
-        rows = block[:min(GAUSSIAN_BLOCK_ROWS, spec.m - lo)]
+    step = min(max(GAUSSIAN_BLOCK_BYTES // (8 * spec.n), 1), spec.m)
+    block = np.empty((step, spec.n))
+    for lo in range(0, spec.m, step):
+        rows = block[:min(step, spec.m - lo)]
         rng.standard_normal(out=rows)
         rows /= scale
         np.matmul(rows, X, out=out[lo:lo + rows.shape[0]])

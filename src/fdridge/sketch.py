@@ -21,6 +21,14 @@ MODE_RFD = "rfd"
 MODES = (MODE_FD, MODE_RFD)
 
 
+def _resolution(size: int, top: float) -> float:
+    """The roundoff floor of a symmetric eigendecomposition of order
+    ``size`` whose largest eigenvalue is ``top``: ``eigh`` resolves
+    eigenvalues only down to size * eps * top, so any at or below it are
+    noise."""
+    return size * np.finfo(float).eps * top
+
+
 def _gram_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs of the smaller Gram matrix of X, largest first: the
     squared singular values of X and, as columns, the eigenvectors of
@@ -28,11 +36,11 @@ def _gram_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     :func:`_right_vectors` turns any subset of them into right singular
     vectors of X.
 
-    ``eigh`` resolves eigenvalues only down to (Gram size) * eps times the
-    largest, i.e. about sqrt(eps) on singular values: any at or below that
-    floor are roundoff and dropped, so a rank-deficient X yields exactly
-    its rank.  Raises ValueError when the Gram matrix overflows rather than
-    let it wipe a spectrum.
+    Eigenvalues at or below :func:`_resolution` of the Gram matrix, i.e.
+    about sqrt(eps) of the largest singular value, are roundoff and
+    dropped, so a rank-deficient X yields exactly its rank.  Raises
+    ValueError when the Gram matrix overflows rather than let it wipe a
+    spectrum.
     """
     short = matrix.shape[0] < matrix.shape[1]
     with np.errstate(over="ignore"):
@@ -42,7 +50,7 @@ def _gram_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                          "large to square in float64")
     spectrum, vecs = np.linalg.eigh(gram)
     del gram  # release it before the kept vectors are copied
-    floor = spectrum.size * np.finfo(float).eps * spectrum.max(initial=0.0)
+    floor = _resolution(spectrum.size, spectrum.max(initial=0.0))
     # the kept pairs are copied largest first into a contiguous array: a
     # negative-stride view handed to a matmul may bypass BLAS
     kept = np.flatnonzero(spectrum > floor)[::-1]
@@ -106,8 +114,13 @@ class StreamingSketch:
     them, which the next rows overwrite.
     Half of each reduction accumulates into ``shift_total``.
 
-    The per-row update cost is amortized O(m d); each shrink costs one
-    Gram product and one eigendecomposition of size min(2m, d).
+    The first ``kept`` rows are those the last reduction left: orthogonal,
+    largest first.  A reduction is skipped when the rows added after them
+    carry no mass the eigendecomposition could resolve (see
+    :meth:`_reduced`): zero rows, or rows whose squared mass is below its
+    roundoff floor.  So the per-row update cost is amortized O(m d), and
+    each shrink costs at most one Gram product and one eigendecomposition
+    of size min(2m, d).
     Instances are single-writer: concurrent ``update`` calls must be
     serialized by the caller.  ``finalize`` does not mutate state, so a
     finalized snapshot can be taken mid-stream and updates may continue
@@ -123,6 +136,7 @@ class StreamingSketch:
         self.d = int(d)
         self.buffer = np.zeros((2 * self.m, self.d))
         self.fill = 0
+        self.kept = 0
         self.shift_total = 0.0
 
     def update(self, row: np.ndarray) -> None:
@@ -168,7 +182,22 @@ class StreamingSketch:
         largest squared singular value only when more than m directions
         carry mass.  Returns the orthogonal rows sqrt(lambda_i - reduction)
         v_i of the directions above the reduction, whose right vectors
-        alone are formed, and the reduction."""
+        alone are formed, and the reduction.
+
+        The step is skipped, returning the kept rows (a view) and no
+        reduction, when the rows added after them have a squared mass at
+        most :func:`_resolution` of the Gram order and the largest kept
+        row's squared norm, which is at most the largest eigenvalue.  Any
+        direction they add would then fall below the floor
+        :func:`_gram_eigh` drops, and the kept directions would move by
+        less than its rounding; at most m rows are kept, so there would be
+        no reduction either.  Before the first reduction nothing is kept,
+        and only exactly zero rows are skipped."""
+        pending = self.buffer[self.kept:self.fill]
+        top = self.buffer[0] @ self.buffer[0] if self.kept else 0.0
+        floor = _resolution(min(self.fill, self.d), top)
+        if np.vdot(pending, pending) <= floor:
+            return self.buffer[:self.kept], 0.0
         occupied = self.buffer[:self.fill]
         spectrum, vecs = _gram_eigh(occupied)
         reduction = float(spectrum[self.m - 1]) if spectrum.size > self.m else 0.0
@@ -180,7 +209,7 @@ class StreamingSketch:
     def _shrink(self) -> None:
         rows, reduction = self._reduced()
         self.buffer[:rows.shape[0]] = rows
-        self.fill = rows.shape[0]
+        self.fill = self.kept = rows.shape[0]
         self.shift_total += reduction / 2.0
 
     def finalize(self, mode: str = MODE_FD) -> SketchOutput:
@@ -189,7 +218,8 @@ class StreamingSketch:
         The occupied part of the buffer goes through the same reduction
         step as a shrink, so the output rows are orthogonal: if more than
         m directions carry mass above the roundoff floor, at most m - 1
-        survive; otherwise the re-expression is exact.  In "fd" mode the
+        survive; otherwise the re-expression is exact, and when the step
+        is skipped the kept rows are emitted as they are.  In "fd" mode the
         reported shift is zero, in "rfd" mode it is the accumulated total.
         """
         if mode not in MODES:

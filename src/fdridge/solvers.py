@@ -8,6 +8,7 @@ randomized schemes hand it one draw or a fresh draw per iteration.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -38,10 +39,10 @@ class DivergenceError(RuntimeError):
 class RidgeProblem:
     """A ridge instance: n x d data, n targets, and a positive regularizer.
 
-    Raises ValueError on a shape mismatch, a non-positive regularizer, or
-    a NaN or infinite target or data entry, naming the first such target
-    index or data row.  The data is scanned ``_SCAN_ROWS`` rows at a time,
-    never with a mask the size of A.
+    Raises ValueError on a shape mismatch, a regularizer that is not
+    positive and finite, or a NaN or infinite target or data entry, naming
+    the first such target index or data row.  The data is scanned
+    ``_SCAN_ROWS`` rows at a time, never with a mask the size of A.
     """
 
     A: np.ndarray
@@ -56,8 +57,9 @@ class RidgeProblem:
         if y.shape != (A.shape[0],):
             raise ValueError(
                 f"targets must have shape ({A.shape[0]},), got {y.shape}")
-        if not self.gamma > 0:
-            raise ValueError(f"regularizer must be positive, got {self.gamma}")
+        if not 0 < self.gamma < math.inf:
+            raise ValueError(
+                f"regularizer must be positive and finite, got {self.gamma}")
         bad = np.flatnonzero(~np.isfinite(y))
         if bad.size:
             raise ValueError(f"target {bad[0]} is not finite")

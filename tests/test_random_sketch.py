@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fdridge.random_sketch import (GAUSSIAN_BLOCK_ROWS, GaussianSketchSpec,
-                                   SjltSketchSpec, apply_gaussian,
-                                   realize_gaussian, realize_sjlt)
+from fdridge import random_sketch
+from fdridge.random_sketch import (GaussianSketchSpec, SjltSketchSpec,
+                                   apply_gaussian, realize_gaussian,
+                                   realize_sjlt)
+
+BLOCK_ROWS = 32  # rows per Gaussian block that the block tests budget for
 
 
 def test_gaussian_zero_input():
@@ -38,13 +41,25 @@ def test_gaussian_entry_scale():
     assert np.asarray(S).var() == pytest.approx(1.0 / 400, rel=0.05)
 
 
-@pytest.mark.parametrize(
-    "m", [5, GAUSSIAN_BLOCK_ROWS, 40, 3 * GAUSSIAN_BLOCK_ROWS + 7])
-def test_apply_gaussian_matches_the_realized_product(m):
+@pytest.mark.parametrize("m", [5, BLOCK_ROWS, 40, 3 * BLOCK_ROWS + 7])
+def test_apply_gaussian_matches_the_realized_product(m, monkeypatch):
     # m below one block, exactly one block, and heights that leave a
     # partial last block: the row-block draw is the same S
+    monkeypatch.setattr(random_sketch, "GAUSSIAN_BLOCK_BYTES",
+                        8 * 300 * BLOCK_ROWS)
     spec = GaussianSketchSpec(m=m, n=300, seed=4)
     X = np.random.default_rng(2).standard_normal((300, 7))
+    np.testing.assert_allclose(apply_gaussian(spec, X),
+                               realize_gaussian(spec) @ X, rtol=1e-12)
+
+
+@pytest.mark.parametrize("budget", [1, 8 * 2 ** 20])
+def test_gaussian_blocks_clamp_to_one_row_and_to_m(budget, monkeypatch):
+    # a budget below one row still draws a row at a time; a budget above
+    # the whole sketch draws it in one block
+    monkeypatch.setattr(random_sketch, "GAUSSIAN_BLOCK_BYTES", budget)
+    spec = GaussianSketchSpec(m=9, n=300, seed=5)
+    X = np.random.default_rng(6).standard_normal((300, 4))
     np.testing.assert_allclose(apply_gaussian(spec, X),
                                realize_gaussian(spec) @ X, rtol=1e-12)
 
@@ -58,11 +73,13 @@ def test_apply_gaussian_rejects_bad_input():
 
 
 def test_apply_gaussian_never_holds_the_sketch(traced_peak):
-    spec = GaussianSketchSpec(m=256, n=4000, seed=1)
-    X = np.random.default_rng(3).standard_normal((4000, 8))
+    # S would take 41 MB; the draw holds one block of at most the budget
+    # beside the 256 x 8 result
+    spec = GaussianSketchSpec(m=256, n=20000, seed=1)
+    X = np.random.default_rng(3).standard_normal((20000, 8))
     SX, peak = traced_peak(apply_gaussian, spec, X)
     assert SX.shape == (256, 8)
-    assert peak < spec.m * spec.n * 8
+    assert peak <= random_sketch.GAUSSIAN_BLOCK_BYTES + SX.nbytes + 2 ** 16
 
 
 def test_sjlt_rejects_bad_block_count():

@@ -6,11 +6,14 @@ eigvalsh of the symmetric difference.
 """
 import dataclasses
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fdridge import sketch
+from fdridge.experiments import load_config, load_instance
 from fdridge.sketch import (MODE_FD, MODE_RFD, SketchOutput, StreamingSketch,
                             load_sketch_csv, save_sketch_csv, sketch_matrix,
                             tail_masses)
@@ -18,6 +21,22 @@ from fdridge.solvers import (InverseOperator, RidgeProblem, fdrr_solve,
                              solve_exact)
 
 EPS = np.finfo(float).eps
+CONFIGS = Path(__file__).resolve().parent.parent / "scripts" / "configs"
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """A list that grows by one entry, the factor's shape, on every
+    eigendecomposition a sketch reduction takes."""
+    calls = []
+    gram_eigh = sketch._gram_eigh
+
+    def counting(matrix):
+        calls.append(matrix.shape)
+        return gram_eigh(matrix)
+
+    monkeypatch.setattr(sketch, "_gram_eigh", counting)
+    return calls
 
 
 def spectral_norm(M):
@@ -103,18 +122,24 @@ def test_rfd_covariance_bound_dense_oracle():
 
 
 @given(st.integers(1, 120), st.integers(1, 24), st.integers(1, 12),
-       st.floats(0.0, 8.0), st.integers(0, 2**31 - 1))
+       st.floats(0.0, 8.0), st.integers(0, 40), st.sampled_from([0.0, 1e-20]),
+       st.integers(0, 2**31 - 1))
 @settings(max_examples=60)
-def test_fd_and_rfd_errors_lie_within_delta(n, d, m, decay, seed):
+def test_fd_and_rfd_errors_lie_within_delta(n, d, m, decay, tail, scale,
+                                            seed):
     # Delta, the total shrink reduction, is twice the RFD output's shift.
     # The FD error A^T A - B^T B lies in [0, Delta] and the RFD error,
     # shifted by Delta/2, within Delta/2 in spectral norm.  Each bound
     # carries (n + d) eps |A|_F^2 of roundoff: n eps |A|_F^2 for forming
     # A^T A, which also covers mass the shrink drops below its floor, and
     # d eps |A|_F^2 for rebuilding B^T B from eigenvectors, which alone
-    # exceeds the first term on a one- or two-row stream.
+    # exceeds the first term on a one- or two-row stream.  The stream ends
+    # in ``tail`` rows that are zero or below the shrink's resolution, so
+    # the reductions they reach are skipped.
     rng = np.random.default_rng(seed)
-    A = rng.standard_normal((n, d))
+    A = rng.standard_normal((n + tail, d))
+    A[n:] *= scale
+    n += tail
     A *= np.exp(-decay * np.linspace(0.0, 1.0, d))
     sk = StreamingSketch(m, d)
     sk.extend(A)
@@ -242,6 +267,69 @@ def test_finalize_shrinks_only_when_over_budget():
     assert err <= tails[0] / (2 * 4) * (1 + 1e-9)
 
 
+@pytest.mark.parametrize("name", ["sweep_lowrank.cfg", "sweep_midrank.cfg",
+                                  "sketch_accuracy.cfg"])
+def test_decaying_stream_skips_sub_resolution_reductions(name, eigh_calls):
+    # row i of the synthetic design has scale exp(-(i/R)^2): past the first
+    # 2m = 512 rows the stream carries less mass than the shrink resolves,
+    # so of its three reductions (two shrinks and finalize) only the first
+    # takes an eigendecomposition, and the error stays within [0, Delta]
+    config = load_config(CONFIGS / name)
+    A, _, _ = load_instance(config)
+    out = sketch_matrix(A, config.m, MODE_RFD)
+    assert eigh_calls == [(2 * config.m, config.d)]
+    evs = np.linalg.eigvalsh(A.T @ A - out.matrix.T @ out.matrix)
+    roundoff = (len(A) + config.d) * EPS * float(np.vdot(A, A))
+    assert -roundoff <= evs.min() and evs.max() <= 2.0 * out.shift + roundoff
+
+
+def test_full_rank_stream_takes_one_per_shrink_and_finalize(eigh_calls):
+    # the RFF instance has full rank: the buffer first fills at 2m rows and
+    # every shrink keeps m - 1 of them, so no reduction may be skipped
+    config = load_config(CONFIGS / "iterate_rff.cfg", {"n": "2000"})
+    A, _, _ = load_instance(config)
+    m = config.m
+    sketch_matrix(A, m, MODE_RFD)
+    shrinks = 1 + (len(A) - 2 * m) // (m + 1)
+    assert len(eigh_calls) == shrinks + 1
+
+
+def test_zero_rows_after_a_reduction_change_nothing(eigh_calls):
+    # the buffer fills at exactly 2m rows, so the sketch holds only what
+    # its reduction kept; zero rows after that, through two more shrinks,
+    # take no eigendecomposition and leave finalize bit-identical
+    m, d = 4, 10
+    sk = StreamingSketch(m, d)
+    sk.extend(np.random.default_rng(21).standard_normal((2 * m, d)))
+    assert sk.fill == sk.kept == m - 1
+    before = sk.finalize(MODE_RFD)
+    sk.extend(np.zeros((3 * m, d)))
+    after = sk.finalize(MODE_RFD)
+    assert len(eigh_calls) == 1
+    np.testing.assert_array_equal(after.matrix, before.matrix)
+    assert after.shift == before.shift
+
+
+def test_skipped_finalize_leaves_the_stream_untouched(eigh_calls):
+    # at 2m rows the buffer has just been reduced, so a snapshot skips the
+    # reduction and copies the kept rows out; the stream then goes on as
+    # if no snapshot had been taken
+    A = np.random.default_rng(6).standard_normal((50, 7))
+    straight = sketch_matrix(A, 3, MODE_RFD)
+    interrupted = StreamingSketch(3, 7)
+    interrupted.extend(A[:6])
+    state, calls = _state(interrupted), len(eigh_calls)
+    snapshot = interrupted.finalize(MODE_RFD)
+    assert len(eigh_calls) == calls
+    _assert_state(interrupted, state)
+    np.testing.assert_array_equal(snapshot.matrix[:2], interrupted.buffer[:2])
+    assert not np.shares_memory(snapshot.matrix, interrupted.buffer)
+    interrupted.extend(A[6:])
+    out = interrupted.finalize(MODE_RFD)
+    np.testing.assert_array_equal(out.matrix, straight.matrix)
+    assert out.shift == straight.shift
+
+
 def test_mode_validation():
     sk = StreamingSketch(2, 3)
     with pytest.raises(ValueError):
@@ -316,13 +404,14 @@ def test_extend_matches_row_at_a_time():
 
 
 def _state(sk):
-    return sk.buffer.copy(), sk.fill, sk.shift_total
+    return sk.buffer.copy(), sk.fill, sk.kept, sk.shift_total
 
 
 def _assert_state(sk, state):
-    buffer, fill, shift_total = state
+    buffer, fill, kept, shift_total = state
     np.testing.assert_array_equal(sk.buffer, buffer)
     assert sk.fill == fill
+    assert sk.kept == kept
     assert sk.shift_total == shift_total
 
 

@@ -66,6 +66,23 @@ def test_non_finite_input_is_named(solve, where, bad, message):
         solve(RidgeProblem(A, y, 1.0))
 
 
+@pytest.mark.parametrize("solve", [
+    solve_exact,
+    lambda problem: fdrr_solve(problem, 4),
+    lambda problem: ifdrr_solve(problem, 4, t=3),
+], ids=["solve_exact", "fdrr_solve", "ifdrr_solve"])
+@pytest.mark.parametrize("gamma", [np.inf, np.nan, 0.0, -1.0])
+def test_regularizer_must_be_positive_and_finite(solve, gamma):
+    # an infinite gamma would give zeros from the one-shot solves and a
+    # spurious divergence "at iteration 1" from ifdrr_solve (inf * 0 is
+    # NaN in its gradient); the problem refuses it, naming the value
+    rng = np.random.default_rng(20)
+    A = rng.standard_normal((30, 6))
+    y = rng.standard_normal(30)
+    with pytest.raises(ValueError, match=f"positive and finite, got {gamma}"):
+        solve(RidgeProblem(A, y, gamma))
+
+
 def test_exact_identity_instance():
     y = np.array([2.0, -4.0, 6.0])
     x = solve_exact(RidgeProblem(np.eye(3), y, 1.0))
