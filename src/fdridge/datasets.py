@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .sketch import _positive
+
 
 class LibsvmParseError(ValueError):
     """Malformed sparse-text input, pinned to a line and column."""
@@ -48,8 +50,9 @@ class SyntheticSpec:
                 f"instance dimensions must be positive, got n={self.n}, d={self.d}")
         if not 0.0 < self.r <= 1.0:
             raise ValueError(f"rank fraction must lie in (0, 1], got {self.r}")
-        if self.noise_sd < 0:
-            raise ValueError(f"noise level cannot be negative, got {self.noise_sd}")
+        if not 0 <= self.noise_sd < math.inf:  # 0: targets without noise
+            raise ValueError(
+                f"noise level must be non-negative and finite, got {self.noise_sd}")
         if self.effective_rank < 1:
             raise ValueError(
                 f"rank fraction {self.r} with d={self.d} gives an empty signal")
@@ -116,8 +119,7 @@ def rff_expand(X: np.ndarray, n_features: int, gamma_rbf: float = 1.0,
         raise ValueError(f"expected a 2-d sample array, got shape {X.shape}")
     if n_features < 1:
         raise ValueError(f"feature count must be positive, got {n_features}")
-    if not gamma_rbf > 0:
-        raise ValueError(f"kernel width must be positive, got {gamma_rbf}")
+    gamma_rbf = _positive("kernel width", gamma_rbf)
     rng = np.random.default_rng(seed)
     W = rng.normal(0.0, math.sqrt(2.0 * gamma_rbf), size=(n_features, X.shape[1]))
     b = rng.uniform(0.0, 2.0 * math.pi, size=n_features)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sketch import MODE_RFD, MODES, SketchOutput
+from .sketch import MODE_RFD, MODES, SketchOutput, _positive
 from .solvers import InverseOperator
 
 
@@ -37,9 +37,8 @@ class LinearModelSpec:
         truth = np.asarray(self.truth, dtype=float)
         if truth.ndim != 1:
             raise ValueError(f"truth must be a vector, got shape {truth.shape}")
-        if not self.noise_sd > 0:
-            raise ValueError(f"noise level must be positive, got {self.noise_sd}")
         object.__setattr__(self, "truth", truth)
+        object.__setattr__(self, "noise_sd", _positive("noise level", self.noise_sd))
 
 
 @dataclass(frozen=True)
@@ -70,8 +69,9 @@ def _grid(A: np.ndarray, noise_map: np.ndarray, curvature: np.ndarray,
     apply.  A scalar ``gamma`` gives one report, a sequence a list.
     """
     grid = np.asarray(gamma, dtype=float)
-    if grid.ndim > 1 or not np.all(grid > 0):
-        raise ValueError(f"regularizer must be positive, got {gamma}")
+    if grid.ndim > 1:
+        raise ValueError(f"regularizer must be a scalar or a sequence, got {gamma}")
+    gammas = [_positive("regularizer", g) for g in np.atleast_1d(grid)]
     truth = model.truth
     resid = noise_map.T @ (A @ truth) - curvature.T @ (curvature @ truth)
     inside = noise_map @ op.basis
@@ -80,7 +80,7 @@ def _grid(A: np.ndarray, noise_map: np.ndarray, curvature: np.ndarray,
     beyond -= noise_map
     outside = float(np.vdot(beyond, beyond))
     reports = []
-    for g in np.atleast_1d(grid):
+    for g in gammas:
         total = g + shift
         bias = op.retarget(total).apply(resid - total * truth)
         var = weights @ (1.0 / (op.spectrum + total) ** 2) + outside / total ** 2
@@ -152,10 +152,11 @@ def theta_interval(bound: float, gamma: float) -> tuple[float, float]:
 
     A priori the bound is tail(k) / (m - k) for any k < m, halved for
     "rfd"; after the fact it is the finalized "rfd" sketch's shift (twice
-    that for "fd").  Returns (1 - theta, 1 / (1 - theta)).
+    that for "fd").  Returns (1 - theta, 1 / (1 - theta)).  gamma must be
+    positive and finite and the bound non-negative, or ValueError is
+    raised; a bound at or above gamma raises :class:`BudgetError`.
     """
-    if not gamma > 0:
-        raise ValueError(f"regularizer must be positive, got {gamma}")
+    gamma = _positive("regularizer", gamma)
     if not bound >= 0:
         raise ValueError(
             f"covariance-error bound must be non-negative, got {bound}")
@@ -175,13 +176,15 @@ def budget_for_theta(theta: float, k: int, mass: float, gamma: float,
     mass / (m - k), halved in "rfd" mode, gives theta exactly at
     m = mass / ((1 - sqrt(1 - theta)) gamma) + k, with the denominator
     doubled in "rfd" mode.  Callers round up to an integer sketch size.
+    Raises ValueError unless theta lies in (0, 1), k is a non-negative
+    integer, and gamma and mass are positive and finite.
     """
     if not 0 < theta < 1:
         raise ValueError(f"theta must lie in (0, 1), got {theta}")
-    if not gamma > 0:
-        raise ValueError(f"regularizer must be positive, got {gamma}")
-    if mass <= 0:
-        raise ValueError(f"tail mass must be positive, got {mass}")
+    if not (k >= 0 and float(k).is_integer()):
+        raise ValueError(f"k must be a non-negative integer, got {k}")
+    gamma = _positive("regularizer", gamma)
+    mass = _positive("tail mass", mass)
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     denom = (1.0 - math.sqrt(1.0 - theta)) * gamma

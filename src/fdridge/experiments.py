@@ -49,6 +49,11 @@ SWEEP_COLUMNS = ("method", "gamma", "bias_sq", "var_trace", "mse",
 ITER_COLUMNS = ("method", "gamma", "iteration", "log10_error", "diverged")
 ACC_COLUMNS = ("method", "m", "k", "spectral_error", "bound", "within_bound")
 
+# The least value of each integer key a dataset kind accepts; the
+# synthetic kind's are checked by SyntheticSpec.
+_MINIMUMS = {"gaussian-rff": {"n": 1, "d": 1, "raw_dim": 1},
+             "libsvm": {"n": 0, "rff_features": 0}}
+
 
 @dataclass(frozen=True)
 class SweepConfig:
@@ -103,23 +108,13 @@ class SweepConfig:
                            if self.methods.count(meth) > 1})
         if repeated:
             raise ConfigError(f"methods listed more than once: {repeated}")
-        if self.dataset == "gaussian-rff" and self.n < 1:
-            raise ConfigError(
-                f"dataset 'gaussian-rff' needs n >= 1, got n={self.n}")
-        if self.dataset == "gaussian-rff" and self.d < 1:
-            raise ConfigError(
-                f"dataset 'gaussian-rff' needs d >= 1, got d={self.d}")
-        if self.dataset == "gaussian-rff" and self.raw_dim < 1:
-            raise ConfigError(
-                f"dataset 'gaussian-rff' needs raw_dim >= 1, got raw_dim={self.raw_dim}")
         if self.dataset == "libsvm" and not self.libsvm_path:
             raise ConfigError("dataset 'libsvm' needs libsvm_path")
-        if self.dataset == "libsvm" and self.n < 0:
-            raise ConfigError(
-                f"dataset 'libsvm' needs n >= 0, got n={self.n}")
-        if self.dataset == "libsvm" and (self.rff_features or 0) < 0:
-            raise ConfigError(f"dataset 'libsvm' needs rff_features >= 0, "
-                              f"got rff_features={self.rff_features}")
+        for key, least in _MINIMUMS.get(self.dataset, {}).items():
+            value = getattr(self, key)
+            if (value or 0) < least:  # an unset rff_features counts as 0
+                raise ConfigError(f"dataset {self.dataset!r} needs "
+                                  f"{key} >= {least}, got {key}={value}")
         needs_sjlt = any(meth.endswith(":sjlt") for meth in self.methods)
         if needs_sjlt and (self.sjlt_s < 1 or self.m % self.sjlt_s != 0):
             raise ConfigError(

@@ -68,6 +68,14 @@ def _first_nonfinite_row(rows: np.ndarray, window: int):
     return None
 
 
+def _positive(name: str, value) -> float:
+    """``value`` as a float; raises ValueError naming ``name`` unless it
+    is positive and finite, the rule for every scale parameter."""
+    if not 0 < value < np.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+    return float(value)
+
+
 def _right_vectors(matrix: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     """Right singular vectors of X, as the columns of a d x r basis, for
     eigenvectors from :func:`_gram_eigh`: X^T U with its columns

@@ -8,14 +8,13 @@ randomized schemes hand it one draw or a fresh draw per iteration.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .sketch import (MODE_FD, SketchOutput, _first_nonfinite_row, _gram_eigh,
-                     _right_vectors, sketch_matrix)
+                     _positive, _right_vectors, sketch_matrix)
 
 # An iterate whose norm exceeds this multiple of |A^T y| / gamma has left
 # the region where any ridge solution can live; treat it as divergence.
@@ -57,9 +56,7 @@ class RidgeProblem:
         if y.shape != (A.shape[0],):
             raise ValueError(
                 f"targets must have shape ({A.shape[0]},), got {y.shape}")
-        if not 0 < self.gamma < math.inf:
-            raise ValueError(
-                f"regularizer must be positive and finite, got {self.gamma}")
+        gamma = _positive("regularizer", self.gamma)
         bad = np.flatnonzero(~np.isfinite(y))
         if bad.size:
             raise ValueError(f"target {bad[0]} is not finite")
@@ -68,6 +65,7 @@ class RidgeProblem:
             raise ValueError(f"data row {bad} has a non-finite entry")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "y", y)
+        object.__setattr__(self, "gamma", gamma)
 
 
 class InverseOperator:
@@ -82,7 +80,9 @@ class InverseOperator:
         v / g + V diag(1 / (spectrum + g) - 1 / g) V^T v,
 
     O(r d) per vector for r kept directions; ``retarget`` reuses the pair
-    under another regularizer.  Instances are immutable and thread-safe.
+    under another regularizer.  The total regularizer g (gamma plus any
+    sketch shift) must be positive and finite, or ValueError is raised.
+    Instances are immutable and thread-safe.
     """
 
     def __init__(self, matrix: np.ndarray, gamma_total: float):
@@ -103,11 +103,8 @@ class InverseOperator:
                                      gamma + output.shift)
 
     def _set(self, factors: tuple, gamma_total: float) -> "InverseOperator":
-        if not gamma_total > 0:
-            raise ValueError(
-                f"total regularizer must be positive, got {gamma_total}")
+        self.gamma_total = _positive("total regularizer", gamma_total)
         self.spectrum, self.basis = factors
-        self.gamma_total = float(gamma_total)
         return self
 
     @property

@@ -99,6 +99,9 @@ def test_sketch_acc_subcommand(config_path, tmp_path):
     (["--set", "zorp=1"], "unknown config key"),
     (["--set", "seed"], "KEY=VALUE"),
     (["--set", "methods=ifdrr:fd"], "one-shot"),
+    (["--set", "noise_sd=inf"], "noise level"),
+    (["--set", "dataset=gaussian-rff", "--set", "rff_gamma=inf"],
+     "kernel width"),
 ])
 def test_cli_errors_exit_2(config_path, capsys, argv_tail, fragment):
     code = main(["sweep", "--config", str(config_path)] + argv_tail)

@@ -29,8 +29,9 @@ def test_spec_validation():
         SyntheticSpec(4, 4, 0.0, 1.0, 0)
     with pytest.raises(ValueError):
         SyntheticSpec(4, 4, 1.5, 1.0, 0)
-    with pytest.raises(ValueError):
-        SyntheticSpec(4, 4, 0.5, -1.0, 0)
+    for noise_sd in (-1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="noise level"):
+            SyntheticSpec(4, 4, 0.5, noise_sd, 0)
     with pytest.raises(ValueError):
         SyntheticSpec(4, 100, 0.001, 1.0, 0)  # rounds to rank zero
 
@@ -131,8 +132,9 @@ def test_rff_validation():
         rff_expand(np.zeros(3), 4)
     with pytest.raises(ValueError):
         rff_expand(np.zeros((3, 2)), 0)
-    with pytest.raises(ValueError):
-        rff_expand(np.zeros((3, 2)), 4, gamma_rbf=0.0)
+    for gamma_rbf in (0.0, math.inf):
+        with pytest.raises(ValueError, match="kernel width"):
+            rff_expand(np.zeros((3, 2)), 4, gamma_rbf=gamma_rbf)
 
 
 def test_rff_holds_one_copy_of_its_output(traced_peak):

@@ -26,8 +26,9 @@ from fdridge.sketch import (MODE_FD, MODE_RFD, StreamingSketch, sketch_matrix,
 def test_model_spec_validation():
     with pytest.raises(ValueError):
         LinearModelSpec(np.eye(2), 1.0)
-    with pytest.raises(ValueError):
-        LinearModelSpec(np.ones(3), 0.0)
+    for noise_sd in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="noise level"):
+            LinearModelSpec(np.ones(3), noise_sd)
 
 
 def test_identity_design_closed_form():
@@ -90,6 +91,15 @@ def test_diagnostics_reject_bad_gamma():
         hessian_sketch_diagnostics(A, A, model, 0.0)
     with pytest.raises(ValueError):
         optimal_diagnostics(A, model, [1.0, 0.0])
+    with pytest.raises(ValueError, match="regularizer"):
+        optimal_diagnostics(A, model, [1.0, math.inf])
+    # gamma itself is checked, not gamma + shift, so a negative gamma
+    # stays an error although the total regularizer would be positive
+    X = np.random.default_rng(4).standard_normal((40, 6))
+    rfd = sketch_matrix(X, 3, MODE_RFD)
+    assert rfd.shift > 0.01
+    with pytest.raises(ValueError, match="regularizer"):
+        sketched_diagnostics(X, rfd, LinearModelSpec(np.ones(6), 1.0), -0.01)
 
 
 def _mc_moments(solve_batch, A, model, draws=200_000, seed=99):
@@ -291,7 +301,7 @@ def test_theta_interval_infeasible_budget():
 
 def test_theta_interval_validation():
     for bound, gamma in ((-1.0, 1.0), (math.nan, 1.0), (0.5, 0.0),
-                         (0.5, -2.0), (0.5, math.nan)):
+                         (0.5, -2.0), (0.5, math.nan), (0.5, math.inf)):
         with pytest.raises(ValueError) as err:
             theta_interval(bound, gamma)
         assert not isinstance(err.value, BudgetError)
@@ -306,6 +316,14 @@ def test_budget_validation():
         budget_for_theta(0.5, 1, 0.0, 1.0)
     with pytest.raises(ValueError):
         budget_for_theta(0.5, 1, 1.0, -2.0)
+    with pytest.raises(ValueError, match="regularizer"):
+        budget_for_theta(0.5, 1, 1.0, math.inf)
+    for mass in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="tail mass"):
+            budget_for_theta(0.5, 1, mass, 1.0)
+    for k in (-5, 2.5):
+        with pytest.raises(ValueError, match="k must be"):
+            budget_for_theta(0.5, k, 1.0, 1.0)
     for mode in ("RFD", "rdf"):
         with pytest.raises(ValueError, match="'fd', 'rfd'"):
             budget_for_theta(0.5, 1, 1.0, 1.0, mode)

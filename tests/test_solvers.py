@@ -4,6 +4,8 @@ The oracle for everything here is the explicit d x d linear algebra:
 inv(A^T A + gamma I) and friends, formed densely with numpy.  Sketch-based
 solvers must agree with the same formulas evaluated on their own sketch.
 """
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -159,10 +161,14 @@ def test_operator_eigenvector_action():
 
 
 def test_operator_rejects_bad_regularizer():
-    with pytest.raises(ValueError):
-        InverseOperator(np.eye(3), 0.0)
-    with pytest.raises(ValueError):
-        InverseOperator(np.eye(3), -1.0)
+    SA = np.random.default_rng(8).standard_normal((8, 5))
+    for gamma in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="total regularizer"):
+            InverseOperator(np.eye(3), gamma)
+        with pytest.raises(ValueError, match="total regularizer"):
+            classical_sketch_solve(SA, np.ones(8), gamma)
+        with pytest.raises(ValueError, match="total regularizer"):
+            hessian_sketch_solve(SA, np.ones(5), gamma)
 
 
 def test_operator_from_sketch_adds_shift():
