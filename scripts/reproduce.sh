@@ -2,6 +2,9 @@
 # Regenerate all result tables from the checked-in configs.  Tables are
 # deterministic: rerunning this script reproduces them byte for byte.
 set -eu
+# One BLAS thread: more threads split the matrix products' sums
+# differently, which moves the tables' last digits.
+export OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1
 cd "$(dirname "$0")/.."
 mkdir -p results
 

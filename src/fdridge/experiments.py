@@ -94,6 +94,9 @@ class SweepConfig:
             raise ConfigError(f"sketch size must be positive, got m={self.m}")
         if self.trials < 1:
             raise ConfigError(f"trial count must be positive, got {self.trials}")
+        if not 0 <= self.noise_sd < math.inf:  # 0: targets without noise
+            raise ConfigError("noise level must be non-negative and finite, "
+                              f"got noise_sd={self.noise_sd}")
         if not self.gammas:
             raise ConfigError("the regularizer grid is empty")
         bad_gammas = [g for g in self.gammas if not 0 < g < math.inf]
@@ -310,27 +313,25 @@ def _check_methods(config: SweepConfig, allowed: tuple, protocol: str) -> None:
         raise ConfigError("no methods requested")
 
 
-def _report_row(method, gamma, rep, base):
-    """A sweep row: ``rep``'s moments and their relative errors against
-    the exact estimator's ``base`` (NaN where the base value is zero)."""
-    row = {"method": method, "gamma": gamma, "bias_sq": rep.bias_sq,
-           "var_trace": rep.var_trace, "mse": rep.mse}
-    for col, value, ref in (("rel_bias", rep.bias_sq, base.bias_sq),
-                            ("rel_var", rep.var_trace, base.var_trace),
-                            ("rel_mse", rep.mse, base.mse)):
-        row[col] = abs(value - ref) / ref if ref != 0.0 else float("nan")
-    row["diverged"] = 0
-    return row
+def _sweep_values(per_trial, baseline) -> np.ndarray:
+    """A method's trials x gammas x 6 array of sweep values: the squared
+    bias, variance trace and MSE of each report in ``per_trial`` (one
+    list of reports per trial), then their relative errors against the
+    exact estimator's ``baseline`` (NaN where the base value is zero), in
+    the order of ``SWEEP_COLUMNS``."""
+    moments = np.array([[(rep.bias_sq, rep.var_trace, rep.mse)
+                         for rep in reports] for reports in per_trial])
+    base = np.array([(rep.bias_sq, rep.var_trace, rep.mse)
+                     for rep in baseline])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel = np.where(base != 0.0, np.abs(moments - base) / base, np.nan)
+    return np.concatenate([moments, rel], axis=2)
 
 
-def _median_row(method, gamma, trial_rows):
-    row = {"method": method, "gamma": gamma}
-    vals = {}
-    for colm in SWEEP_COLUMNS[2:-1]:
-        vals[colm] = np.array([tr[colm] for tr in trial_rows], dtype=float)
-        row[colm] = float(np.median(vals[colm]))
-    row["diverged"] = int(any(not np.isfinite(v).all() for v in vals.values()))
-    return row
+def _sweep_row(method, gamma, values, diverged, **extra) -> dict:
+    return {"method": method, "gamma": gamma,
+            **dict(zip(SWEEP_COLUMNS[2:-1], values.tolist())),
+            "diverged": int(diverged), **extra}
 
 
 def run_bias_variance_sweep(config: SweepConfig, raw: bool = False,
@@ -351,16 +352,22 @@ def run_bias_variance_sweep(config: SweepConfig, raw: bool = False,
             "(synthetic or gaussian-rff with noise_sd > 0)")
     gammas = sorted(set(config.gammas))
     baseline = optimal_diagnostics(A, model, gammas)
-    sketches = (_sketch_both(A, config.m)
-                if {"fdrr", "rfdrr"} & set(config.methods) else {})
+    sketched = {}
+    if {"fdrr", "rfdrr"} & set(config.methods):
+        # The RFD estimator at gamma is the FD one at gamma + shift, so one
+        # pass over the FD sketch serves both grids.
+        sketches = _sketch_both(A, config.m)
+        shift = sketches[MODE_RFD].shift
+        both = sketched_diagnostics(A, sketches[MODE_FD], model,
+                                    gammas + [g + shift for g in gammas])
+        sketched = {"fdrr": both[:len(gammas)], "rfdrr": both[len(gammas):]}
 
     def trial_reports(meth, trial):
         kind, _, flavor = meth.partition(":")
         if kind == "exact":
             return baseline
-        if kind in ("fdrr", "rfdrr"):  # the FD sketch in mode fd or rfd
-            return sketched_diagnostics(A, sketches[kind.removesuffix("rr")],
-                                        model, gammas)
+        if kind in sketched:
+            return sketched[kind]
         seed = child_seed(config.seed, _SWEEP_TAG, _METHOD_INDEX[meth], trial)
         if kind == "classical":
             S = _realize(config, flavor, A.shape[0], seed)
@@ -372,15 +379,15 @@ def run_bias_variance_sweep(config: SweepConfig, raw: bool = False,
     raw_rows = []
     for meth in config.methods:
         flavor = meth.partition(":")[2]
-        per_trial = [trial_reports(meth, trial)
-                     for trial in _trials(config, flavor)]
+        values = _sweep_values([trial_reports(meth, trial)
+                                for trial in _trials(config, flavor)], baseline)
+        medians = np.median(values, axis=0)
+        diverged = ~np.isfinite(values).all(axis=(0, 2))
         for i, g in enumerate(gammas):
-            trial_rows = [dict(_report_row(meth, g, reports[i], baseline[i]),
-                               trial=trial)
-                          for trial, reports in enumerate(per_trial)]
+            rows.append(_sweep_row(meth, g, medians[i], diverged[i]))
             if flavor in _RANDOM_FLAVORS:  # the raw table holds draws only
-                raw_rows.extend(trial_rows)
-            rows.append(_median_row(meth, g, trial_rows))
+                raw_rows.extend(_sweep_row(meth, g, trial[i], False, trial=t)
+                                for t, trial in enumerate(values))
     rows.sort(key=lambda r: (r["method"], r["gamma"]))
     raw_rows.sort(key=lambda r: (r["method"], r["gamma"], r["trial"]))
 

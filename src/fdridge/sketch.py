@@ -29,6 +29,36 @@ def _resolution(size: int, top: float) -> float:
     return size * np.finfo(float).eps * top
 
 
+def _resolved_rows(rows: np.ndarray, fixed: int = 0) -> np.ndarray:
+    """``rows`` less those of least squared norm, past the first ``fixed``,
+    whose combined mass is at most the roundoff floor of the Gram
+    eigendecomposition the other rows then take: :func:`_resolution` of
+    its order, min(rows left, d), and of the largest row's squared norm,
+    a lower bound on its top eigenvalue.  Rows that light move no
+    eigenpair the decomposition resolves by more than its rounding.
+
+    The rows left keep their order, and ``rows`` itself comes back when
+    none is left out.  A non-finite row mass leaves nothing out, so rows
+    too large to square still reach :func:`_gram_eigh`'s overflow check.
+    """
+    mass = np.einsum("ij,ij->i", rows, rows)
+    top = mass.max(initial=0.0)
+    if not np.isfinite(top):
+        return rows
+    order = fixed + np.argsort(mass[fixed:], kind="stable")
+    # leaving out the j lightest rows drops their running mass and leaves
+    # a Gram order of min(len - j, d): the floor falls with j while the
+    # mass grows, so the j that fit run from 1 up to a cut
+    left = np.arange(rows.shape[0] - 1, fixed - 1, -1)
+    floor = _resolution(np.minimum(left, rows.shape[1]), top)
+    drop = np.count_nonzero(np.cumsum(mass[order]) <= floor)
+    if not drop:
+        return rows
+    keep = np.ones(rows.shape[0], dtype=bool)
+    keep[order[:drop]] = False
+    return rows[keep]
+
+
 def _gram_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs of the smaller Gram matrix of X, largest first: the
     squared singular values of X and, as columns, the eigenvectors of
@@ -123,12 +153,12 @@ class StreamingSketch:
     Half of each reduction accumulates into ``shift_total``.
 
     The first ``kept`` rows are those the last reduction left: orthogonal,
-    largest first.  A reduction is skipped when the rows added after them
-    carry no mass the eigendecomposition could resolve (see
-    :meth:`_reduced`): zero rows, or rows whose squared mass is below its
-    roundoff floor.  So the per-row update cost is amortized O(m d), and
-    each shrink costs at most one Gram product and one eigendecomposition
-    of size min(2m, d).
+    largest first.  Before each reduction the rows added after them lose
+    those too light for its eigendecomposition to resolve
+    (:func:`_resolved_rows`), and when none is left the reduction is
+    skipped.  So the per-row update cost is amortized O(m d), and each
+    shrink costs at most one Gram product and one eigendecomposition of
+    size min(2m, d).
     Instances are single-writer: concurrent ``update`` calls must be
     serialized by the caller.  ``finalize`` does not mutate state, so a
     finalized snapshot can be taken mid-stream and updates may continue
@@ -192,27 +222,21 @@ class StreamingSketch:
         v_i of the directions above the reduction, whose right vectors
         alone are formed, and the reduction.
 
-        The step is skipped, returning the kept rows (a view) and no
-        reduction, when the rows added after them have a squared mass at
-        most :func:`_resolution` of the Gram order and the largest kept
-        row's squared norm, which is at most the largest eigenvalue.  Any
-        direction they add would then fall below the floor
-        :func:`_gram_eigh` drops, and the kept directions would move by
-        less than its rounding; at most m rows are kept, so there would be
-        no reduction either.  Before the first reduction nothing is kept,
-        and only exactly zero rows are skipped."""
-        pending = self.buffer[self.kept:self.fill]
-        top = self.buffer[0] @ self.buffer[0] if self.kept else 0.0
-        floor = _resolution(min(self.fill, self.d), top)
-        if np.vdot(pending, pending) <= floor:
+        The rows added since the last reduction first lose those whose
+        mass lies below the decomposition's roundoff floor
+        (:func:`_resolved_rows`); their mass is left out, not reduced, so
+        it adds nothing to the shift.  When none of them is left, the step
+        is skipped, returning the kept rows (a view) and no reduction: at
+        most m rows are kept, so there would be none."""
+        rows = _resolved_rows(self.buffer[:self.fill], self.kept)
+        if rows.shape[0] == self.kept:
             return self.buffer[:self.kept], 0.0
-        occupied = self.buffer[:self.fill]
-        spectrum, vecs = _gram_eigh(occupied)
+        spectrum, vecs = _gram_eigh(rows)
         reduction = float(spectrum[self.m - 1]) if spectrum.size > self.m else 0.0
         above = spectrum > reduction
-        rows = _right_vectors(occupied, vecs[:, above]).T
-        rows *= np.sqrt(spectrum[above] - reduction)[:, None]
-        return rows, reduction
+        reduced = _right_vectors(rows, vecs[:, above]).T
+        reduced *= np.sqrt(spectrum[above] - reduction)[:, None]
+        return reduced, reduction
 
     def _shrink(self) -> None:
         rows, reduction = self._reduced()

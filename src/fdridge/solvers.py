@@ -14,7 +14,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .sketch import (MODE_FD, SketchOutput, _first_nonfinite_row, _gram_eigh,
-                     _positive, _right_vectors, sketch_matrix)
+                     _positive, _resolved_rows, _right_vectors, sketch_matrix)
 
 # An iterate whose norm exceeds this multiple of |A^T y| / gamma has left
 # the region where any ridge solution can live; treat it as divergence.
@@ -75,7 +75,9 @@ class InverseOperator:
     eigenvalues of X^T X above the roundoff floor, largest first, and
     their orthonormal eigenvectors, from the same eigendecomposition of
     the smaller Gram matrix that the sketch shrinks with (X X^T, in
-    Woodbury form, for a short-and-fat factor).  Each apply is
+    Woodbury form, for a short-and-fat factor).  As in a shrink, the rows
+    of X too light for that decomposition to resolve are left out of it
+    first.  Each apply is
 
         v / g + V diag(1 / (spectrum + g) - 1 / g) V^T v,
 
@@ -89,6 +91,7 @@ class InverseOperator:
         matrix = np.asarray(matrix, dtype=float)
         if matrix.ndim != 2:
             raise ValueError(f"expected a 2-d factor, got shape {matrix.shape}")
+        matrix = _resolved_rows(matrix)
         spectrum, vecs = _gram_eigh(matrix)
         self._set((spectrum, _right_vectors(matrix, vecs)), gamma_total)
 

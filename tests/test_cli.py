@@ -1,7 +1,10 @@
-"""End-to-end command-line tests (in-process, plus one subprocess smoke)."""
+"""End-to-end command-line tests: in-process, plus subprocess runs of the
+module and of two reproduce.sh commands."""
+import os
 import shlex
 import subprocess
 import sys
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -102,6 +105,8 @@ def test_sketch_acc_subcommand(config_path, tmp_path):
     (["--set", "noise_sd=inf"], "noise level"),
     (["--set", "dataset=gaussian-rff", "--set", "rff_gamma=inf"],
      "kernel width"),
+    (["--set", "dataset=gaussian-rff", "--set", "noise_sd=-1"], "noise level"),
+    (["--set", "dataset=gaussian-rff", "--set", "noise_sd=nan"], "noise level"),
 ])
 def test_cli_errors_exit_2(config_path, capsys, argv_tail, fragment):
     code = main(["sweep", "--config", str(config_path)] + argv_tail)
@@ -151,6 +156,39 @@ def test_reproduce_script_parses():
         except SystemExit:
             pytest.fail(f"reproduce.sh line does not parse: {shlex.join(argv)}")
         load_config(REPO / args.config)
+
+
+def _first_difference(path, ref):
+    """The first line, 1-based, at which two files' bytes differ, or None."""
+    ours = path.read_bytes().splitlines(keepends=True)
+    theirs = ref.read_bytes().splitlines(keepends=True)
+    for lineno, (a, b) in enumerate(zip_longest(ours, theirs), start=1):
+        if a != b:
+            return lineno
+    return None
+
+
+@pytest.mark.parametrize("config", ["sweep_lowrank.cfg", "sketch_accuracy.cfg"])
+def test_reproduce_command_rewrites_results_byte_for_byte(config, tmp_path):
+    """The reproduce.sh command for ``config``, run in a subprocess at one
+    BLAS thread, writes tables byte-identical to those in results/: the
+    ``#`` lines, the header and every body line."""
+    argv = next(shlex.split(line) for line in REPRODUCE.read_text().splitlines()
+                if line.startswith("python3 -m fdridge.cli ") and config in line)
+    name = Path(load_config(REPO / argv[argv.index("--config") + 1]).out).name
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [
+                   str(REPO / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable] + argv[1:]
+                          + ["--out", str(tmp_path / name)],
+                          cwd=REPO, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    tables = [name] + ([f"{name}.raw.csv"] if "--raw" in argv else [])
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(tables)
+    for table in tables:
+        line = _first_difference(tmp_path / table, REPO / "results" / table)
+        assert line is None, f"{table} differs from results/ at line {line}"
 
 
 def test_missing_config_file(tmp_path, capsys):

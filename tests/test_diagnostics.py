@@ -4,6 +4,7 @@ The analytic reports are cross-checked two ways: small instances where
 the moments are computable by hand, and a shared 200k-draw simulation
 that estimates the same moments empirically for every estimator family.
 """
+import dataclasses
 import math
 
 import numpy as np
@@ -241,6 +242,19 @@ def test_grid_sketched_matches_dense(grid_instance, mode):
     reports = sketched_diagnostics(A, out, model, GRID)
     assert_grid_matches(
         reports, lambda g: dense_sketched(A, out.matrix, model, g + out.shift))
+
+
+def test_rfd_diagnostics_are_fd_diagnostics_at_the_shifted_gamma(
+        grid_instance):
+    # the RFD estimator at gamma is the FD estimator at gamma + shift, to
+    # the bit, so one grid of FD diagnostics can serve both
+    A, model = grid_instance
+    rfd = sketch_matrix(A, 6, MODE_RFD)
+    fd = dataclasses.replace(rfd, shift=0.0, mode=MODE_FD)
+    assert rfd.shift > 0
+    shifted = sketched_diagnostics(A, fd, model, [g + rfd.shift for g in GRID])
+    assert sketched_diagnostics(A, rfd, model, GRID) == shifted
+    assert sketched_diagnostics(A, rfd, model, GRID[4]) == shifted[4]
 
 
 def _draws(n, m):

@@ -17,8 +17,9 @@ from fdridge.diagnostics import (DiagnosticsReport,
                                  classical_sketch_diagnostics)
 from fdridge.experiments import (ACC_COLUMNS, ConfigError, ITER_COLUMNS,
                                  ITERATIVE_METHODS, STATISTICAL_METHODS,
-                                 SWEEP_COLUMNS, SweepConfig, _report_row,
-                                 child_seed, load_config, load_instance,
+                                 SWEEP_COLUMNS, SweepConfig, _sweep_row,
+                                 _sweep_values, child_seed, load_config,
+                                 load_instance,
                                  run_bias_variance_sweep,
                                  run_iterative_experiment,
                                  run_sketch_accuracy, write_csv)
@@ -191,21 +192,26 @@ def test_sweep_exact_baseline_is_zero():
 
 
 def test_relative_errors():
+    # a method's trials x gammas array: its moments, then their relative
+    # errors against the exact estimator's, NaN where the base is zero
     base = DiagnosticsReport(bias_sq=2.0, var_trace=4.0)
-    self_row = _report_row("exact", 1.0, base, base)
+    other = DiagnosticsReport(1.0, 6.0)
+    values = _sweep_values([[base, other], [other, base]], [base, base])
+    assert values.shape == (2, 2, 6)
+    self_row = _sweep_row("exact", 1.0, values[0, 0], False)
     assert list(self_row) == list(SWEEP_COLUMNS)
     assert self_row["mse"] == 6.0
     assert self_row["rel_bias"] == 0.0
     assert self_row["rel_var"] == 0.0
     assert self_row["rel_mse"] == 0.0
-    other = _report_row("fdrr", 1.0, DiagnosticsReport(1.0, 6.0), base)
-    assert other["rel_bias"] == pytest.approx(0.5)
-    assert other["rel_var"] == pytest.approx(0.5)
-    assert other["rel_mse"] == pytest.approx(1 / 6)
+    assert self_row["diverged"] == 0
+    np.testing.assert_array_equal(values[1, 1], values[0, 0])
+    np.testing.assert_allclose(values[0, 1, 3:], [0.5, 0.5, 1 / 6])
+    np.testing.assert_array_equal(values[1, 0], values[0, 1])
     degenerate = DiagnosticsReport(0.0, 4.0)
-    row = _report_row("fdrr", 1.0, base, degenerate)
-    assert math.isnan(row["rel_bias"])
-    assert row["rel_var"] == 0.0
+    row = _sweep_values([[base]], [degenerate])[0, 0]
+    assert math.isnan(row[3])
+    assert row[4] == 0.0
 
 
 def test_sweep_rows_are_sorted_and_complete():

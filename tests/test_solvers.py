@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fdridge import solvers
 from fdridge.random_sketch import GaussianSketchSpec, realize_gaussian
 from fdridge.sketch import MODE_FD, MODE_RFD, sketch_matrix, tail_masses
 from fdridge.solvers import (DivergenceError, InverseOperator, RidgeProblem,
@@ -138,6 +139,31 @@ def test_operator_tall_factor_matches_dense_inverse():
         V = rng.standard_normal((6, 3))
         np.testing.assert_allclose(op.apply(V), dense @ V, rtol=1e-10,
                                    atol=1e-12)
+
+
+def test_operator_leaves_sub_resolution_rows_out(monkeypatch):
+    # rows whose combined mass lies below the roundoff floor of the Gram
+    # eigendecomposition are left out of it, wherever they sit among the
+    # others, and the operator moves by roundoff only; heavier rows stay
+    shapes = []
+    gram_eigh = solvers._gram_eigh
+
+    def counting(matrix):
+        shapes.append(matrix.shape)
+        return gram_eigh(matrix)
+
+    monkeypatch.setattr(solvers, "_gram_eigh", counting)
+    rng = np.random.default_rng(23)
+    V = rng.standard_normal((9, 3))
+    for n in (6, 20):  # a short-and-fat factor and a tall one
+        X = rng.standard_normal((n, 9))
+        light = rng.standard_normal((5, 9))
+        rows = rng.permutation(n + 5)
+        op = InverseOperator(np.vstack([X, 1e-20 * light])[rows], 0.5)
+        assert shapes[-1] == (n, 9)
+        assert rel_err(op.apply(V), InverseOperator(X, 0.5).apply(V)) < 1e-12
+        InverseOperator(np.vstack([X, 1e-3 * light]), 0.5)
+        assert shapes[-1] == (n + 5, 9)
 
 
 def test_operator_retarget_shares_the_factorization():
