@@ -21,6 +21,11 @@ import numpy as np
 from .sketch import MODE_RFD, MODES, SketchOutput, _positive
 from .solvers import InverseOperator
 
+# Bytes of the noise map that one block of the diagnostics pass holds: a
+# block is max(DIAGNOSTICS_BLOCK_BYTES // (8 d), 1) rows, 256 at d = 512,
+# so the pass holds a few such blocks instead of n x d temporaries.
+DIAGNOSTICS_BLOCK_BYTES = 2 ** 20
+
 
 class BudgetError(ValueError):
     """Sketch size vs. regularizer combination outside the theory's range."""
@@ -53,32 +58,60 @@ class DiagnosticsReport:
         return self.bias_sq + self.var_trace
 
 
-def _grid(A: np.ndarray, noise_map: np.ndarray, curvature: np.ndarray,
-          op: InverseOperator, model: LinearModelSpec, gamma, shift=0.0):
+def _grid(A: np.ndarray, curvature: np.ndarray, op: InverseOperator,
+          model: LinearModelSpec, gamma, shift=0.0, sketch=None):
     """Reports for x = (X^T X + (g + shift) I)^{-1} N^T y at each gamma.
 
     ``op`` (at any regularizer) holds the eigenpairs (lam_i, v_i) of X^T X
-    for X = ``curvature``; the estimator sees y through N = ``noise_map``.
-    With g the total regularizer and H = X^T X + g I the moments are
+    for X = ``curvature``; the estimator sees y through the noise map N,
+    which is A, or S^T X for the classical estimator's realized S =
+    ``sketch`` (X = S A).  With g the total regularizer and H = X^T X + g I
+    the moments are
 
         bias = H^{-1} (N^T A - X^T X - g I) x0,
         var  = sigma^2 |N H^{-1}|_F^2 = sigma^2 (sum_i |N v_i|^2 / (lam_i + g)^2
                + |N (I - V V^T)|_F^2 / g^2),
 
     so one O(n d r) pass serves the grid and each gamma costs an O(d r)
-    apply.  A scalar ``gamma`` gives one report, a sequence a list.
+    apply.  The pass walks N in blocks of rows, about
+    :data:`DIAGNOSTICS_BLOCK_BYTES` each: a block is a slice of A, or
+    S[:, lo:hi]^T X, and adds its share of the weights |N v_i|^2 and of
+    the outside mass, so N itself is never formed.  A scalar ``gamma``
+    gives one report, a sequence a list.  Raises ValueError naming the
+    argument when the truth's length or X's column count is not A's
+    column count.
     """
+    n, d = A.shape
+    if model.truth.shape[0] != d:
+        raise ValueError(f"model truth has length {model.truth.shape[0]}, "
+                         f"but A has {d} columns")
+    if curvature.shape[1] != d:
+        raise ValueError(f"sketch has {curvature.shape[1]} columns, "
+                         f"but A has {d}")
     grid = np.asarray(gamma, dtype=float)
     if grid.ndim > 1:
         raise ValueError(f"regularizer must be a scalar or a sequence, got {gamma}")
     gammas = [_positive("regularizer", g) for g in np.atleast_1d(grid)]
     truth = model.truth
-    resid = noise_map.T @ (A @ truth) - curvature.T @ (curvature @ truth)
-    inside = noise_map @ op.basis
-    weights = np.einsum("ij,ij->j", inside, inside)
-    beyond = inside @ op.basis.T
-    beyond -= noise_map
-    outside = float(np.vdot(beyond, beyond))
+    if sketch is None:
+        seen = A.T @ (A @ truth)
+    else:
+        seen = curvature.T @ (sketch @ (A @ truth))
+    resid = seen - curvature.T @ (curvature @ truth)
+    basis = op.basis
+    weights = np.zeros(basis.shape[1])
+    outside = 0.0
+    step = max(DIAGNOSTICS_BLOCK_BYTES // (8 * d), 1)
+    for lo in range(0, n, step):
+        if sketch is None:
+            block = A[lo:lo + step]
+        else:
+            block = np.asarray(sketch[:, lo:lo + step].T @ curvature)
+        inside = block @ basis
+        weights += np.einsum("ij,ij->j", inside, inside)
+        beyond = inside @ basis.T
+        beyond -= block
+        outside += float(np.vdot(beyond, beyond))
     reports = []
     for g in gammas:
         total = g + shift
@@ -97,7 +130,7 @@ def optimal_diagnostics(A: np.ndarray, model: LinearModelSpec,
     sigma^2 |A (A^T A + gamma I)^{-1}|_F^2.
     """
     A = np.asarray(A, dtype=float)
-    return _grid(A, A, A, InverseOperator(A, 1.0), model, gamma)
+    return _grid(A, A, InverseOperator(A, 1.0), model, gamma)
 
 
 def sketched_diagnostics(A: np.ndarray, output: SketchOutput,
@@ -110,7 +143,7 @@ def sketched_diagnostics(A: np.ndarray, output: SketchOutput,
     """
     A = np.asarray(A, dtype=float)
     op = InverseOperator.from_sketch(output, 1.0)
-    return _grid(A, A, output.matrix, op, model, gamma, shift=output.shift)
+    return _grid(A, output.matrix, op, model, gamma, shift=output.shift)
 
 
 def classical_sketch_diagnostics(A: np.ndarray, S, model: LinearModelSpec,
@@ -119,12 +152,16 @@ def classical_sketch_diagnostics(A: np.ndarray, S, model: LinearModelSpec,
 
     Both moments involve S itself, not just S A: the estimator sees the
     noise only through S, so the variance trace is
-    sigma^2 |S^T S A (A^T S^T S A + gamma I)^{-1}|_F^2.
+    sigma^2 |S^T S A (A^T S^T S A + gamma I)^{-1}|_F^2.  Raises
+    ValueError, before any product, when S's column count is not A's row
+    count.
     """
     A = np.asarray(A, dtype=float)
+    if S.shape[1] != A.shape[0]:
+        raise ValueError(f"S has {S.shape[1]} columns, but A has "
+                         f"{A.shape[0]} rows")
     SA = np.asarray(S @ A, dtype=float)
-    noise_map = np.asarray(S.T @ SA)
-    return _grid(A, noise_map, SA, InverseOperator(SA, 1.0), model, gamma)
+    return _grid(A, SA, InverseOperator(SA, 1.0), model, gamma, sketch=S)
 
 
 def hessian_sketch_diagnostics(A: np.ndarray, SA: np.ndarray,
@@ -137,7 +174,7 @@ def hessian_sketch_diagnostics(A: np.ndarray, SA: np.ndarray,
     """
     A = np.asarray(A, dtype=float)
     SA = np.asarray(SA, dtype=float)
-    return _grid(A, A, SA, InverseOperator(SA, 1.0), model, gamma)
+    return _grid(A, SA, InverseOperator(SA, 1.0), model, gamma)
 
 
 def theta_interval(bound: float, gamma: float) -> tuple[float, float]:

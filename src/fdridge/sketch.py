@@ -19,6 +19,9 @@ import numpy as np
 MODE_FD = "fd"
 MODE_RFD = "rfd"
 MODES = (MODE_FD, MODE_RFD)
+# Scans for non-finite entries walk this many rows at a time, so their
+# mask stays a small fraction of the data.
+_SCAN_ROWS = 1024
 
 
 def _resolution(size: int, top: float) -> float:
@@ -69,13 +72,17 @@ def _gram_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Eigenvalues at or below :func:`_resolution` of the Gram matrix, i.e.
     about sqrt(eps) of the largest singular value, are roundoff and
     dropped, so a rank-deficient X yields exactly its rank.  Raises
-    ValueError when the Gram matrix overflows rather than let it wipe a
-    spectrum.
+    ValueError when the Gram matrix is not finite rather than let it wipe
+    a spectrum: it names the first row of X holding a NaN or infinite
+    entry, and failing one says the rows are too large to square.
     """
     short = matrix.shape[0] < matrix.shape[1]
     with np.errstate(over="ignore"):
         gram = matrix @ matrix.T if short else matrix.T @ matrix
     if not np.isfinite(gram).all():
+        bad = _first_nonfinite_row(matrix, _SCAN_ROWS)
+        if bad is not None:
+            raise ValueError(f"row {bad} has a non-finite entry")
         raise ValueError("the Gram matrix is not finite: the rows are too "
                          "large to square in float64")
     spectrum, vecs = np.linalg.eigh(gram)

@@ -13,15 +13,13 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .sketch import (MODE_FD, SketchOutput, _first_nonfinite_row, _gram_eigh,
-                     _positive, _resolved_rows, _right_vectors, sketch_matrix)
+from .sketch import (MODE_FD, SketchOutput, _SCAN_ROWS, _first_nonfinite_row,
+                     _gram_eigh, _positive, _resolved_rows, _right_vectors,
+                     sketch_matrix)
 
 # An iterate whose norm exceeds this multiple of |A^T y| / gamma has left
 # the region where any ridge solution can live; treat it as divergence.
 DIVERGENCE_FACTOR = 1e8
-# RidgeProblem scans its data for non-finite entries this many rows at a
-# time, so the scan's mask stays a small fraction of the data.
-_SCAN_ROWS = 1024
 
 
 class DivergenceError(RuntimeError):

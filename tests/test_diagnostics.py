@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from fdridge import diagnostics
 from fdridge.diagnostics import (BudgetError, LinearModelSpec,
                                  budget_for_theta,
                                  classical_sketch_diagnostics,
@@ -19,7 +20,8 @@ from fdridge.diagnostics import (BudgetError, LinearModelSpec,
                                  theta_interval)
 from fdridge.datasets import SyntheticSpec, synthetic_regression
 from fdridge.random_sketch import (GaussianSketchSpec, SjltSketchSpec,
-                                   realize_gaussian, realize_sjlt)
+                                   apply_gaussian, realize_gaussian,
+                                   realize_sjlt)
 from fdridge.sketch import (MODE_FD, MODE_RFD, StreamingSketch, sketch_matrix,
                             tail_masses)
 
@@ -101,6 +103,20 @@ def test_diagnostics_reject_bad_gamma():
     assert rfd.shift > 0.01
     with pytest.raises(ValueError, match="regularizer"):
         sketched_diagnostics(X, rfd, LinearModelSpec(np.ones(6), 1.0), -0.01)
+    # shape mismatches and a non-finite sketch name the argument at fault
+    with pytest.raises(ValueError, match="truth has length 3, but A has 6"):
+        optimal_diagnostics(X, model, 1.0)
+    for S in _draws(39, 4).values():
+        with pytest.raises(ValueError, match="S has 39 columns, but A has 40"):
+            classical_sketch_diagnostics(X, S, LinearModelSpec(np.ones(6), 1.0),
+                                         1.0)
+    with pytest.raises(ValueError, match="sketch has 3 columns, but A has 6"):
+        hessian_sketch_diagnostics(X, A, LinearModelSpec(np.ones(6), 1.0), 1.0)
+    with pytest.raises(ValueError, match="sketch has 3 columns, but A has 6"):
+        sketched_diagnostics(X, out, LinearModelSpec(np.ones(6), 1.0), 1.0)
+    with pytest.raises(ValueError, match="row 0 has a non-finite entry"):
+        hessian_sketch_diagnostics(np.ones((4, 5)), np.full((3, 5), np.nan),
+                                   LinearModelSpec(np.ones(5), 1.0), 1.0)
 
 
 def _mc_moments(solve_batch, A, model, draws=200_000, seed=99):
@@ -272,6 +288,53 @@ def test_grid_random_sketches_match_dense(grid_instance, flavor):
                             lambda g: dense_sketched(A, SA, model, g))
         assert_grid_matches(classical_sketch_diagnostics(A, S, model, GRID),
                             lambda g: dense_classical(A, S, model, g))
+
+
+def _every_grid(A, model):
+    """Each estimator's diagnostics grid on A: optimal, sketched (FD and
+    RFD), and Hessian and classical for a Gaussian and an SJLT draw."""
+    reports = [optimal_diagnostics(A, model, GRID)]
+    for mode in (MODE_FD, MODE_RFD):
+        reports.append(sketched_diagnostics(A, sketch_matrix(A, 6, mode),
+                                            model, GRID))
+    for S in _draws(A.shape[0], 10).values():
+        reports.append(hessian_sketch_diagnostics(A, np.asarray(S @ A), model,
+                                                  GRID))
+        reports.append(classical_sketch_diagnostics(A, S, model, GRID))
+    return np.array([[(r.bias_sq, r.var_trace) for r in grid]
+                     for grid in reports])
+
+
+@pytest.mark.parametrize("rows", [1, 7, 61])
+def test_row_blocks_match_one_block(grid_instance, monkeypatch, rows):
+    # the default budget holds all n = 60 rows in one block; one row at a
+    # time, blocks that do not divide n and a budget past n all sum the
+    # same terms
+    A, model = grid_instance
+    one_block = _every_grid(A, model)
+    monkeypatch.setattr(diagnostics, "DIAGNOSTICS_BLOCK_BYTES",
+                        rows * 8 * A.shape[1])
+    np.testing.assert_allclose(_every_grid(A, model), one_block, rtol=1e-12)
+
+
+def test_diagnostics_hold_no_copy_of_the_data(traced_peak):
+    # A is 10 MB; each call holds its operator, one 1 MiB row block of the
+    # noise map and its products with the basis, not an n x d temporary
+    n, d, m = 20000, 64, 32
+    rng = np.random.default_rng(23)
+    A = rng.standard_normal((n, d)) * np.linspace(2.0, 0.2, d)
+    model = LinearModelSpec(rng.standard_normal(d), 1.0)
+    gammas = [0.5, 5.0]
+    output = sketch_matrix(A, m, MODE_RFD)
+    SA = apply_gaussian(GaussianSketchSpec(m=m, n=n, seed=1), A)
+    calls = [(optimal_diagnostics, A, model, gammas),
+             (sketched_diagnostics, A, output, model, gammas),
+             (hessian_sketch_diagnostics, A, SA, model, gammas)]
+    calls += [(classical_sketch_diagnostics, A, S, model, gammas)
+              for S in _draws(n, m).values()]
+    for fn, *args in calls:
+        _, peak = traced_peak(fn, *args)
+        assert peak < A.nbytes / 2, fn.__name__
 
 
 def test_grid_rank_deficient_factors():

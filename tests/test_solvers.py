@@ -195,6 +195,12 @@ def test_operator_rejects_bad_regularizer():
             classical_sketch_solve(SA, np.ones(8), gamma)
         with pytest.raises(ValueError, match="total regularizer"):
             hessian_sketch_solve(SA, np.ones(5), gamma)
+    # a non-finite factor row is named, tall factor or short-and-fat
+    for bad in (np.nan, np.inf, -np.inf):
+        for X in (SA.copy(), SA[:3].copy()):
+            X[1, 2] = bad
+            with pytest.raises(ValueError, match="row 1 has a non-finite"):
+                InverseOperator(X, 1.0)
 
 
 def test_operator_from_sketch_adds_shift():
