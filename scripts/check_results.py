@@ -36,10 +36,13 @@ other method for each gamma and moment column, and whether fdrr stays
 within 2x of rfdrr; on iteration tables, the signs among ifdrr:rfd,
 ifdrr:fd and ihs:sjlt at each gamma and iteration.
 
-Prints the largest deviation per column and exits 1 if any rule fails.
+Prints the largest deviation per column and, per table, how many body
+rows differ from the reference at all, by method; it exits 1 if any
+rule fails.  A differing row within every tolerance still passes.
 """
 from __future__ import annotations
 
+import collections
 import csv
 import itertools
 import math
@@ -151,8 +154,11 @@ def compare(new_rows: list, ref_rows: list, name: str,
         print(f"{name}: shape differs ({len(new_rows)} vs {len(ref_rows)} rows)")
         return False
     worst = {}
+    moved = collections.Counter()
     slack = _absolute_slack(ref_rows)
     for lineno, (new, ref) in enumerate(zip(new_rows, ref_rows), start=1):
+        if new != ref:
+            moved[ref.get("method", "")] += 1
         for col, ref_text in ref.items():
             if col in RELATIVE or col in ABSOLUTE:
                 devs = _deviation(col, _value(col, new[col]),
@@ -163,6 +169,10 @@ def compare(new_rows: list, ref_rows: list, name: str,
                 print(f"{name}: row {lineno} column {col}: "
                       f"{new[col]!r} != {ref_text!r}")
                 ok = False
+    by_method = ", ".join(f"{meth} {count}"
+                          for meth, count in sorted(moved.items()))
+    print(f"{name}: {sum(moved.values())} of {len(ref_rows)} body rows differ"
+          + (f" ({by_method})" if moved else ""))
     for col, (rel, diff, share) in worst.items():
         passed = share <= 1.0
         ok &= passed

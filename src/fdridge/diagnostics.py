@@ -18,10 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sketch import MODE_RFD, MODES, SketchOutput, _positive
+from .sketch import MODE_RFD, MODES, SketchOutput, _light_rows, _positive
 from .solvers import InverseOperator
 
-# Bytes of the noise map that one block of the diagnostics pass holds: a
+# Bytes of A that one block of the diagnostics pass over N = A holds: a
 # block is max(DIAGNOSTICS_BLOCK_BYTES // (8 d), 1) rows, 256 at d = 512,
 # so the pass holds a few such blocks instead of n x d temporaries.
 DIAGNOSTICS_BLOCK_BYTES = 2 ** 20
@@ -72,16 +72,15 @@ def _grid(A: np.ndarray, curvature: np.ndarray, op: InverseOperator,
         var  = sigma^2 |N H^{-1}|_F^2 = sigma^2 (sum_i |N v_i|^2 / (lam_i + g)^2
                + |N (I - V V^T)|_F^2 / g^2),
 
-    so one O(n d r) pass serves the grid and each gamma costs an O(d r)
-    apply.  The pass walks N in blocks of rows, about
-    :data:`DIAGNOSTICS_BLOCK_BYTES` each: a block is a slice of A, or
-    S[:, lo:hi]^T X, and adds its share of the weights |N v_i|^2 and of
-    the outside mass, so N itself is never formed.  A scalar ``gamma``
-    gives one report, a sequence a list.  Raises ValueError naming the
-    argument when the truth's length or X's column count is not A's
-    column count.
+    so one pass for the weights |N v_i|^2 and the outside mass serves the
+    grid, and each gamma costs an O(d r) apply.  For N = A the pass is
+    :func:`_data_terms`, for N = S^T X :func:`_sketch_terms`; N itself is
+    never formed.  The exact estimator's X is A itself, so its residual
+    N^T A - X^T X is zero and is not computed.  A scalar ``gamma`` gives
+    one report, a sequence a list.  Raises ValueError naming the argument
+    when the truth's length or X's column count is not A's column count.
     """
-    n, d = A.shape
+    d = A.shape[1]
     if model.truth.shape[0] != d:
         raise ValueError(f"model truth has length {model.truth.shape[0]}, "
                          f"but A has {d} columns")
@@ -93,25 +92,14 @@ def _grid(A: np.ndarray, curvature: np.ndarray, op: InverseOperator,
         raise ValueError(f"regularizer must be a scalar or a sequence, got {gamma}")
     gammas = [_positive("regularizer", g) for g in np.atleast_1d(grid)]
     truth = model.truth
-    if sketch is None:
-        seen = A.T @ (A @ truth)
+    if curvature is A:
+        resid = np.zeros(d)
     else:
-        seen = curvature.T @ (sketch @ (A @ truth))
-    resid = seen - curvature.T @ (curvature @ truth)
-    basis = op.basis
-    weights = np.zeros(basis.shape[1])
-    outside = 0.0
-    step = max(DIAGNOSTICS_BLOCK_BYTES // (8 * d), 1)
-    for lo in range(0, n, step):
-        if sketch is None:
-            block = A[lo:lo + step]
-        else:
-            block = np.asarray(sketch[:, lo:lo + step].T @ curvature)
-        inside = block @ basis
-        weights += np.einsum("ij,ij->j", inside, inside)
-        beyond = inside @ basis.T
-        beyond -= block
-        outside += float(np.vdot(beyond, beyond))
+        seen = (A.T @ (A @ truth) if sketch is None
+                else curvature.T @ (sketch @ (A @ truth)))
+        resid = seen - curvature.T @ (curvature @ truth)
+    weights, outside = (_data_terms(A, op.basis) if sketch is None
+                        else _sketch_terms(curvature, op.basis, sketch))
     reports = []
     for g in gammas:
         total = g + shift
@@ -120,6 +108,56 @@ def _grid(A: np.ndarray, curvature: np.ndarray, op: InverseOperator,
         reports.append(DiagnosticsReport(float(bias @ bias),
                                          float(model.noise_sd ** 2 * var)))
     return reports if grid.ndim else reports[0]
+
+
+def _data_terms(A: np.ndarray, basis: np.ndarray) -> tuple:
+    """The weights |A v_i|^2 and the outside mass |A (I - V V^T)|_F^2 for
+    the columns v_i of ``basis``, summed over row blocks of about
+    :data:`DIAGNOSTICS_BLOCK_BYTES` of A.
+
+    The lightest rows whose combined squared norm is at most
+    eps^2 |A|_F^2 are left out (:func:`sketch._light_rows`): a row moves
+    each term by at most its squared norm, and each term already rounds
+    at about eps^2 |A|_F^2.  A block keeps a view of A when all its rows
+    stay, gathers the rows that stay otherwise, and is skipped when none
+    does, so A is never copied whole.  A non-finite mass leaves nothing
+    out.
+    """
+    n, d = A.shape
+    mass = np.einsum("ij,ij->i", A, A)
+    keep = _light_rows(mass, np.finfo(float).eps ** 2 * mass.sum())
+    weights = np.zeros(basis.shape[1])
+    outside = 0.0
+    step = max(DIAGNOSTICS_BLOCK_BYTES // (8 * d), 1)
+    for lo in range(0, n, step):
+        block = A[lo:lo + step]
+        if keep is not None:
+            kept = keep[lo:lo + step]
+            if not kept.any():
+                continue
+            if not kept.all():
+                block = block[kept]
+        inside = block @ basis
+        weights += np.einsum("ij,ij->j", inside, inside)
+        beyond = inside @ basis.T
+        beyond -= block
+        outside += float(np.vdot(beyond, beyond))
+    return weights, outside
+
+
+def _sketch_terms(X: np.ndarray, basis: np.ndarray, sketch) -> tuple:
+    """The weights |S^T X v_i|^2 and the outside mass
+    |S^T X (I - V V^T)|_F^2 for X = S A, from the m x m matrix K = S S^T:
+    the weights are (X v_i)^T K (X v_i) and the outside mass is
+    <X P, K X P> with X P = X - (X V) V^T formed explicitly, not taken as
+    a difference of totals, which loses digits when the outside is small.
+    """
+    gram = sketch @ sketch.T
+    K = gram.toarray() if hasattr(gram, "toarray") else gram
+    inside = X @ basis
+    weights = np.einsum("ij,ij->j", inside, K @ inside)
+    beyond = X - inside @ basis.T
+    return weights, float(np.vdot(beyond, K @ beyond))
 
 
 def optimal_diagnostics(A: np.ndarray, model: LinearModelSpec,
@@ -152,9 +190,11 @@ def classical_sketch_diagnostics(A: np.ndarray, S, model: LinearModelSpec,
 
     Both moments involve S itself, not just S A: the estimator sees the
     noise only through S, so the variance trace is
-    sigma^2 |S^T S A (A^T S^T S A + gamma I)^{-1}|_F^2.  Raises
-    ValueError, before any product, when S's column count is not A's row
-    count.
+    sigma^2 |S^T S A (A^T S^T S A + gamma I)^{-1}|_F^2.  Its terms come
+    from the m x m matrix S S^T, so beyond A and S the call holds S A, that
+    matrix and a few m x d products, and no block of the n-row noise map.
+    Raises ValueError, before any product, when S's column count is not
+    A's row count.
     """
     A = np.asarray(A, dtype=float)
     if S.shape[1] != A.shape[0]:

@@ -32,6 +32,28 @@ def _resolution(size: int, top: float) -> float:
     return size * np.finfo(float).eps * top
 
 
+def _light_rows(mass: np.ndarray, floor, fixed: int = 0):
+    """Keep-mask that leaves out the rows of least ``mass``, past the
+    first ``fixed``, whose running total stays at or below ``floor``.
+    The floor is a scalar or, for 1, 2, ... rows left out, a sequence
+    that does not grow, so the counts that fit run from 1 up to a cut.
+
+    Returns None when no row is left out, and also when the mass past
+    ``fixed`` is not finite or its total overflows, so such rows still
+    reach the caller's own checks.
+    """
+    order = fixed + np.argsort(mass[fixed:], kind="stable")
+    running = np.cumsum(mass[order])
+    if not np.isfinite(running[-1:]).all():
+        return None
+    drop = np.count_nonzero(running <= floor)
+    if not drop:
+        return None
+    keep = np.ones(mass.size, dtype=bool)
+    keep[order[:drop]] = False
+    return keep
+
+
 def _resolved_rows(rows: np.ndarray, fixed: int = 0) -> np.ndarray:
     """``rows`` less those of least squared norm, past the first ``fixed``,
     whose combined mass is at most the roundoff floor of the Gram
@@ -48,18 +70,12 @@ def _resolved_rows(rows: np.ndarray, fixed: int = 0) -> np.ndarray:
     top = mass.max(initial=0.0)
     if not np.isfinite(top):
         return rows
-    order = fixed + np.argsort(mass[fixed:], kind="stable")
-    # leaving out the j lightest rows drops their running mass and leaves
-    # a Gram order of min(len - j, d): the floor falls with j while the
-    # mass grows, so the j that fit run from 1 up to a cut
+    # leaving out the j lightest rows leaves a Gram order of
+    # min(len - j, d), so the floor falls as j grows
     left = np.arange(rows.shape[0] - 1, fixed - 1, -1)
     floor = _resolution(np.minimum(left, rows.shape[1]), top)
-    drop = np.count_nonzero(np.cumsum(mass[order]) <= floor)
-    if not drop:
-        return rows
-    keep = np.ones(rows.shape[0], dtype=bool)
-    keep[order[:drop]] = False
-    return rows[keep]
+    keep = _light_rows(mass, floor, fixed)
+    return rows if keep is None else rows[keep]
 
 
 def _gram_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -61,6 +61,17 @@ def test_identical_tables_pass(check):
     assert check.compare(iterate_rows(levels()), iterate_rows(levels()), "iter")
 
 
+def test_differing_rows_are_counted_by_method(check, capsys):
+    new = sweep_rows()
+    for row in (new[1], new[3]):  # fdrr and hessian:gauss, within tolerance
+        row["var_trace"] = repr(float(row["var_trace"]) * (1 + 1e-12))
+    assert check.compare(new, sweep_rows(), "sweep")
+    out = capsys.readouterr().out
+    assert "sweep: 2 of 4 body rows differ (fdrr 1, hessian:gauss 1)" in out
+    assert check.compare(sweep_rows(), sweep_rows(), "sweep")
+    assert "sweep: 0 of 4 body rows differ\n" in capsys.readouterr().out
+
+
 def test_relative_change_on_a_moment_fails(check):
     new = sweep_rows()
     new[3]["bias_sq"] = repr(float(new[3]["bias_sq"]) * (1 + 1e-6))

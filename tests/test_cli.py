@@ -1,5 +1,5 @@
 """End-to-end command-line tests: in-process, plus subprocess runs of the
-module and of two reproduce.sh commands."""
+module and of three reproduce.sh commands."""
 import os
 import shlex
 import subprocess
@@ -168,7 +168,8 @@ def _first_difference(path, ref):
     return None
 
 
-@pytest.mark.parametrize("config", ["sweep_lowrank.cfg", "sketch_accuracy.cfg"])
+@pytest.mark.parametrize("config", ["sweep_lowrank.cfg", "sweep_midrank.cfg",
+                                    "sketch_accuracy.cfg"])
 def test_reproduce_command_rewrites_results_byte_for_byte(config, tmp_path):
     """The reproduce.sh command for ``config``, run in a subprocess at one
     BLAS thread, writes tables byte-identical to those in results/: the

@@ -22,8 +22,8 @@ from fdridge.datasets import SyntheticSpec, synthetic_regression
 from fdridge.random_sketch import (GaussianSketchSpec, SjltSketchSpec,
                                    apply_gaussian, realize_gaussian,
                                    realize_sjlt)
-from fdridge.sketch import (MODE_FD, MODE_RFD, StreamingSketch, sketch_matrix,
-                            tail_masses)
+from fdridge.sketch import (MODE_FD, MODE_RFD, StreamingSketch, _light_rows,
+                            sketch_matrix, tail_masses)
 
 
 def test_model_spec_validation():
@@ -315,6 +315,53 @@ def test_row_blocks_match_one_block(grid_instance, monkeypatch, rows):
     monkeypatch.setattr(diagnostics, "DIAGNOSTICS_BLOCK_BYTES",
                         rows * 8 * A.shape[1])
     np.testing.assert_allclose(_every_grid(A, model), one_block, rtol=1e-12)
+
+
+@pytest.mark.parametrize("rows", [7, None])
+def test_rows_below_rounding_change_no_report(grid_instance, monkeypatch,
+                                              rows):
+    # zero rows and rows of combined mass eps^2 |A|_F^2 / 2 spread
+    # through A: the pass over N = A leaves all of them out, and keeps a
+    # row of mass 2 eps^2 |A|_F^2 past that floor, so every report that
+    # sees A only through N matches the one on A; 7-row blocks mix blocks
+    # of data only, of padding only and of both
+    A, model = grid_instance
+    frobenius_sq = float(np.vdot(A, A))
+    rng = np.random.default_rng(24)
+    light = rng.standard_normal((31, A.shape[1]))
+    light /= np.linalg.norm(light, axis=1, keepdims=True)
+    light[:30] *= np.finfo(float).eps * math.sqrt(frobenius_sq / 60)
+    light[30] *= np.finfo(float).eps * math.sqrt(2 * frobenius_sq)
+    zero = np.zeros((7, A.shape[1]))
+    padded = np.vstack([A[:20], zero, light[:15], A[20:41], zero[:3],
+                        light[15:], A[41:], zero[:2]])
+    stays = np.any([np.all(padded == row, axis=1)
+                    for row in np.vstack([A, light[30:]])], axis=0)
+    masks = []
+
+    def light_rows(*args):
+        masks.append(_light_rows(*args))
+        return masks[-1]
+
+    monkeypatch.setattr(diagnostics, "_light_rows", light_rows)
+    if rows is not None:
+        monkeypatch.setattr(diagnostics, "DIAGNOSTICS_BLOCK_BYTES",
+                            rows * 8 * A.shape[1])
+    SA = np.asarray(_draws(A.shape[0], 10)["gauss"] @ A)
+    sketches = [sketch_matrix(A, 6, mode) for mode in (MODE_FD, MODE_RFD)]
+
+    def grids(data):
+        reports = [optimal_diagnostics(data, model, GRID),
+                   hessian_sketch_diagnostics(data, SA, model, GRID)]
+        reports += [sketched_diagnostics(data, out, model, GRID)
+                    for out in sketches]
+        return np.array([[(r.bias_sq, r.var_trace) for r in grid]
+                         for grid in reports])
+
+    np.testing.assert_allclose(grids(padded), grids(A), rtol=1e-15)
+    assert len(masks) == 8
+    assert all(np.array_equal(keep, stays) for keep in masks[:4])
+    assert all(keep is None for keep in masks[4:])
 
 
 def test_diagnostics_hold_no_copy_of_the_data(traced_peak):
