@@ -59,14 +59,14 @@ class DiagnosticsReport:
 
 
 def _grid(A: np.ndarray, curvature: np.ndarray, op: InverseOperator,
-          model: LinearModelSpec, gamma, shift=0.0, sketch=None):
+          model: LinearModelSpec, gamma, shift=0.0, gram=None):
     """Reports for x = (X^T X + (g + shift) I)^{-1} N^T y at each gamma.
 
     ``op`` (at any regularizer) holds the eigenpairs (lam_i, v_i) of X^T X
     for X = ``curvature``; the estimator sees y through the noise map N,
-    which is A, or S^T X for the classical estimator's realized S =
-    ``sketch`` (X = S A).  With g the total regularizer and H = X^T X + g I
-    the moments are
+    which is A, or S^T X for the classical estimator, whose X is S A and
+    whose S enters only through ``gram`` = K = S S^T.  With g the total
+    regularizer and H = X^T X + g I the moments are
 
         bias = H^{-1} (N^T A - X^T X - g I) x0,
         var  = sigma^2 |N H^{-1}|_F^2 = sigma^2 (sum_i |N v_i|^2 / (lam_i + g)^2
@@ -75,10 +75,13 @@ def _grid(A: np.ndarray, curvature: np.ndarray, op: InverseOperator,
     so one pass for the weights |N v_i|^2 and the outside mass serves the
     grid, and each gamma costs an O(d r) apply.  For N = A the pass is
     :func:`_data_terms`, for N = S^T X :func:`_sketch_terms`; N itself is
-    never formed.  The exact estimator's X is A itself, so its residual
-    N^T A - X^T X is zero and is not computed.  A scalar ``gamma`` gives
-    one report, a sequence a list.  Raises ValueError naming the argument
-    when the truth's length or X's column count is not A's column count.
+    never formed.  The residual N^T A - X^T X is formed only for N = A
+    with a curvature other than A (the FD/RFD and Hessian estimators): it
+    is zero for the exact estimator (X = A) and for the classical one
+    (N^T A = A^T S^T S A = X^T X), so their bias is -g H^{-1} x0.  A
+    scalar ``gamma`` gives one report, a sequence a list.  Raises
+    ValueError naming the argument when the truth's length or X's column
+    count is not A's column count.
     """
     d = A.shape[1]
     if model.truth.shape[0] != d:
@@ -92,14 +95,12 @@ def _grid(A: np.ndarray, curvature: np.ndarray, op: InverseOperator,
         raise ValueError(f"regularizer must be a scalar or a sequence, got {gamma}")
     gammas = [_positive("regularizer", g) for g in np.atleast_1d(grid)]
     truth = model.truth
-    if curvature is A:
-        resid = np.zeros(d)
+    if gram is None and curvature is not A:
+        resid = A.T @ (A @ truth) - curvature.T @ (curvature @ truth)
     else:
-        seen = (A.T @ (A @ truth) if sketch is None
-                else curvature.T @ (sketch @ (A @ truth)))
-        resid = seen - curvature.T @ (curvature @ truth)
-    weights, outside = (_data_terms(A, op.basis) if sketch is None
-                        else _sketch_terms(curvature, op.basis, sketch))
+        resid = np.zeros(d)
+    weights, outside = (_data_terms(A, op.basis) if gram is None
+                        else _sketch_terms(curvature, op.basis, gram))
     reports = []
     for g in gammas:
         total = g + shift
@@ -145,15 +146,14 @@ def _data_terms(A: np.ndarray, basis: np.ndarray) -> tuple:
     return weights, outside
 
 
-def _sketch_terms(X: np.ndarray, basis: np.ndarray, sketch) -> tuple:
+def _sketch_terms(X: np.ndarray, basis: np.ndarray, K: np.ndarray) -> tuple:
     """The weights |S^T X v_i|^2 and the outside mass
-    |S^T X (I - V V^T)|_F^2 for X = S A, from the m x m matrix K = S S^T:
-    the weights are (X v_i)^T K (X v_i) and the outside mass is
-    <X P, K X P> with X P = X - (X V) V^T formed explicitly, not taken as
-    a difference of totals, which loses digits when the outside is small.
+    |S^T X (I - V V^T)|_F^2 for X = S A, from the dense m x m matrix
+    K = S S^T alone: the weights are (X v_i)^T K (X v_i) and the outside
+    mass is <X P, K X P> with X P = X - (X V) V^T formed explicitly, not
+    taken as a difference of totals, which loses digits when the outside
+    is small.
     """
-    gram = sketch @ sketch.T
-    K = gram.toarray() if hasattr(gram, "toarray") else gram
     inside = X @ basis
     weights = np.einsum("ij,ij->j", inside, K @ inside)
     beyond = X - inside @ basis.T
@@ -188,20 +188,25 @@ def classical_sketch_diagnostics(A: np.ndarray, S, model: LinearModelSpec,
                                  gamma) -> DiagnosticsReport | list:
     """Diagnostics of the fully sketched estimator for a realized S.
 
-    Both moments involve S itself, not just S A: the estimator sees the
-    noise only through S, so the variance trace is
-    sigma^2 |S^T S A (A^T S^T S A + gamma I)^{-1}|_F^2.  Its terms come
-    from the m x m matrix S S^T, so beyond A and S the call holds S A, that
-    matrix and a few m x d products, and no block of the n-row noise map.
-    Raises ValueError, before any product, when S's column count is not
-    A's row count.
+    The bias is the exact estimator's on the sketched data S A, since the
+    estimator's residual A^T S^T S A - (S A)^T S A is zero.  The variance
+    involves S itself, not just S A: the estimator sees the noise only
+    through S, so the variance trace is
+    sigma^2 |S^T S A (A^T S^T S A + gamma I)^{-1}|_F^2, whose terms come
+    from the m x m matrix K = S S^T.  S (dense or sparse) is used only to
+    form S A and K, so beyond A and S the call holds those two, with a few
+    m x d products, and no block of the n-row noise map.  Raises
+    ValueError, before any product, when S's column count is not A's row
+    count.
     """
     A = np.asarray(A, dtype=float)
     if S.shape[1] != A.shape[0]:
         raise ValueError(f"S has {S.shape[1]} columns, but A has "
                          f"{A.shape[0]} rows")
     SA = np.asarray(S @ A, dtype=float)
-    return _grid(A, SA, InverseOperator(SA, 1.0), model, gamma, sketch=S)
+    gram = S @ S.T
+    K = gram.toarray() if hasattr(gram, "toarray") else gram
+    return _grid(A, SA, InverseOperator(SA, 1.0), model, gamma, gram=K)
 
 
 def hessian_sketch_diagnostics(A: np.ndarray, SA: np.ndarray,

@@ -286,8 +286,12 @@ def test_grid_random_sketches_match_dense(grid_instance, flavor):
         SA = np.asarray(S @ A)
         assert_grid_matches(hessian_sketch_diagnostics(A, SA, model, GRID),
                             lambda g: dense_sketched(A, SA, model, g))
-        assert_grid_matches(classical_sketch_diagnostics(A, S, model, GRID),
-                            lambda g: dense_classical(A, S, model, g))
+        classical = classical_sketch_diagnostics(A, S, model, GRID)
+        assert_grid_matches(classical, lambda g: dense_classical(A, S, model, g))
+        # the classical residual is zero, so its bias is the exact
+        # estimator's on S A, bit for bit
+        assert ([r.bias_sq for r in classical]
+                == [r.bias_sq for r in optimal_diagnostics(SA, model, GRID)])
 
 
 def _every_grid(A, model):
