@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sketch import _positive
+from .sketch import _count, _matrix, _positive
 
 
 class LibsvmParseError(ValueError):
@@ -45,9 +45,8 @@ class SyntheticSpec:
     seed: int
 
     def __post_init__(self):
-        if self.n < 1 or self.d < 1:
-            raise ValueError(
-                f"instance dimensions must be positive, got n={self.n}, d={self.d}")
+        _count("n", self.n)
+        _count("d", self.d)
         if not 0.0 < self.r <= 1.0:
             raise ValueError(f"rank fraction must lie in (0, 1], got {self.r}")
         if not 0 <= self.noise_sd < math.inf:  # 0: targets without noise
@@ -72,8 +71,7 @@ def dct_rotation(d: int) -> np.ndarray:
     one table of 4d cosines, so no large argument reaches np.cos.  Only
     numpy is used.
     """
-    if d < 1:
-        raise ValueError(f"dimension must be positive, got {d}")
+    d = _count("d", d)
     phase = np.arange(d)[:, None] * np.arange(1, 2 * d, 2)
     phase %= 4 * d
     table = math.sqrt(2.0 / d) * np.cos(np.arange(4 * d) * (math.pi / (2 * d)))
@@ -114,11 +112,8 @@ def rff_expand(X: np.ndarray, n_features: int, gamma_rbf: float = 1.0,
     n x n_features product, so the expansion holds a single copy of its
     output.
     """
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2:
-        raise ValueError(f"expected a 2-d sample array, got shape {X.shape}")
-    if n_features < 1:
-        raise ValueError(f"feature count must be positive, got {n_features}")
+    X = _matrix("X", X)
+    n_features = _count("n_features", n_features)
     gamma_rbf = _positive("kernel width", gamma_rbf)
     rng = np.random.default_rng(seed)
     W = rng.normal(0.0, math.sqrt(2.0 * gamma_rbf), size=(n_features, X.shape[1]))
@@ -218,7 +213,7 @@ def parse_libsvm(source, n_features: int | None = None
         if idx:
             widest = max(widest, idx[-1] + 1)
 
-    d = widest if n_features is None else int(n_features)
+    d = widest if n_features is None else _count("n_features", n_features, 0)
     if n_features is not None and d < widest:
         raise ValueError(
             f"feature override {n_features} is below the largest index {widest} in the data")

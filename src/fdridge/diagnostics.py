@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sketch import MODE_RFD, MODES, SketchOutput, _light_rows, _positive
+from .sketch import (MODE_RFD, MODES, SketchOutput, _count, _light_rows,
+                     _matrix, _positive, _row_masses)
 from .solvers import InverseOperator
 
 # Bytes of A that one block of the diagnostics pass over N = A holds: a
@@ -33,7 +34,12 @@ class BudgetError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class LinearModelSpec:
-    """Ground truth for diagnostics: true weights and noise level."""
+    """Ground truth for diagnostics: true weights and noise level.
+
+    Raises ValueError unless ``truth`` is a vector of finite entries,
+    naming the first NaN or infinite one, and ``noise_sd`` is positive
+    and finite.
+    """
 
     truth: np.ndarray
     noise_sd: float
@@ -42,6 +48,9 @@ class LinearModelSpec:
         truth = np.asarray(self.truth, dtype=float)
         if truth.ndim != 1:
             raise ValueError(f"truth must be a vector, got shape {truth.shape}")
+        bad = np.flatnonzero(~np.isfinite(truth))
+        if bad.size:
+            raise ValueError(f"truth entry {bad[0]} is not finite")
         object.__setattr__(self, "truth", truth)
         object.__setattr__(self, "noise_sd", _positive("noise level", self.noise_sd))
 
@@ -94,13 +103,15 @@ def _grid(A: np.ndarray, curvature: np.ndarray, op: InverseOperator,
     if grid.ndim > 1:
         raise ValueError(f"regularizer must be a scalar or a sequence, got {gamma}")
     gammas = [_positive("regularizer", g) for g in np.atleast_1d(grid)]
+    # the data terms come first: their row masses reject a non-finite A
+    # before the residual multiplies by it
+    weights, outside = (_data_terms(A, op.basis) if gram is None
+                        else _sketch_terms(curvature, op.basis, gram))
     truth = model.truth
     if gram is None and curvature is not A:
         resid = A.T @ (A @ truth) - curvature.T @ (curvature @ truth)
     else:
         resid = np.zeros(d)
-    weights, outside = (_data_terms(A, op.basis) if gram is None
-                        else _sketch_terms(curvature, op.basis, gram))
     reports = []
     for g in gammas:
         total = g + shift
@@ -121,11 +132,12 @@ def _data_terms(A: np.ndarray, basis: np.ndarray) -> tuple:
     each term by at most its squared norm, and each term already rounds
     at about eps^2 |A|_F^2.  A block keeps a view of A when all its rows
     stay, gathers the rows that stay otherwise, and is skipped when none
-    does, so A is never copied whole.  A non-finite mass leaves nothing
-    out.
+    does, so A is never copied whole.  A row of A holding a NaN or
+    infinite entry, or rows too large to square, raise ValueError
+    (:func:`sketch._row_masses`).
     """
     n, d = A.shape
-    mass = np.einsum("ij,ij->i", A, A)
+    mass = _row_masses(A)
     keep = _light_rows(mass, np.finfo(float).eps ** 2 * mass.sum())
     weights = np.zeros(basis.shape[1])
     outside = 0.0
@@ -167,7 +179,7 @@ def optimal_diagnostics(A: np.ndarray, model: LinearModelSpec,
     bias = -gamma (A^T A + gamma I)^{-1} x0 and the variance trace is
     sigma^2 |A (A^T A + gamma I)^{-1}|_F^2.
     """
-    A = np.asarray(A, dtype=float)
+    A = _matrix("A", A)
     return _grid(A, A, InverseOperator(A, 1.0), model, gamma)
 
 
@@ -179,7 +191,7 @@ def sketched_diagnostics(A: np.ndarray, output: SketchOutput,
     noise still enters through A, so the variance trace is
     sigma^2 |A H_hat^{-1}|_F^2.
     """
-    A = np.asarray(A, dtype=float)
+    A = _matrix("A", A)
     op = InverseOperator.from_sketch(output, 1.0)
     return _grid(A, output.matrix, op, model, gamma, shift=output.shift)
 
@@ -196,10 +208,12 @@ def classical_sketch_diagnostics(A: np.ndarray, S, model: LinearModelSpec,
     from the m x m matrix K = S S^T.  S (dense or sparse) is used only to
     form S A and K, so beyond A and S the call holds those two, with a few
     m x d products, and no block of the n-row noise map.  Raises
-    ValueError, before any product, when S's column count is not A's row
-    count.
+    ValueError, before any product, when S is not 2-d or its column count
+    is not A's row count; S is not converted to check it.
     """
-    A = np.asarray(A, dtype=float)
+    A = _matrix("A", A)
+    if S.ndim != 2:
+        raise ValueError(f"S must be a 2-d array, got shape {S.shape}")
     if S.shape[1] != A.shape[0]:
         raise ValueError(f"S has {S.shape[1]} columns, but A has "
                          f"{A.shape[0]} rows")
@@ -217,8 +231,8 @@ def hessian_sketch_diagnostics(A: np.ndarray, SA: np.ndarray,
     Only the curvature is sketched, so the noise enters through A and the
     formulas match the one-shot sketched case with H_hat built from S A.
     """
-    A = np.asarray(A, dtype=float)
-    SA = np.asarray(SA, dtype=float)
+    A = _matrix("A", A)
+    SA = _matrix("SA", SA)
     return _grid(A, SA, InverseOperator(SA, 1.0), model, gamma)
 
 
@@ -263,8 +277,7 @@ def budget_for_theta(theta: float, k: int, mass: float, gamma: float,
     """
     if not 0 < theta < 1:
         raise ValueError(f"theta must lie in (0, 1), got {theta}")
-    if not (k >= 0 and float(k).is_integer()):
-        raise ValueError(f"k must be a non-negative integer, got {k}")
+    k = _count("k", k, least=0)
     gamma = _positive("regularizer", gamma)
     mass = _positive("tail mass", mass)
     if mode not in MODES:

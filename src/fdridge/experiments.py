@@ -22,12 +22,21 @@ from .diagnostics import (LinearModelSpec, classical_sketch_diagnostics,
                           sketched_diagnostics)
 from .random_sketch import (GaussianSketchSpec, SjltSketchSpec,
                             apply_gaussian, realize_gaussian, realize_sjlt)
-from .sketch import MODE_FD, MODE_RFD, sketch_matrix, tail_masses
+from .sketch import MODE_FD, MODE_RFD, _count, sketch_matrix, tail_masses
 from .solvers import DivergenceError, InverseOperator, RidgeProblem, refine
 
 
 class ConfigError(ValueError):
     """Invalid experiment configuration."""
+
+
+def _config_count(name: str, value, least: int = 1) -> int:
+    """:func:`sketch._count` for a config value or run setting: the same
+    rule, raising ConfigError."""
+    try:
+        return _count(name, value, least)
+    except ValueError as err:
+        raise ConfigError(str(err)) from None
 
 
 STATISTICAL_METHODS = ("exact", "fdrr", "rfdrr",
@@ -49,8 +58,9 @@ SWEEP_COLUMNS = ("method", "gamma", "bias_sq", "var_trace", "mse",
 ITER_COLUMNS = ("method", "gamma", "iteration", "log10_error", "diverged")
 ACC_COLUMNS = ("method", "m", "k", "spectral_error", "bound", "within_bound")
 
-# The least value of each integer key a dataset kind accepts; the
-# synthetic kind's are checked by SyntheticSpec.
+# The least value of each integer key every run, then each dataset kind,
+# needs; the synthetic kind's n and d are checked by SyntheticSpec.
+_COUNTS = {"m": 1, "trials": 1}
 _MINIMUMS = {"gaussian-rff": {"n": 1, "d": 1, "raw_dim": 1},
              "libsvm": {"n": 0, "rff_features": 0}}
 
@@ -90,10 +100,6 @@ class SweepConfig:
     def __post_init__(self):
         if self.dataset not in ("synthetic", "gaussian-rff", "libsvm"):
             raise ConfigError(f"unknown dataset kind {self.dataset!r}")
-        if self.m < 1:
-            raise ConfigError(f"sketch size must be positive, got m={self.m}")
-        if self.trials < 1:
-            raise ConfigError(f"trial count must be positive, got {self.trials}")
         if not 0 <= self.noise_sd < math.inf:  # 0: targets without noise
             raise ConfigError("noise level must be non-negative and finite, "
                               f"got noise_sd={self.noise_sd}")
@@ -113,13 +119,12 @@ class SweepConfig:
             raise ConfigError(f"methods listed more than once: {repeated}")
         if self.dataset == "libsvm" and not self.libsvm_path:
             raise ConfigError("dataset 'libsvm' needs libsvm_path")
-        for key, least in _MINIMUMS.get(self.dataset, {}).items():
+        for key, least in {**_COUNTS, **_MINIMUMS.get(self.dataset, {})}.items():
             value = getattr(self, key)
-            if (value or 0) < least:  # an unset rff_features counts as 0
-                raise ConfigError(f"dataset {self.dataset!r} needs "
-                                  f"{key} >= {least}, got {key}={value}")
-        needs_sjlt = any(meth.endswith(":sjlt") for meth in self.methods)
-        if needs_sjlt and (self.sjlt_s < 1 or self.m % self.sjlt_s != 0):
+            # an unset rff_features counts as 0
+            _config_count(key, 0 if value is None else value, least)
+        if (any(meth.endswith(":sjlt") for meth in self.methods)
+                and self.m % _config_count("sjlt_s", self.sjlt_s)):
             raise ConfigError(
                 f"sjlt_s must divide m, got sjlt_s={self.sjlt_s}, m={self.m}")
 
@@ -414,8 +419,7 @@ def run_iterative_experiment(config: SweepConfig, t: int, out=None) -> list:
     prefix; later iterations are recorded as nan with the diverged flag
     set.  Randomized methods report the per-iteration median over trials.
     """
-    if t < 1:
-        raise ConfigError(f"iteration count must be positive, got {t}")
+    _config_count("t", t)
     _check_methods(config, ITERATIVE_METHODS,
                    "iteration study handles iterative solvers")
     A, y, _ = load_instance(config)

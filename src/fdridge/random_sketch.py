@@ -16,6 +16,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .sketch import _count, _matrix
+
 if TYPE_CHECKING:
     import scipy.sparse
 
@@ -38,9 +40,8 @@ class GaussianSketchSpec:
     seed: int
 
     def __post_init__(self):
-        if self.m < 1 or self.n < 1:
-            raise ValueError(
-                f"sketch dimensions must be positive, got m={self.m}, n={self.n}")
+        _count("m", self.m)
+        _count("n", self.n)
 
 
 @dataclass(frozen=True)
@@ -57,12 +58,11 @@ class SjltSketchSpec:
     seed: int
 
     def __post_init__(self):
-        if self.m < 1 or self.n < 1:
+        _count("m", self.m)
+        _count("n", self.n)
+        if self.m % _count("s", self.s):
             raise ValueError(
-                f"sketch dimensions must be positive, got m={self.m}, n={self.n}")
-        if self.s < 1 or self.m % self.s != 0:
-            raise ValueError(
-                f"block count s must be positive and divide m, got s={self.s}, m={self.m}")
+                f"block count s must divide m, got s={self.s}, m={self.m}")
 
 
 def realize_gaussian(spec: GaussianSketchSpec) -> np.ndarray:
@@ -87,10 +87,9 @@ def apply_gaussian(spec: GaussianSketchSpec, X: np.ndarray) -> np.ndarray:
     into its rows of the result.  Beyond X and the result, the call holds
     that block instead of the m x n matrix.
     """
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[0] != spec.n:
-        raise ValueError(
-            f"expected a 2-d input with {spec.n} rows, got shape {X.shape}")
+    X = _matrix("X", X)
+    if X.shape[0] != spec.n:
+        raise ValueError(f"X must have {spec.n} rows, got shape {X.shape}")
     rng = np.random.default_rng(spec.seed)
     scale = np.sqrt(spec.m)
     out = np.empty((spec.m, X.shape[1]))

@@ -37,15 +37,13 @@ def _light_rows(mass: np.ndarray, floor, fixed: int = 0):
     first ``fixed``, whose running total stays at or below ``floor``.
     The floor is a scalar or, for 1, 2, ... rows left out, a sequence
     that does not grow, so the counts that fit run from 1 up to a cut.
+    Returns None when no row is left out.
 
-    Returns None when no row is left out, and also when the mass past
-    ``fixed`` is not finite or its total overflows, so such rows still
-    reach the caller's own checks.
+    ``mass`` comes from :func:`_row_masses`, which rejects rows whose
+    masses have no finite total, so every running total here is finite.
     """
     order = fixed + np.argsort(mass[fixed:], kind="stable")
     running = np.cumsum(mass[order])
-    if not np.isfinite(running[-1:]).all():
-        return None
     drop = np.count_nonzero(running <= floor)
     if not drop:
         return None
@@ -63,13 +61,11 @@ def _resolved_rows(rows: np.ndarray, fixed: int = 0) -> np.ndarray:
     eigenpair the decomposition resolves by more than its rounding.
 
     The rows left keep their order, and ``rows`` itself comes back when
-    none is left out.  A non-finite row mass leaves nothing out, so rows
-    too large to square still reach :func:`_gram_eigh`'s overflow check.
+    none is left out.  Rows holding a NaN or infinite entry, or too large
+    to square, raise ValueError (:func:`_row_masses`).
     """
-    mass = np.einsum("ij,ij->i", rows, rows)
+    mass = _row_masses(rows)
     top = mass.max(initial=0.0)
-    if not np.isfinite(top):
-        return rows
     # leaving out the j lightest rows leaves a Gram order of
     # min(len - j, d), so the floor falls as j grows
     left = np.arange(rows.shape[0] - 1, fixed - 1, -1)
@@ -96,11 +92,7 @@ def _gram_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(over="ignore"):
         gram = matrix @ matrix.T if short else matrix.T @ matrix
     if not np.isfinite(gram).all():
-        bad = _first_nonfinite_row(matrix, _SCAN_ROWS)
-        if bad is not None:
-            raise ValueError(f"row {bad} has a non-finite entry")
-        raise ValueError("the Gram matrix is not finite: the rows are too "
-                         "large to square in float64")
+        raise _nonfinite_error(matrix)
     spectrum, vecs = np.linalg.eigh(gram)
     del gram  # release it before the kept vectors are copied
     floor = _resolution(spectrum.size, spectrum.max(initial=0.0))
@@ -121,12 +113,54 @@ def _first_nonfinite_row(rows: np.ndarray, window: int):
     return None
 
 
+def _nonfinite_error(rows: np.ndarray) -> ValueError:
+    """The error for ``rows`` whose sums of squares came out not finite:
+    it names the first row holding a NaN or infinite entry or, failing
+    one, says the rows are too large to square in float64."""
+    bad = _first_nonfinite_row(rows, _SCAN_ROWS)
+    if bad is not None:
+        return ValueError(f"row {bad} has a non-finite entry")
+    return ValueError("a sum of squares is not finite: the rows are too "
+                      "large to square in float64")
+
+
+def _row_masses(rows: np.ndarray) -> np.ndarray:
+    """The squared norms of the rows of a 2-d array.  Raises ValueError
+    (:func:`_nonfinite_error`) unless their total is finite, so a row
+    holding a NaN or infinite entry is named before any product."""
+    mass = np.einsum("ij,ij->i", rows, rows)
+    if not np.isfinite(mass.sum()):
+        raise _nonfinite_error(rows)
+    return mass
+
+
 def _positive(name: str, value) -> float:
     """``value`` as a float; raises ValueError naming ``name`` unless it
     is positive and finite, the rule for every scale parameter."""
     if not 0 < value < np.inf:
         raise ValueError(f"{name} must be positive and finite, got {value}")
     return float(value)
+
+
+def _count(name: str, value, least: int = 1) -> int:
+    """``value`` as an int; raises ValueError naming ``name`` unless it
+    is a Python or numpy integer, not a bool, of at least ``least`` (0
+    or 1), the rule for every size and count.  A float is rejected even
+    when integral, such as 2.0."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < least):
+        kind = "non-negative" if least == 0 else "positive"
+        raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
+    return int(value)
+
+
+def _matrix(name: str, value) -> np.ndarray:
+    """``value`` as a float array; raises ValueError naming ``name``
+    unless it is 2-d, the rule for every data array."""
+    array = np.asarray(value, dtype=float)
+    if array.ndim != 2:
+        raise ValueError(f"{name} must be a 2-d array, got shape {array.shape}")
+    return array
 
 
 def _right_vectors(matrix: np.ndarray, vecs: np.ndarray) -> np.ndarray:
@@ -186,15 +220,15 @@ class StreamingSketch:
     serialized by the caller.  ``finalize`` does not mutate state, so a
     finalized snapshot can be taken mid-stream and updates may continue
     afterwards.
+
+    m and d must be positive integers: a float, even an integral one such
+    as 2.0, and a bool raise ValueError naming the argument, as do rows
+    that are not a 2-d block of d columns.
     """
 
     def __init__(self, m: int, d: int):
-        if m < 1:
-            raise ValueError(f"sketch size must be a positive integer, got m={m}")
-        if d < 1:
-            raise ValueError(f"row dimension must be a positive integer, got d={d}")
-        self.m = int(m)
-        self.d = int(d)
+        self.m = _count("m", m)
+        self.d = _count("d", d)
         self.buffer = np.zeros((2 * self.m, self.d))
         self.fill = 0
         self.kept = 0
@@ -218,8 +252,8 @@ class StreamingSketch:
         The check walks the block 2m rows at a time, so its scratch space
         is that of the buffer, not of the block.
         """
-        rows = np.asarray(rows, dtype=float)
-        if rows.ndim != 2 or rows.shape[1] != self.d:
+        rows = _matrix("rows", rows)
+        if rows.shape[1] != self.d:
             raise ValueError(
                 f"expected rows of shape (k, {self.d}), got {rows.shape}")
         bad = _first_nonfinite_row(rows, 2 * self.m)
@@ -288,9 +322,7 @@ class StreamingSketch:
 
 def sketch_matrix(A: np.ndarray, m: int, mode: str = MODE_FD) -> SketchOutput:
     """One-shot convenience: stream every row of A and finalize."""
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2:
-        raise ValueError(f"expected a 2-d array, got shape {A.shape}")
+    A = _matrix("A", A)
     sk = StreamingSketch(m, A.shape[1])
     sk.extend(A)
     return sk.finalize(mode)
@@ -298,7 +330,7 @@ def sketch_matrix(A: np.ndarray, m: int, mode: str = MODE_FD) -> SketchOutput:
 
 def tail_masses(A: np.ndarray) -> np.ndarray:
     """All tail masses at once: entry k is |A - A_k|_F^2, k = 0..min(n, d)."""
-    s = np.linalg.svd(np.asarray(A, dtype=float), compute_uv=False)
+    s = np.linalg.svd(_matrix("A", A), compute_uv=False)
     tails = np.concatenate([np.cumsum((s ** 2)[::-1])[::-1], [0.0]])
     return tails
 

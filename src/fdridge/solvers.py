@@ -13,9 +13,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .sketch import (MODE_FD, SketchOutput, _SCAN_ROWS, _first_nonfinite_row,
-                     _gram_eigh, _positive, _resolved_rows, _right_vectors,
-                     sketch_matrix)
+from .sketch import (MODE_FD, SketchOutput, _SCAN_ROWS, _count,
+                     _first_nonfinite_row, _gram_eigh, _matrix, _positive,
+                     _resolved_rows, _right_vectors, sketch_matrix)
 
 # An iterate whose norm exceeds this multiple of |A^T y| / gamma has left
 # the region where any ridge solution can live; treat it as divergence.
@@ -47,10 +47,8 @@ class RidgeProblem:
     gamma: float
 
     def __post_init__(self):
-        A = np.asarray(self.A, dtype=float)
+        A = _matrix("A", self.A)
         y = np.asarray(self.y, dtype=float)
-        if A.ndim != 2:
-            raise ValueError(f"data must be a 2-d array, got shape {A.shape}")
         if y.shape != (A.shape[0],):
             raise ValueError(
                 f"targets must have shape ({A.shape[0]},), got {y.shape}")
@@ -86,10 +84,7 @@ class InverseOperator:
     """
 
     def __init__(self, matrix: np.ndarray, gamma_total: float):
-        matrix = np.asarray(matrix, dtype=float)
-        if matrix.ndim != 2:
-            raise ValueError(f"expected a 2-d factor, got shape {matrix.shape}")
-        matrix = _resolved_rows(matrix)
+        matrix = _resolved_rows(_matrix("matrix", matrix))
         spectrum, vecs = _gram_eigh(matrix)
         self._set((spectrum, _right_vectors(matrix, vecs)), gamma_total)
 
@@ -168,7 +163,7 @@ def classical_sketch_solve(SA: np.ndarray, Sy: np.ndarray,
                            gamma: float) -> np.ndarray:
     """Sketch-and-solve with both sides compressed:
     (A^T S^T S A + gamma I)^{-1} A^T S^T S y."""
-    SA = np.asarray(SA, dtype=float)
+    SA = _matrix("SA", SA)
     return InverseOperator(SA, gamma).apply(SA.T @ np.asarray(Sy, dtype=float))
 
 
@@ -195,8 +190,7 @@ def refine(problem: RidgeProblem,
     partial trace rides along on the exception.
     """
     A, y, gamma = problem.A, problem.y, problem.gamma
-    if t < 1:
-        raise ValueError(f"iteration count must be at least 1, got {t}")
+    t = _count("t", t)
     d = A.shape[1]
     x = np.zeros(d)
     track = x_star is not None

@@ -32,6 +32,12 @@ def test_model_spec_validation():
     for noise_sd in (0.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="noise level"):
             LinearModelSpec(np.ones(3), noise_sd)
+    # a non-finite truth would give a NaN bias beside a finite variance
+    for bad in (math.nan, math.inf):
+        truth = np.ones(3)
+        truth[[1, 2]] = bad
+        with pytest.raises(ValueError, match="truth entry 1 is not finite"):
+            LinearModelSpec(truth, 1.0)
 
 
 def test_identity_design_closed_form():
@@ -117,6 +123,19 @@ def test_diagnostics_reject_bad_gamma():
     with pytest.raises(ValueError, match="row 0 has a non-finite entry"):
         hessian_sketch_diagnostics(np.ones((4, 5)), np.full((3, 5), np.nan),
                                    LinearModelSpec(np.ones(5), 1.0), 1.0)
+    # a NaN in A itself is named by its row, not returned as NaN moments,
+    # though S A and the sketch are finite; rows too large to square are
+    # refused as well
+    bad = X.copy()
+    bad[[7, 9], 3] = np.nan
+    huge = np.full_like(X, 1e200)
+    six = LinearModelSpec(np.ones(6), 1.0)
+    for data, message in ((bad, "row 7 has a non-finite entry"),
+                          (huge, "too large to square")):
+        with pytest.raises(ValueError, match=message):
+            sketched_diagnostics(data, rfd, six, 1.0)
+        with pytest.raises(ValueError, match=message):
+            hessian_sketch_diagnostics(data, X[:8], six, 1.0)
 
 
 def _mc_moments(solve_batch, A, model, draws=200_000, seed=99):
@@ -449,7 +468,7 @@ def test_budget_validation():
     for mass in (math.nan, math.inf):
         with pytest.raises(ValueError, match="tail mass"):
             budget_for_theta(0.5, 1, mass, 1.0)
-    for k in (-5, 2.5):
+    for k in (-5, 2.5, 2.0, True):
         with pytest.raises(ValueError, match="k must be"):
             budget_for_theta(0.5, k, 1.0, 1.0)
     for mode in ("RFD", "rdf"):

@@ -100,6 +100,15 @@ def test_load_config_error_positions(tmp_path):
     dict(dataset="libsvm", libsvm_path="data.txt", rff_features=-3),
     dict(methods=("exact", "exact")),
     dict(methods=("ifdrr:rfd", "ihs:gauss", "ifdrr:rfd")),
+    dict(m=2.5, methods=("fdrr",)),
+    dict(m=True, methods=("fdrr",)),
+    dict(trials=2.5),
+    dict(trials=True),
+    dict(dataset="gaussian-rff", n=2.5),
+    dict(dataset="gaussian-rff", raw_dim=True),
+    dict(dataset="libsvm", libsvm_path="data.txt", rff_features=2.5),
+    dict(methods=("classical:sjlt",), sjlt_s=2.0),
+    dict(methods=("classical:sjlt",), sjlt_s=True),
 ])
 def test_config_validation(kw):
     with pytest.raises(ConfigError):
@@ -336,8 +345,9 @@ def test_iterate_streams_each_instance_once(monkeypatch):
 
 
 def test_iterate_validation():
-    with pytest.raises(ConfigError, match="positive"):
-        run_iterative_experiment(small_config(methods=("ihs:gauss",)), t=0)
+    for t in (0, 2.5, True):
+        with pytest.raises(ConfigError, match="^t must be a positive integer"):
+            run_iterative_experiment(small_config(methods=("ihs:gauss",)), t=t)
     with pytest.raises(ConfigError, match="iterative"):
         run_iterative_experiment(small_config(methods=("exact",)), t=2)
 

@@ -13,11 +13,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fdridge import sketch
+from fdridge.datasets import (SyntheticSpec, dct_rotation, parse_libsvm,
+                              rff_expand)
+from fdridge.diagnostics import (LinearModelSpec,
+                                 classical_sketch_diagnostics,
+                                 hessian_sketch_diagnostics,
+                                 optimal_diagnostics, sketched_diagnostics)
 from fdridge.experiments import load_config, load_instance
+from fdridge.random_sketch import (GaussianSketchSpec, SjltSketchSpec,
+                                   apply_gaussian)
 from fdridge.sketch import (MODE_FD, MODE_RFD, SketchOutput, StreamingSketch,
                             load_sketch_csv, save_sketch_csv, sketch_matrix,
                             tail_masses)
-from fdridge.solvers import (InverseOperator, RidgeProblem, fdrr_solve,
+from fdridge.solvers import (InverseOperator, RidgeProblem,
+                             classical_sketch_solve, fdrr_solve, refine,
                              solve_exact)
 
 EPS = np.finfo(float).eps
@@ -48,11 +57,93 @@ def oracle_tails(A):
     return np.concatenate([np.cumsum((s ** 2)[::-1])[::-1], [0.0]])
 
 
-def test_rejects_bad_sizes():
-    with pytest.raises(ValueError):
-        StreamingSketch(0, 5)
-    with pytest.raises(ValueError):
-        StreamingSketch(4, 0)
+def _problem():
+    return RidgeProblem(np.eye(3), np.ones(3), 1.0)
+
+
+def _model():
+    return LinearModelSpec(np.ones(4), 1.0)
+
+
+# (call, name, least): one size argument of each public call that takes
+# one, with the least value it accepts
+SIZES = {
+    "StreamingSketch-m": (lambda v: StreamingSketch(v, 5), "m", 1),
+    "StreamingSketch-d": (lambda v: StreamingSketch(4, v), "d", 1),
+    "sketch_matrix-m": (lambda v: sketch_matrix(np.eye(3), v), "m", 1),
+    "fdrr_solve-m": (lambda v: fdrr_solve(_problem(), v), "m", 1),
+    "refine-t": (lambda v: refine(_problem(), lambda _i: InverseOperator(
+        np.eye(3), 1.0), v), "t", 1),
+    "GaussianSketchSpec-m": (lambda v: GaussianSketchSpec(v, 4, 0), "m", 1),
+    "GaussianSketchSpec-n": (lambda v: GaussianSketchSpec(4, v, 0), "n", 1),
+    "SjltSketchSpec-m": (lambda v: SjltSketchSpec(v, 4, 1, 0), "m", 1),
+    "SjltSketchSpec-n": (lambda v: SjltSketchSpec(4, v, 1, 0), "n", 1),
+    "SjltSketchSpec-s": (lambda v: SjltSketchSpec(4, 4, v, 0), "s", 1),
+    "SyntheticSpec-n": (lambda v: SyntheticSpec(v, 4, 0.5, 1.0, 0), "n", 1),
+    "SyntheticSpec-d": (lambda v: SyntheticSpec(4, v, 0.5, 1.0, 0), "d", 1),
+    "dct_rotation-d": (dct_rotation, "d", 1),
+    "rff_expand-n_features": (lambda v: rff_expand(np.zeros((3, 2)), v),
+                              "n_features", 1),
+    "parse_libsvm-n_features": (lambda v: parse_libsvm(["1 1:2"],
+                                                       n_features=v),
+                                "n_features", 0),
+}
+
+
+@pytest.mark.parametrize("case", list(SIZES))
+def test_rejects_bad_sizes(case):
+    # a size is a Python or numpy integer: a float, even an integral one,
+    # and a bool are refused by name rather than truncated or read as 1
+    call, name, least = SIZES[case]
+    kind = "non-negative" if least == 0 else "positive"
+    for bad in (2.5, 2.0, True, least - 1):
+        with pytest.raises(ValueError,
+                           match=rf"^{name} must be a {kind} integer, got"):
+            call(bad)
+    call(np.int64(least + 1))
+
+
+def _sparse(S):
+    import scipy.sparse
+    return scipy.sparse.coo_array(S)
+
+
+# (call, name): one data argument of each public call that takes one
+MATRICES = {
+    "extend-rows": (lambda X: StreamingSketch(2, 4).extend(X), "rows"),
+    "sketch_matrix-A": (lambda X: sketch_matrix(X, 2), "A"),
+    "tail_masses-A": (tail_masses, "A"),
+    "RidgeProblem-A": (lambda X: RidgeProblem(X, np.ones(4), 1.0), "A"),
+    "InverseOperator-matrix": (lambda X: InverseOperator(X, 1.0), "matrix"),
+    "classical_sketch_solve-SA": (
+        lambda X: classical_sketch_solve(X, np.ones(4), 1.0), "SA"),
+    "apply_gaussian-X": (
+        lambda X: apply_gaussian(GaussianSketchSpec(2, 4, 0), X), "X"),
+    "rff_expand-X": (lambda X: rff_expand(X, 3), "X"),
+    "optimal_diagnostics-A": (
+        lambda X: optimal_diagnostics(X, _model(), 1.0), "A"),
+    "sketched_diagnostics-A": (lambda X: sketched_diagnostics(
+        X, sketch_matrix(np.eye(4), 2), _model(), 1.0), "A"),
+    "classical_sketch_diagnostics-A": (lambda X: classical_sketch_diagnostics(
+        X, np.eye(4), _model(), 1.0), "A"),
+    "classical_sketch_diagnostics-S": (lambda X: classical_sketch_diagnostics(
+        np.eye(4), X, _model(), 1.0), "S"),
+    "classical_sketch_diagnostics-sparse-S": (
+        lambda X: classical_sketch_diagnostics(np.eye(4), _sparse(X),
+                                               _model(), 1.0), "S"),
+    "hessian_sketch_diagnostics-A": (lambda X: hessian_sketch_diagnostics(
+        X, np.eye(4), _model(), 1.0), "A"),
+    "hessian_sketch_diagnostics-SA": (lambda X: hessian_sketch_diagnostics(
+        np.eye(4), X, _model(), 1.0), "SA"),
+}
+
+
+@pytest.mark.parametrize("case", list(MATRICES))
+def test_rejects_data_that_is_not_a_matrix(case):
+    # a 1-d array fails by name, not with an IndexError deep in the call
+    call, name = MATRICES[case]
+    with pytest.raises(ValueError, match=rf"^{name} must be a 2-d array"):
+        call(np.ones(4))
 
 
 def test_update_rejects_wrong_row_shape():
