@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sketch import (MODE_RFD, MODES, SketchOutput, _count, _light_rows,
-                     _matrix, _positive, _row_masses)
+                     _matrix, _positive, _row_masses, _vector)
 from .solvers import InverseOperator
 
 # Bytes of A that one block of the diagnostics pass over N = A holds: a
@@ -36,22 +36,16 @@ class BudgetError(ValueError):
 class LinearModelSpec:
     """Ground truth for diagnostics: true weights and noise level.
 
-    Raises ValueError unless ``truth`` is a vector of finite entries,
-    naming the first NaN or infinite one, and ``noise_sd`` is positive
-    and finite.
+    Raises ValueError unless ``truth`` is a finite vector
+    (:func:`sketch._vector`, which names its first NaN or infinite entry)
+    and ``noise_sd`` is positive and finite.
     """
 
     truth: np.ndarray
     noise_sd: float
 
     def __post_init__(self):
-        truth = np.asarray(self.truth, dtype=float)
-        if truth.ndim != 1:
-            raise ValueError(f"truth must be a vector, got shape {truth.shape}")
-        bad = np.flatnonzero(~np.isfinite(truth))
-        if bad.size:
-            raise ValueError(f"truth entry {bad[0]} is not finite")
-        object.__setattr__(self, "truth", truth)
+        object.__setattr__(self, "truth", _vector("truth", self.truth))
         object.__setattr__(self, "noise_sd", _positive("noise level", self.noise_sd))
 
 
@@ -103,8 +97,8 @@ def _grid(A: np.ndarray, curvature: np.ndarray, op: InverseOperator,
     if grid.ndim > 1:
         raise ValueError(f"regularizer must be a scalar or a sequence, got {gamma}")
     gammas = [_positive("regularizer", g) for g in np.atleast_1d(grid)]
-    # the data terms come first: their row masses reject a non-finite A
-    # before the residual multiplies by it
+    # the data terms come first: their row masses refuse rows too large
+    # to square before the residual multiplies by them
     weights, outside = (_data_terms(A, op.basis) if gram is None
                         else _sketch_terms(curvature, op.basis, gram))
     truth = model.truth
@@ -132,8 +126,8 @@ def _data_terms(A: np.ndarray, basis: np.ndarray) -> tuple:
     each term by at most its squared norm, and each term already rounds
     at about eps^2 |A|_F^2.  A block keeps a view of A when all its rows
     stay, gathers the rows that stay otherwise, and is skipped when none
-    does, so A is never copied whole.  A row of A holding a NaN or
-    infinite entry, or rows too large to square, raise ValueError
+    does, so A is never copied whole.  A must be finite
+    (:func:`sketch._matrix`); rows too large to square raise ValueError
     (:func:`sketch._row_masses`).
     """
     n, d = A.shape
@@ -208,12 +202,20 @@ def classical_sketch_diagnostics(A: np.ndarray, S, model: LinearModelSpec,
     from the m x m matrix K = S S^T.  S (dense or sparse) is used only to
     form S A and K, so beyond A and S the call holds those two, with a few
     m x d products, and no block of the n-row noise map.  Raises
-    ValueError, before any product, when S is not 2-d or its column count
-    is not A's row count; S is not converted to check it.
+    ValueError, before S A is formed, when S breaks the data rule
+    (:func:`sketch._matrix`: 2-d, finite) or its column count is not A's
+    row count; a sparse S is checked on its stored entries, never
+    densified.
     """
     A = _matrix("A", A)
-    if S.ndim != 2:
+    if not hasattr(S, "toarray"):
+        S = _matrix("S", S)
+    elif S.ndim != 2:
         raise ValueError(f"S must be a 2-d array, got shape {S.shape}")
+    else:
+        # row i of S @ 0 is NaN exactly when row i of S stores a NaN or
+        # an infinity, since 0 times either is NaN
+        _matrix("S", S @ np.zeros((S.shape[1], 1)))
     if S.shape[1] != A.shape[0]:
         raise ValueError(f"S has {S.shape[1]} columns, but A has "
                          f"{A.shape[0]} rows")

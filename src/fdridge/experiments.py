@@ -60,7 +60,7 @@ ACC_COLUMNS = ("method", "m", "k", "spectral_error", "bound", "within_bound")
 
 # The least value of each integer key every run, then each dataset kind,
 # needs; the synthetic kind's n and d are checked by SyntheticSpec.
-_COUNTS = {"m": 1, "trials": 1}
+_COUNTS = {"m": 1, "trials": 1, "seed": 0}
 _MINIMUMS = {"gaussian-rff": {"n": 1, "d": 1, "raw_dim": 1},
              "libsvm": {"n": 0, "rff_features": 0}}
 

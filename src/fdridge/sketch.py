@@ -61,8 +61,8 @@ def _resolved_rows(rows: np.ndarray, fixed: int = 0) -> np.ndarray:
     eigenpair the decomposition resolves by more than its rounding.
 
     The rows left keep their order, and ``rows`` itself comes back when
-    none is left out.  Rows holding a NaN or infinite entry, or too large
-    to square, raise ValueError (:func:`_row_masses`).
+    none is left out.  ``rows`` must be finite (:func:`_matrix`); rows too
+    large to square raise ValueError (:func:`_row_masses`).
     """
     mass = _row_masses(rows)
     top = mass.max(initial=0.0)
@@ -83,16 +83,12 @@ def _gram_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Eigenvalues at or below :func:`_resolution` of the Gram matrix, i.e.
     about sqrt(eps) of the largest singular value, are roundoff and
-    dropped, so a rank-deficient X yields exactly its rank.  Raises
-    ValueError when the Gram matrix is not finite rather than let it wipe
-    a spectrum: it names the first row of X holding a NaN or infinite
-    entry, and failing one says the rows are too large to square.
+    dropped, so a rank-deficient X yields exactly its rank.  X comes
+    through :func:`_row_masses`, whose finite total bounds every entry of
+    the Gram matrix, so the Gram matrix is finite.
     """
     short = matrix.shape[0] < matrix.shape[1]
-    with np.errstate(over="ignore"):
-        gram = matrix @ matrix.T if short else matrix.T @ matrix
-    if not np.isfinite(gram).all():
-        raise _nonfinite_error(matrix)
+    gram = matrix @ matrix.T if short else matrix.T @ matrix
     spectrum, vecs = np.linalg.eigh(gram)
     del gram  # release it before the kept vectors are copied
     floor = _resolution(spectrum.size, spectrum.max(initial=0.0))
@@ -102,35 +98,29 @@ def _gram_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return spectrum[kept], vecs[:, kept]
 
 
-def _first_nonfinite_row(rows: np.ndarray, window: int):
+def _first_nonfinite_row(rows: np.ndarray):
     """Index of the first row of a 2-d array holding a NaN or infinite
-    entry, or None.  The scan walks ``window`` rows at a time, so its
-    scratch space is a window's mask, not one the size of the array."""
-    for lo in range(0, rows.shape[0], window):
-        bad = np.flatnonzero(~np.isfinite(rows[lo:lo + window]).all(axis=1))
+    entry, or None.  A finite sum of every entry settles it with no mask;
+    only a sum that is not finite starts the scan, :data:`_SCAN_ROWS`
+    rows at a time, which a finite array whose sum overflows passes."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.isfinite(rows.sum()):
+            return None
+    for lo in range(0, rows.shape[0], _SCAN_ROWS):
+        bad = np.flatnonzero(~np.isfinite(rows[lo:lo + _SCAN_ROWS]).all(axis=1))
         if bad.size:
             return lo + int(bad[0])
     return None
 
 
-def _nonfinite_error(rows: np.ndarray) -> ValueError:
-    """The error for ``rows`` whose sums of squares came out not finite:
-    it names the first row holding a NaN or infinite entry or, failing
-    one, says the rows are too large to square in float64."""
-    bad = _first_nonfinite_row(rows, _SCAN_ROWS)
-    if bad is not None:
-        return ValueError(f"row {bad} has a non-finite entry")
-    return ValueError("a sum of squares is not finite: the rows are too "
-                      "large to square in float64")
-
-
 def _row_masses(rows: np.ndarray) -> np.ndarray:
-    """The squared norms of the rows of a 2-d array.  Raises ValueError
-    (:func:`_nonfinite_error`) unless their total is finite, so a row
-    holding a NaN or infinite entry is named before any product."""
+    """The squared norms of the rows of a finite 2-d array
+    (:func:`_matrix`).  Raises ValueError when their total is not
+    finite: the rows are then too large to square in float64."""
     mass = np.einsum("ij,ij->i", rows, rows)
     if not np.isfinite(mass.sum()):
-        raise _nonfinite_error(rows)
+        raise ValueError("a sum of squares is not finite: the rows are too "
+                         "large to square in float64")
     return mass
 
 
@@ -156,10 +146,30 @@ def _count(name: str, value, least: int = 1) -> int:
 
 def _matrix(name: str, value) -> np.ndarray:
     """``value`` as a float array; raises ValueError naming ``name``
-    unless it is 2-d, the rule for every data array."""
+    unless it is 2-d and finite, the rule for every data array.  A NaN or
+    infinite entry is reported by its first row."""
     array = np.asarray(value, dtype=float)
     if array.ndim != 2:
         raise ValueError(f"{name} must be a 2-d array, got shape {array.shape}")
+    bad = _first_nonfinite_row(array)
+    if bad is not None:
+        raise ValueError(f"{name} row {bad} has a non-finite entry")
+    return array
+
+
+def _vector(name: str, value, size: int | None = None) -> np.ndarray:
+    """``value`` as a float array; raises ValueError naming ``name``
+    unless it is 1-d, of length ``size`` when one is given, and finite,
+    the rule for every data vector.  A NaN or infinite entry is reported
+    by its index."""
+    array = np.asarray(value, dtype=float)
+    if array.ndim != 1 or (size is not None and array.size != size):
+        length = "" if size is None else f" of length {size}"
+        raise ValueError(
+            f"{name} must be a vector{length}, got shape {array.shape}")
+    bad = _first_nonfinite_row(array[:, None])
+    if bad is not None:
+        raise ValueError(f"{name} entry {bad} is not finite")
     return array
 
 
@@ -248,18 +258,13 @@ class StreamingSketch:
         Rows are copied into the free slots in blocks, so the sequence of
         buffer states at shrink time is identical to the one produced by
         row-at-a-time updates.  A block holding a NaN or infinite entry is
-        rejected whole, naming its first such row, before any row is added.
-        The check walks the block 2m rows at a time, so its scratch space
-        is that of the buffer, not of the block.
+        rejected whole by the data rule (:func:`_matrix`), naming its
+        first such row, before any row is added.
         """
         rows = _matrix("rows", rows)
         if rows.shape[1] != self.d:
             raise ValueError(
                 f"expected rows of shape (k, {self.d}), got {rows.shape}")
-        bad = _first_nonfinite_row(rows, 2 * self.m)
-        if bad is not None:
-            raise ValueError(f"row {bad} has a non-finite entry; "
-                             "no rows were added")
         pos = 0
         total = rows.shape[0]
         while pos < total:

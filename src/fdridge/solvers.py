@@ -13,9 +13,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .sketch import (MODE_FD, SketchOutput, _SCAN_ROWS, _count,
-                     _first_nonfinite_row, _gram_eigh, _matrix, _positive,
-                     _resolved_rows, _right_vectors, sketch_matrix)
+from .sketch import (MODE_FD, SketchOutput, _count, _gram_eigh, _matrix,
+                     _positive, _resolved_rows, _right_vectors, _vector,
+                     sketch_matrix)
 
 # An iterate whose norm exceeds this multiple of |A^T y| / gamma has left
 # the region where any ridge solution can live; treat it as divergence.
@@ -36,10 +36,11 @@ class DivergenceError(RuntimeError):
 class RidgeProblem:
     """A ridge instance: n x d data, n targets, and a positive regularizer.
 
-    Raises ValueError on a shape mismatch, a regularizer that is not
-    positive and finite, or a NaN or infinite target or data entry, naming
-    the first such target index or data row.  The data is scanned
-    ``_SCAN_ROWS`` rows at a time, never with a mask the size of A.
+    A must be a finite 2-d array and y a finite vector of one target per
+    row (:func:`sketch._matrix`, :func:`sketch._vector`), and the
+    regularizer positive and finite; otherwise ValueError names the
+    argument and, for a NaN or infinite entry, its first row of A or
+    index of y.
     """
 
     A: np.ndarray
@@ -48,20 +49,9 @@ class RidgeProblem:
 
     def __post_init__(self):
         A = _matrix("A", self.A)
-        y = np.asarray(self.y, dtype=float)
-        if y.shape != (A.shape[0],):
-            raise ValueError(
-                f"targets must have shape ({A.shape[0]},), got {y.shape}")
-        gamma = _positive("regularizer", self.gamma)
-        bad = np.flatnonzero(~np.isfinite(y))
-        if bad.size:
-            raise ValueError(f"target {bad[0]} is not finite")
-        bad = _first_nonfinite_row(A, _SCAN_ROWS)
-        if bad is not None:
-            raise ValueError(f"data row {bad} has a non-finite entry")
         object.__setattr__(self, "A", A)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "y", _vector("y", self.y, A.shape[0]))
+        object.__setattr__(self, "gamma", _positive("regularizer", self.gamma))
 
 
 class InverseOperator:
@@ -164,13 +154,16 @@ def classical_sketch_solve(SA: np.ndarray, Sy: np.ndarray,
     """Sketch-and-solve with both sides compressed:
     (A^T S^T S A + gamma I)^{-1} A^T S^T S y."""
     SA = _matrix("SA", SA)
-    return InverseOperator(SA, gamma).apply(SA.T @ np.asarray(Sy, dtype=float))
+    Sy = _vector("Sy", Sy, SA.shape[0])
+    return InverseOperator(SA, gamma).apply(SA.T @ Sy)
 
 
 def hessian_sketch_solve(SA: np.ndarray, cross: np.ndarray,
                          gamma: float) -> np.ndarray:
     """Partial sketching: curvature from S A, full-data right-hand side
     (A^T S^T S A + gamma I)^{-1} A^T y."""
+    SA = _matrix("SA", SA)
+    cross = _vector("cross", cross, SA.shape[1])
     return InverseOperator(SA, gamma).apply(cross)
 
 

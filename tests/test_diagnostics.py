@@ -36,7 +36,7 @@ def test_model_spec_validation():
     for bad in (math.nan, math.inf):
         truth = np.ones(3)
         truth[[1, 2]] = bad
-        with pytest.raises(ValueError, match="truth entry 1 is not finite"):
+        with pytest.raises(ValueError, match="^truth entry 1 is not finite"):
             LinearModelSpec(truth, 1.0)
 
 
@@ -123,19 +123,22 @@ def test_diagnostics_reject_bad_gamma():
     with pytest.raises(ValueError, match="row 0 has a non-finite entry"):
         hessian_sketch_diagnostics(np.ones((4, 5)), np.full((3, 5), np.nan),
                                    LinearModelSpec(np.ones(5), 1.0), 1.0)
-    # a NaN in A itself is named by its row, not returned as NaN moments,
-    # though S A and the sketch are finite; rows too large to square are
-    # refused as well
+    # a NaN in A itself is named by its row of A, not returned as NaN
+    # moments nor blamed on the row of S A it spoils; rows too large to
+    # square are refused as well
     bad = X.copy()
     bad[[7, 9], 3] = np.nan
     huge = np.full_like(X, 1e200)
     six = LinearModelSpec(np.ones(6), 1.0)
-    for data, message in ((bad, "row 7 has a non-finite entry"),
+    for data, message in ((bad, "^A row 7 has a non-finite entry"),
                           (huge, "too large to square")):
         with pytest.raises(ValueError, match=message):
             sketched_diagnostics(data, rfd, six, 1.0)
         with pytest.raises(ValueError, match=message):
             hessian_sketch_diagnostics(data, X[:8], six, 1.0)
+        for S in _draws(40, 6).values():
+            with pytest.raises(ValueError, match=message):
+                classical_sketch_diagnostics(data, S, six, 1.0)
 
 
 def _mc_moments(solve_batch, A, model, draws=200_000, seed=99):

@@ -65,6 +65,7 @@ def test_config_override_precedence(tmp_path):
     config = load_config(path, overrides={"seed": "7"})
     assert config.seed == 7
     assert config.n == 32
+    assert SweepConfig(seed=np.int64(3)).seed == 3  # a numpy integer counts
 
 
 def test_load_config_error_positions(tmp_path):
@@ -109,9 +110,15 @@ def test_load_config_error_positions(tmp_path):
     dict(dataset="libsvm", libsvm_path="data.txt", rff_features=2.5),
     dict(methods=("classical:sjlt",), sjlt_s=2.0),
     dict(methods=("classical:sjlt",), sjlt_s=True),
+    dict(seed=2.5),
+    dict(seed=2.0),
+    dict(seed=True),
+    dict(seed=-1),
 ])
 def test_config_validation(kw):
-    with pytest.raises(ConfigError):
+    # a seed is a count like the others: named, not truncated or read as 1
+    match = "^seed must be a non-negative integer" if "seed" in kw else None
+    with pytest.raises(ConfigError, match=match):
         SweepConfig(**kw)
 
 

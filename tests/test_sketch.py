@@ -26,8 +26,8 @@ from fdridge.sketch import (MODE_FD, MODE_RFD, SketchOutput, StreamingSketch,
                             load_sketch_csv, save_sketch_csv, sketch_matrix,
                             tail_masses)
 from fdridge.solvers import (InverseOperator, RidgeProblem,
-                             classical_sketch_solve, fdrr_solve, refine,
-                             solve_exact)
+                             classical_sketch_solve, fdrr_solve,
+                             hessian_sketch_solve, refine, solve_exact)
 
 EPS = np.finfo(float).eps
 CONFIGS = Path(__file__).resolve().parent.parent / "scripts" / "configs"
@@ -117,6 +117,8 @@ MATRICES = {
     "InverseOperator-matrix": (lambda X: InverseOperator(X, 1.0), "matrix"),
     "classical_sketch_solve-SA": (
         lambda X: classical_sketch_solve(X, np.ones(4), 1.0), "SA"),
+    "hessian_sketch_solve-SA": (
+        lambda X: hessian_sketch_solve(X, np.ones(4), 1.0), "SA"),
     "apply_gaussian-X": (
         lambda X: apply_gaussian(GaussianSketchSpec(2, 4, 0), X), "X"),
     "rff_expand-X": (lambda X: rff_expand(X, 3), "X"),
@@ -144,6 +146,43 @@ def test_rejects_data_that_is_not_a_matrix(case):
     call, name = MATRICES[case]
     with pytest.raises(ValueError, match=rf"^{name} must be a 2-d array"):
         call(np.ones(4))
+
+
+@pytest.mark.parametrize("case", list(MATRICES))
+def test_rejects_data_that_is_not_finite(case):
+    # a NaN or infinity is named by the argument and its first bad row,
+    # not returned as NaN or raised from inside LAPACK
+    call, name = MATRICES[case]
+    X = np.eye(4)
+    X[2, 1] = np.nan
+    X[3, 0] = np.inf
+    with pytest.raises(ValueError,
+                       match=rf"^{name} row 2 has a non-finite entry"):
+        call(X)
+
+
+# (call, name): one data vector of each public call that takes one
+VECTORS = {
+    "RidgeProblem-y": (lambda v: RidgeProblem(np.eye(4), v, 1.0), "y"),
+    "LinearModelSpec-truth": (lambda v: LinearModelSpec(v, 1.0), "truth"),
+    "classical_sketch_solve-Sy": (
+        lambda v: classical_sketch_solve(np.eye(4), v, 1.0), "Sy"),
+    "hessian_sketch_solve-cross": (
+        lambda v: hessian_sketch_solve(np.eye(4), v, 1.0), "cross"),
+}
+
+
+@pytest.mark.parametrize("case", list(VECTORS))
+def test_rejects_data_that_is_not_a_finite_vector(case):
+    call, name = VECTORS[case]
+    with pytest.raises(ValueError, match=rf"^{name} must be a vector"):
+        call(np.ones((4, 1)))
+    v = np.ones(4)
+    v[2] = np.nan
+    v[3] = np.inf
+    with pytest.raises(ValueError, match=rf"^{name} entry 2 is not finite"):
+        call(v)
+    call(np.ones(4))
 
 
 def test_update_rejects_wrong_row_shape():
@@ -577,6 +616,13 @@ def test_overflowing_spectrum_raises():
         sk.extend(np.full((4, 3), 1e200))
     with pytest.raises(ValueError, match="not finite"):
         InverseOperator(np.full((4, 3), 1e200), 1.0)
+
+
+def test_finite_data_whose_sum_overflows_is_not_called_non_finite():
+    # the rule's whole-array sum overflows here, so its row scan decides,
+    # finds no bad row, and the shrink refuses the rows as too large
+    with pytest.raises(ValueError, match="too large to square"):
+        sketch_matrix(np.full((4, 3), 1e308), 2)
 
 
 def test_output_is_immutable():

@@ -52,8 +52,8 @@ def test_problem_validation():
         np.zeros((1, problem.A.shape[1])), problem.gamma), t=2),
 ], ids=["solve_exact", "fdrr_solve", "refine"])
 @pytest.mark.parametrize("where,bad,message", [
-    ("target", np.nan, "target 7 is not finite"),
-    ("data", np.inf, "data row 5 has a non-finite entry"),
+    ("target", np.nan, "^y entry 7 is not finite"),
+    ("data", np.inf, "^A row 5 has a non-finite entry"),
 ], ids=["nan-target", "inf-data"])
 def test_non_finite_input_is_named(solve, where, bad, message):
     # the problem names the first bad target or data row, so no solver
