@@ -36,9 +36,11 @@ other method for each gamma and moment column, and whether fdrr stays
 within 2x of rfdrr; on iteration tables, the signs among ifdrr:rfd,
 ifdrr:fd and ihs:sjlt at each gamma and iteration.
 
-Prints the largest deviation per column and, per table, how many body
-rows differ from the reference at all, by method; it exits 1 if any
-rule fails.  A differing row within every tolerance still passes.
+Prints the largest deviation per column, with the key columns (method,
+gamma, and iteration, trial or k) of the row that used the largest share
+of its tolerance, and, per table, how many body rows differ from the
+reference at all, by method; it exits 1 if any rule fails.  A differing
+row within every tolerance still passes.
 """
 from __future__ import annotations
 
@@ -60,6 +62,7 @@ ABSOLUTE = ("rel_bias", "rel_var", "rel_mse")
 MOMENTS = ("bias_sq", "var_trace", "mse") + ABSOLUTE
 OURS = ("fdrr", "rfdrr")
 CHAIN = ("ifdrr:rfd", "ifdrr:fd", "ihs:sjlt")
+KEYS = ("method", "gamma", "iteration", "trial", "k")
 
 
 def read_table(path: Path) -> tuple:
@@ -154,6 +157,7 @@ def compare(new_rows: list, ref_rows: list, name: str,
         print(f"{name}: shape differs ({len(new_rows)} vs {len(ref_rows)} rows)")
         return False
     worst = {}
+    where = {}  # column -> key columns of its largest share's row
     moved = collections.Counter()
     slack = _absolute_slack(ref_rows)
     for lineno, (new, ref) in enumerate(zip(new_rows, ref_rows), start=1):
@@ -164,6 +168,9 @@ def compare(new_rows: list, ref_rows: list, name: str,
                 devs = _deviation(col, _value(col, new[col]),
                                   _value(col, ref_text), slack.get(col, 0.0))
                 seen = worst.setdefault(col, [0.0, 0.0, 0.0])
+                if devs[2] > seen[2]:
+                    where[col] = " ".join(f"{key}={ref[key]}"
+                                          for key in KEYS if key in ref)
                 worst[col] = [max(a, b) for a, b in zip(seen, devs)]
             elif new[col] != ref_text:
                 print(f"{name}: row {lineno} column {col}: "
@@ -178,7 +185,8 @@ def compare(new_rows: list, ref_rows: list, name: str,
         ok &= passed
         print(f"{name}: {col:<14} max rel dev {rel:.3e}, max abs dev "
               f"{diff:.3e}, {share:.3g} of tolerance "
-              f"{'ok' if passed else 'FAIL'}")
+              f"{'ok' if passed else 'FAIL'}"
+              + (f" (largest share at {where[col]})" if col in where else ""))
     new_order, ref_order = orderings(new_rows), orderings(ref_rows)
     flipped = [key for key in ref_order if new_order.get(key) != ref_order[key]]
     if new_order or ref_order:

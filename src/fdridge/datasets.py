@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sketch import _count, _matrix, _positive
+from .sketch import _count, _matrix, _nonnegative, _positive, _vector
 
 
 class LibsvmParseError(ValueError):
@@ -49,9 +49,7 @@ class SyntheticSpec:
         _count("d", self.d)
         if not 0.0 < self.r <= 1.0:
             raise ValueError(f"rank fraction must lie in (0, 1], got {self.r}")
-        if not 0 <= self.noise_sd < math.inf:  # 0: targets without noise
-            raise ValueError(
-                f"noise level must be non-negative and finite, got {self.noise_sd}")
+        _nonnegative("noise level", self.noise_sd)  # 0: targets without noise
         if self.effective_rank < 1:
             raise ValueError(
                 f"rank fraction {self.r} with d={self.d} gives an empty signal")
@@ -222,11 +220,20 @@ def parse_libsvm(source, n_features: int | None = None
 
 
 def dump_libsvm(matrix: SparseRowMatrix, labels: np.ndarray, path) -> None:
-    """Write the sparse-text format back out, losslessly for float64."""
-    labels = np.asarray(labels, dtype=float)
-    if labels.shape != (matrix.n,):
-        raise ValueError(
-            f"expected {matrix.n} labels, got shape {labels.shape}")
+    """Write the sparse-text format back out, losslessly for float64.
+
+    ``labels`` must be a finite vector of length n (:func:`sketch._vector`)
+    and every stored value finite, as :func:`parse_libsvm` requires: a
+    NaN or infinite label or value raises ValueError naming the label's
+    index, or the value's row and 0-based feature, before ``path`` is
+    opened.
+    """
+    labels = _vector("labels", labels, matrix.n)
+    for i, (idx, vals) in enumerate(matrix.rows):
+        bad = np.flatnonzero(~np.isfinite(vals))
+        if bad.size:
+            raise ValueError(f"value at row {i}, feature {int(idx[bad[0]])} "
+                             "is not finite")
     with open(path, "w", encoding="utf-8") as fh:
         for label, (idx, vals) in zip(labels, matrix.rows):
             parts = [format(label, ".17g")]

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sketch import (MODE_RFD, MODES, SketchOutput, _count, _light_rows,
-                     _matrix, _positive, _row_masses, _vector)
+                     _matrix, _one_of, _positive, _row_masses, _vector)
 from .solvers import InverseOperator
 
 # Bytes of A that one block of the diagnostics pass over N = A holds: a
@@ -275,15 +275,15 @@ def budget_for_theta(theta: float, k: int, mass: float, gamma: float,
     m = mass / ((1 - sqrt(1 - theta)) gamma) + k, with the denominator
     doubled in "rfd" mode.  Callers round up to an integer sketch size.
     Raises ValueError unless theta lies in (0, 1), k is a non-negative
-    integer, and gamma and mass are positive and finite.
+    integer, gamma and mass are positive and finite, and mode is one of
+    "fd" and "rfd".
     """
     if not 0 < theta < 1:
         raise ValueError(f"theta must lie in (0, 1), got {theta}")
     k = _count("k", k, least=0)
     gamma = _positive("regularizer", gamma)
     mass = _positive("tail mass", mass)
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    _one_of("mode", mode, MODES)
     denom = (1.0 - math.sqrt(1.0 - theta)) * gamma
     if mode == MODE_RFD:
         denom *= 2.0

@@ -22,21 +22,13 @@ from .diagnostics import (LinearModelSpec, classical_sketch_diagnostics,
                           sketched_diagnostics)
 from .random_sketch import (GaussianSketchSpec, SjltSketchSpec,
                             apply_gaussian, realize_gaussian, realize_sjlt)
-from .sketch import MODE_FD, MODE_RFD, _count, sketch_matrix, tail_masses
+from .sketch import (MODE_FD, MODE_RFD, _count, _nonnegative, _one_of,
+                     _positive, sketch_matrix, tail_masses)
 from .solvers import DivergenceError, InverseOperator, RidgeProblem, refine
 
 
 class ConfigError(ValueError):
     """Invalid experiment configuration."""
-
-
-def _config_count(name: str, value, least: int = 1) -> int:
-    """:func:`sketch._count` for a config value or run setting: the same
-    rule, raising ConfigError."""
-    try:
-        return _count(name, value, least)
-    except ValueError as err:
-        raise ConfigError(str(err)) from None
 
 
 STATISTICAL_METHODS = ("exact", "fdrr", "rfdrr",
@@ -58,8 +50,9 @@ SWEEP_COLUMNS = ("method", "gamma", "bias_sq", "var_trace", "mse",
 ITER_COLUMNS = ("method", "gamma", "iteration", "log10_error", "diverged")
 ACC_COLUMNS = ("method", "m", "k", "spectral_error", "bound", "within_bound")
 
+_DATASETS = ("synthetic", "gaussian-rff", "libsvm")
 # The least value of each integer key every run, then each dataset kind,
-# needs; the synthetic kind's n and d are checked by SyntheticSpec.
+# needs; the synthetic kind's n and d are checked by its SyntheticSpec.
 _COUNTS = {"m": 1, "trials": 1, "seed": 0}
 _MINIMUMS = {"gaussian-rff": {"n": 1, "d": 1, "raw_dim": 1},
              "libsvm": {"n": 0, "rff_features": 0}}
@@ -76,6 +69,14 @@ class SweepConfig:
     the first n samples, optionally expand to rff_features dimensions;
     n = 0 keeps every sample, rff_features unset or 0 keeps the raw
     features).
+
+    Construction checks the keys through the argument rules of
+    :mod:`fdridge.sketch` and raises ConfigError naming the first bad
+    one: dataset is one of the three kinds, noise_sd is non-negative and
+    finite, each gamma and, where random Fourier features are drawn,
+    rff_gamma are positive and finite, and the counts are integers of at
+    least their least value.  A synthetic instance's n, d, r and noise_sd
+    are checked by building its :class:`SyntheticSpec`.
     """
 
     dataset: str = "synthetic"
@@ -98,35 +99,43 @@ class SweepConfig:
     out: str | None = None
 
     def __post_init__(self):
-        if self.dataset not in ("synthetic", "gaussian-rff", "libsvm"):
-            raise ConfigError(f"unknown dataset kind {self.dataset!r}")
-        if not 0 <= self.noise_sd < math.inf:  # 0: targets without noise
-            raise ConfigError("noise level must be non-negative and finite, "
-                              f"got noise_sd={self.noise_sd}")
-        if not self.gammas:
-            raise ConfigError("the regularizer grid is empty")
-        bad_gammas = [g for g in self.gammas if not 0 < g < math.inf]
-        if bad_gammas:
-            raise ConfigError(
-                f"gammas must be positive and finite, got {bad_gammas}")
-        unknown = [meth for meth in self.methods if meth not in ALL_METHODS]
-        if unknown:
-            raise ConfigError(
-                f"unknown methods {unknown}; valid names: {', '.join(ALL_METHODS)}")
-        repeated = sorted({meth for meth in self.methods
-                           if self.methods.count(meth) > 1})
-        if repeated:
-            raise ConfigError(f"methods listed more than once: {repeated}")
-        if self.dataset == "libsvm" and not self.libsvm_path:
-            raise ConfigError("dataset 'libsvm' needs libsvm_path")
-        for key, least in {**_COUNTS, **_MINIMUMS.get(self.dataset, {})}.items():
-            value = getattr(self, key)
-            # an unset rff_features counts as 0
-            _config_count(key, 0 if value is None else value, least)
-        if (any(meth.endswith(":sjlt") for meth in self.methods)
-                and self.m % _config_count("sjlt_s", self.sjlt_s)):
-            raise ConfigError(
-                f"sjlt_s must divide m, got sjlt_s={self.sjlt_s}, m={self.m}")
+        try:
+            _one_of("dataset", self.dataset, _DATASETS)
+            _nonnegative("noise level", self.noise_sd)  # 0: targets without noise
+            if not self.gammas:
+                raise ConfigError("the regularizer grid is empty")
+            for g in self.gammas:
+                _positive("regularizer", g)
+            unknown = [meth for meth in self.methods if meth not in ALL_METHODS]
+            if unknown:
+                raise ConfigError(f"unknown methods {unknown}; "
+                                  f"valid names: {', '.join(ALL_METHODS)}")
+            repeated = sorted({meth for meth in self.methods
+                               if self.methods.count(meth) > 1})
+            if repeated:
+                raise ConfigError(f"methods listed more than once: {repeated}")
+            if self.dataset == "libsvm" and not self.libsvm_path:
+                raise ConfigError("dataset 'libsvm' needs libsvm_path")
+            for key, least in {**_COUNTS,
+                               **_MINIMUMS.get(self.dataset, {})}.items():
+                value = getattr(self, key)
+                # an unset rff_features counts as 0
+                _count(key, 0 if value is None else value, least)
+            if self.dataset == "synthetic":
+                self._synthetic_spec()
+            elif self.dataset == "gaussian-rff" or self.rff_features:
+                _positive("kernel width", self.rff_gamma)
+            if (any(meth.endswith(":sjlt") for meth in self.methods)
+                    and self.m % _count("sjlt_s", self.sjlt_s)):
+                raise ConfigError(f"sjlt_s must divide m, "
+                                  f"got sjlt_s={self.sjlt_s}, m={self.m}")
+        except ValueError as err:
+            raise ConfigError(str(err)) from None
+
+    def _synthetic_spec(self) -> SyntheticSpec:
+        """The recipe of the synthetic instance these keys describe."""
+        return SyntheticSpec(n=self.n, d=self.d, r=self.r,
+                             noise_sd=self.noise_sd, seed=self.seed)
 
 
 _INT_KEYS = {"n", "d", "raw_dim", "rff_features", "m", "trials", "seed", "sjlt_s"}
@@ -206,9 +215,7 @@ def load_instance(config: SweepConfig):
     """
     truth = None
     if config.dataset == "synthetic":
-        spec = SyntheticSpec(n=config.n, d=config.d, r=config.r,
-                             noise_sd=config.noise_sd, seed=config.seed)
-        A, y, truth = synthetic_regression(spec)
+        A, y, truth = synthetic_regression(config._synthetic_spec())
     elif config.dataset == "gaussian-rff":
         rng = np.random.default_rng(child_seed(config.seed, _DATA_TAG))
         X = rng.standard_normal((config.n, config.raw_dim))
@@ -419,7 +426,10 @@ def run_iterative_experiment(config: SweepConfig, t: int, out=None) -> list:
     prefix; later iterations are recorded as nan with the diverged flag
     set.  Randomized methods report the per-iteration median over trials.
     """
-    _config_count("t", t)
+    try:
+        _count("t", t)
+    except ValueError as err:
+        raise ConfigError(str(err)) from None
     _check_methods(config, ITERATIVE_METHODS,
                    "iteration study handles iterative solvers")
     A, y, _ = load_instance(config)

@@ -85,11 +85,11 @@ def apply_gaussian(spec: GaussianSketchSpec, X: np.ndarray) -> np.ndarray:
     one reused block, from the same generator in the same order as
     :func:`realize_gaussian`; each block is scaled in place and multiplied
     into its rows of the result.  Beyond X and the result, the call holds
-    that block instead of the m x n matrix.
+    that block instead of the m x n matrix.  X must be a finite 2-d
+    array of n rows (:func:`sketch._matrix`, which names its shape or
+    first non-finite row).
     """
-    X = _matrix("X", X)
-    if X.shape[0] != spec.n:
-        raise ValueError(f"X must have {spec.n} rows, got shape {X.shape}")
+    X = _matrix("X", X, rows=spec.n)
     rng = np.random.default_rng(spec.seed)
     scale = np.sqrt(spec.m)
     out = np.empty((spec.m, X.shape[1]))

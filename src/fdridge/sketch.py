@@ -132,6 +132,25 @@ def _positive(name: str, value) -> float:
     return float(value)
 
 
+def _nonnegative(name: str, value) -> float:
+    """``value`` as a float; raises ValueError naming ``name`` unless it
+    is at least 0 and finite, the rule for a noise level or shift that
+    may vanish."""
+    if not 0 <= value < np.inf:
+        raise ValueError(
+            f"{name} must be non-negative and finite, got {value}")
+    return float(value)
+
+
+def _one_of(name: str, value, allowed: tuple):
+    """``value`` unchanged; raises ValueError naming ``name`` and the
+    ``allowed`` set unless it is one of them, the rule for every mode
+    and kind."""
+    if value not in allowed:
+        raise ValueError(f"{name} must be one of {allowed}, got {value!r}")
+    return value
+
+
 def _count(name: str, value, least: int = 1) -> int:
     """``value`` as an int; raises ValueError naming ``name`` unless it
     is a Python or numpy integer, not a bool, of at least ``least`` (0
@@ -144,13 +163,21 @@ def _count(name: str, value, least: int = 1) -> int:
     return int(value)
 
 
-def _matrix(name: str, value) -> np.ndarray:
+def _matrix(name: str, value, rows: int | None = None,
+            cols: int | None = None) -> np.ndarray:
     """``value`` as a float array; raises ValueError naming ``name``
-    unless it is 2-d and finite, the rule for every data array.  A NaN or
-    infinite entry is reported by its first row."""
+    unless it is 2-d, of ``rows`` rows and ``cols`` columns when they are
+    given, and finite, the rule for every data array.  A NaN or infinite
+    entry is reported by its first row."""
     array = np.asarray(value, dtype=float)
-    if array.ndim != 2:
-        raise ValueError(f"{name} must be a 2-d array, got shape {array.shape}")
+    if (array.ndim != 2 or rows not in (None, array.shape[0])
+            or cols not in (None, array.shape[1])):
+        want = (f" of shape ({rows}, {cols})"
+                if rows is not None and cols is not None
+                else f" with {rows} rows" if rows is not None
+                else f" with {cols} columns" if cols is not None else "")
+        raise ValueError(
+            f"{name} must be a 2-d array{want}, got shape {array.shape}")
     bad = _first_nonfinite_row(array)
     if bad is not None:
         raise ValueError(f"{name} row {bad} has a non-finite entry")
@@ -245,26 +272,22 @@ class StreamingSketch:
         self.shift_total = 0.0
 
     def update(self, row: np.ndarray) -> None:
-        """Insert one row: :meth:`extend` with a one-row block."""
-        row = np.asarray(row, dtype=float)
-        if row.shape != (self.d,):
-            raise ValueError(
-                f"expected a row of shape ({self.d},), got {row.shape}")
-        self.extend(row[None, :])
+        """Insert one row: :meth:`extend` with a one-row block.  ``row``
+        must be a finite vector of length d (:func:`_vector`, which names
+        its first NaN or infinite entry)."""
+        self.extend(_vector("row", row, self.d)[None, :])
 
     def extend(self, rows: np.ndarray) -> None:
         """Insert many rows; equivalent to calling update on each in order.
 
         Rows are copied into the free slots in blocks, so the sequence of
         buffer states at shrink time is identical to the one produced by
-        row-at-a-time updates.  A block holding a NaN or infinite entry is
-        rejected whole by the data rule (:func:`_matrix`), naming its
-        first such row, before any row is added.
+        row-at-a-time updates.  A block that is not 2-d with d columns, or
+        that holds a NaN or infinite entry, is rejected whole by the data
+        rule (:func:`_matrix`), which names the shape or the first such
+        row, before any row is added.
         """
-        rows = _matrix("rows", rows)
-        if rows.shape[1] != self.d:
-            raise ValueError(
-                f"expected rows of shape (k, {self.d}), got {rows.shape}")
+        rows = _matrix("rows", rows, cols=self.d)
         pos = 0
         total = rows.shape[0]
         while pos < total:
@@ -316,8 +339,7 @@ class StreamingSketch:
         is skipped the kept rows are emitted as they are.  In "fd" mode the
         reported shift is zero, in "rfd" mode it is the accumulated total.
         """
-        if mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+        _one_of("mode", mode, MODES)
         rows, reduction = self._reduced()
         out = np.zeros((self.m, self.d))
         out[:rows.shape[0]] = rows
@@ -358,9 +380,12 @@ def load_sketch_csv(path) -> SketchOutput:
     """Inverse of :func:`save_sketch_csv`.
 
     Raises ValueError naming ``path`` on a malformed header (non-integer
-    m or d, a non-numeric shift included), a negative or non-finite
-    shift, an unparsable matrix entry, a shape mismatch (an empty body
-    included) or a non-finite matrix entry.
+    m or d, a non-numeric shift included), and, through the argument
+    rules, naming the field too: a mode other than "fd" or "rfd"
+    (:func:`_one_of`), a negative or non-finite shift
+    (:func:`_nonnegative`), an unparsable entry, and a matrix that is not
+    m x d (an empty body included) or holds a non-finite entry
+    (:func:`_matrix`, which names its first such row).
     """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
@@ -374,26 +399,15 @@ def load_sketch_csv(path) -> SketchOutput:
         except ValueError:
             raise ValueError(f"{path}: header {header!r} needs integer m and d "
                              "and a numeric shift") from None
-        mode = fields[3].strip()
-        if mode not in MODES:
-            raise ValueError(f"{path}: unknown sketch mode {mode!r}")
-        if not (np.isfinite(shift) and shift >= 0.0):
-            raise ValueError(
-                f"{path}: shift must be finite and non-negative, got {shift}")
         body = fh.readlines()
-    # loadtxt warns on a body without data; the shape check reports it
-    mat = np.empty((0, 0))
-    if any(line.split("#", 1)[0].strip() for line in body):
-        try:
+    try:
+        mode = _one_of("mode", fields[3].strip(), MODES)
+        shift = _nonnegative("shift", shift)
+        # loadtxt warns on a body without data; the shape rule reports it
+        mat = np.empty((0, 0))
+        if any(line.split("#", 1)[0].strip() for line in body):
             mat = np.loadtxt(body, delimiter=",", ndmin=2)
-        except ValueError as err:
-            raise ValueError(f"{path}: {err}") from None
-    if mat.shape != (m, d):
-        raise ValueError(
-            f"{path}: header promises shape ({m}, {d}), file holds {mat.shape}")
-    bad = np.argwhere(~np.isfinite(mat))
-    if bad.size:
-        row, col = bad[0]
-        raise ValueError(
-            f"{path}: entry ({row}, {col}) of the matrix is not finite")
+        mat = _matrix("matrix", mat, rows=m, cols=d)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
     return SketchOutput(matrix=mat, shift=shift, mode=mode)

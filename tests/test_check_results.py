@@ -78,6 +78,20 @@ def test_relative_change_on_a_moment_fails(check):
     assert not check.compare(new, sweep_rows(), "sweep")
 
 
+def test_failing_column_names_its_row(check, capsys):
+    # the largest share comes from the iteration-2 row, though a larger
+    # absolute move sits at a larger error in the iteration-1 row
+    ref = iterate_rows(levels()) + [
+        {**row, "iteration": "2"} for row in iterate_rows(levels(fd=-7.0))]
+    new = [dict(row) for row in ref]
+    new[1]["log10_error"] = repr(moved(-4.5, 1e-13))
+    new[4]["log10_error"] = repr(moved(-7.0, 1e-14))
+    assert not check.compare(new, ref, "iter")
+    out = capsys.readouterr().out
+    assert ("FAIL (largest share at method=ifdrr:fd gamma=100 iteration=2)"
+            in out)
+
+
 def test_sub_ulp_move_near_the_floor_passes(check):
     # half an ulp of |x*| at an error of 1e-11 moves the log by ~5e-6
     # relative: far past 1e-8 on the log, well within float64 resolution

@@ -271,3 +271,24 @@ def test_dump_rejects_label_mismatch(tmp_path):
     matrix = SparseRowMatrix(1, 2, [(np.array([0]), np.array([1.0]))])
     with pytest.raises(ValueError):
         dump_libsvm(matrix, np.zeros(3), tmp_path / "bad.txt")
+
+
+def test_dump_refuses_what_parse_would_refuse(tmp_path):
+    # a NaN label or an infinite value would write a line parse_libsvm
+    # rejects; both are named before the file is opened
+    matrix = SparseRowMatrix(3, 4, [(np.array([0]), np.array([1.0])),
+                                    (np.array([1, 3]), np.array([2.0, 3.0])),
+                                    (np.array([], dtype=np.int64),
+                                     np.array([]))])
+    path = tmp_path / "bad.txt"
+    with pytest.raises(ValueError, match="^labels entry 1 is not finite"):
+        dump_libsvm(matrix, np.array([1.0, math.nan, 0.0]), path)
+    matrix.rows[1][1][1] = math.inf
+    with pytest.raises(ValueError,
+                       match="^value at row 1, feature 3 is not finite"):
+        dump_libsvm(matrix, np.zeros(3), path)
+    assert not path.exists()
+    matrix.rows[1][1][1] = 3.0
+    dump_libsvm(matrix, np.zeros(3), path)
+    back, _ = parse_libsvm(path, n_features=4)
+    assert np.array_equal(back.toarray(), matrix.toarray())

@@ -114,6 +114,12 @@ def test_load_config_error_positions(tmp_path):
     dict(seed=2.0),
     dict(seed=True),
     dict(seed=-1),
+    # checked when the config is built, not when the instance is loaded
+    dict(r=2.0),
+    dict(r=0.001, d=4),
+    dict(dataset="gaussian-rff", rff_gamma=-1.0),
+    dict(dataset="libsvm", libsvm_path="data.txt", rff_features=8,
+         rff_gamma=0.0),
 ])
 def test_config_validation(kw):
     # a seed is a count like the others: named, not truncated or read as 1

@@ -5,6 +5,7 @@ test itself: tail masses from the full spectrum, spectral norms from
 eigvalsh of the symmetric difference.
 """
 import dataclasses
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -15,11 +16,11 @@ from hypothesis import given, settings, strategies as st
 from fdridge import sketch
 from fdridge.datasets import (SyntheticSpec, dct_rotation, parse_libsvm,
                               rff_expand)
-from fdridge.diagnostics import (LinearModelSpec,
+from fdridge.diagnostics import (LinearModelSpec, budget_for_theta,
                                  classical_sketch_diagnostics,
                                  hessian_sketch_diagnostics,
                                  optimal_diagnostics, sketched_diagnostics)
-from fdridge.experiments import load_config, load_instance
+from fdridge.experiments import SweepConfig, load_config, load_instance
 from fdridge.random_sketch import (GaussianSketchSpec, SjltSketchSpec,
                                    apply_gaussian)
 from fdridge.sketch import (MODE_FD, MODE_RFD, SketchOutput, StreamingSketch,
@@ -108,6 +109,16 @@ def _sparse(S):
     return scipy.sparse.coo_array(S)
 
 
+def _load_csv(X, shift=0.0, mode=MODE_FD):
+    """load_sketch_csv on a file whose header promises a 4 x 4 sketch and
+    whose body holds the rows of X."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "sketch.csv"
+        np.savetxt(path, X, fmt="%.17g", delimiter=",",
+                   header=f"4,4,{shift},{mode}", comments="# ")
+        return load_sketch_csv(path)
+
+
 # (call, name): one data argument of each public call that takes one
 MATRICES = {
     "extend-rows": (lambda X: StreamingSketch(2, 4).extend(X), "rows"),
@@ -137,6 +148,16 @@ MATRICES = {
         X, np.eye(4), _model(), 1.0), "A"),
     "hessian_sketch_diagnostics-SA": (lambda X: hessian_sketch_diagnostics(
         np.eye(4), X, _model(), 1.0), "SA"),
+    # the error names the file first
+    "load_sketch_csv-matrix": (_load_csv, r".*sketch\.csv: matrix"),
+}
+
+# (bad shape, expected): for the MATRICES calls whose argument has an
+# expected shape (4 rows, 4 columns or 4 x 4), an argument off by one
+SHAPES = {
+    "extend-rows": ((4, 5), "with 4 columns"),
+    "apply_gaussian-X": ((5, 4), "with 4 rows"),
+    "load_sketch_csv-matrix": ((3, 4), r"of shape \(4, 4\)"),
 }
 
 
@@ -159,6 +180,49 @@ def test_rejects_data_that_is_not_finite(case):
     with pytest.raises(ValueError,
                        match=rf"^{name} row 2 has a non-finite entry"):
         call(X)
+
+
+@pytest.mark.parametrize("case", list(SHAPES))
+def test_rejects_data_of_the_wrong_shape(case):
+    call, name = MATRICES[case]
+    shape, expected = SHAPES[case]
+    with pytest.raises(ValueError, match=rf"^{name} must be a 2-d array "
+                       rf"{expected}, got shape \({shape[0]}, {shape[1]}\)"):
+        call(np.ones(shape))
+    call(np.eye(4))
+
+
+# (call, name, bad values, a good value): one argument of each call that
+# takes a non-negative number (_nonnegative) or a value from a fixed set
+# (_one_of)
+CHOICES = {
+    "SyntheticSpec-noise_sd": (lambda v: SyntheticSpec(4, 4, 0.5, v, 0),
+                               "noise level", (-1.0, np.inf, np.nan), 0.0),
+    "SweepConfig-noise_sd": (lambda v: SweepConfig(noise_sd=v),
+                             "noise level", (-1.0, np.inf, np.nan), 0.0),
+    "load_sketch_csv-shift": (lambda v: _load_csv(np.eye(4), shift=v),
+                              r".*sketch\.csv: shift", (-1.0, np.inf), 0.0),
+    "finalize-mode": (lambda v: StreamingSketch(2, 4).finalize(v), "mode",
+                      ("xfd",), MODE_RFD),
+    "budget_for_theta-mode": (lambda v: budget_for_theta(0.5, 1, 1.0, 1.0, v),
+                              "mode", ("xfd",), MODE_RFD),
+    "load_sketch_csv-mode": (lambda v: _load_csv(np.eye(4), mode=v),
+                             r".*sketch\.csv: mode", ("xfd",), MODE_RFD),
+    "SweepConfig-dataset": (lambda v: SweepConfig(dataset=v), "dataset",
+                            ("mystery",), "gaussian-rff"),
+}
+
+
+@pytest.mark.parametrize("case", list(CHOICES))
+def test_rejects_values_out_of_range_or_set(case):
+    # a one-of error names the set it expected
+    call, name, bad_values, good = CHOICES[case]
+    for bad in bad_values:
+        rule = (rf"one of \(.*\), got {bad!r}" if isinstance(bad, str)
+                else "non-negative and finite, got")
+        with pytest.raises(ValueError, match=rf"^{name} must be {rule}"):
+            call(bad)
+    call(good)
 
 
 # (call, name): one data vector of each public call that takes one
@@ -186,11 +250,15 @@ def test_rejects_data_that_is_not_a_finite_vector(case):
 
 
 def test_update_rejects_wrong_row_shape():
+    # update's argument is a row and is named as one
     sk = StreamingSketch(3, 4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^row must be a vector of length 4, "
+                       r"got shape \(5,\)"):
         sk.update(np.zeros(5))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^rows must be a 2-d array with 4 "
+                       "columns"):
         sk.extend(np.zeros((2, 5)))
+    assert sk.fill == 0
 
 
 def test_zero_row_leaves_covariance_unchanged():
@@ -566,7 +634,7 @@ def test_non_finite_rows_are_rejected(bad):
     _assert_state(sk, before)
     row = rng.standard_normal(5)
     row[4] = bad
-    with pytest.raises(ValueError, match="non-finite"):
+    with pytest.raises(ValueError, match="^row entry 4 is not finite"):
         sk.update(row)
     _assert_state(sk, before)
 
