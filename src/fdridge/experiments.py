@@ -21,7 +21,7 @@ from .diagnostics import (LinearModelSpec, classical_sketch_diagnostics,
                           hessian_sketch_diagnostics, optimal_diagnostics,
                           sketched_diagnostics)
 from .random_sketch import (GaussianSketchSpec, SjltSketchSpec,
-                            apply_gaussian, realize_gaussian, realize_sjlt)
+                            _gaussian_product, realize_gaussian, realize_sjlt)
 from .sketch import (MODE_FD, MODE_RFD, _count, _nonnegative, _one_of,
                      _positive, sketch_matrix, tail_masses)
 from .solvers import DivergenceError, InverseOperator, RidgeProblem, refine
@@ -74,8 +74,9 @@ class SweepConfig:
     :mod:`fdridge.sketch` and raises ConfigError naming the first bad
     one: dataset is one of the three kinds, noise_sd is non-negative and
     finite, each gamma and, where random Fourier features are drawn,
-    rff_gamma are positive and finite, and the counts are integers of at
-    least their least value.  A synthetic instance's n, d, r and noise_sd
+    rff_gamma are positive and finite, the methods are known, none
+    repeated and at least one, and the counts are integers of at least
+    their least value.  A synthetic instance's n, d, r and noise_sd
     are checked by building its :class:`SyntheticSpec`.
     """
 
@@ -104,6 +105,8 @@ class SweepConfig:
             _nonnegative("noise level", self.noise_sd)  # 0: targets without noise
             if not self.gammas:
                 raise ConfigError("the regularizer grid is empty")
+            if not self.methods:
+                raise ConfigError("no methods requested")
             for g in self.gammas:
                 _positive("regularizer", g)
             unknown = [meth for meth in self.methods if meth not in ALL_METHODS]
@@ -254,9 +257,10 @@ def _realize(config: SweepConfig, flavor: str, n: int, seed: int):
 def _sketch_product(config: SweepConfig, flavor: str, A: np.ndarray,
                     seed: int) -> np.ndarray:
     """S A for the draw that ``_realize`` would make, without holding a
-    dense Gaussian S."""
+    dense Gaussian S.  A is the runner's instance, which its first
+    public call has checked, so no draw checks it again."""
     if flavor == "gauss":
-        return apply_gaussian(
+        return _gaussian_product(
             GaussianSketchSpec(m=config.m, n=A.shape[0], seed=seed), A)
     return _realize(config, flavor, A.shape[0], seed) @ A
 
@@ -316,13 +320,11 @@ def _write_tables(out, title: str, setting: str, tables) -> None:
 
 
 def _check_methods(config: SweepConfig, allowed: tuple, protocol: str) -> None:
-    """Reject an empty method list or one naming a method outside
-    ``allowed``; ``protocol`` says which methods the runner handles."""
+    """Reject a method list naming a method outside ``allowed``;
+    ``protocol`` says which methods the runner handles."""
     bad = [meth for meth in config.methods if meth not in allowed]
     if bad:
         raise ConfigError(f"{protocol} only; cannot run {bad}")
-    if not config.methods:
-        raise ConfigError("no methods requested")
 
 
 def _sweep_values(per_trial, baseline) -> np.ndarray:
@@ -435,7 +437,6 @@ def run_iterative_experiment(config: SweepConfig, t: int, out=None) -> list:
     A, y, _ = load_instance(config)
     gammas = sorted(set(config.gammas))
     exact = InverseOperator(A, gammas[0])
-    cross = A.T @ y
     # One sketch serves every ifdrr cell: it depends on neither mode nor gamma.
     sketches = (_sketch_both(A, config.m)
                 if any(meth.startswith("ifdrr") for meth in config.methods)
@@ -472,7 +473,7 @@ def run_iterative_experiment(config: SweepConfig, t: int, out=None) -> list:
     rows = []
     for gi, g in enumerate(gammas):
         problem = RidgeProblem(A, y, g)
-        x_star = exact.retarget(g).apply(cross)
+        x_star = exact.retarget(g).apply(problem.rhs)
         for meth in config.methods:
             per_trial = [run_one(meth, gi, problem, x_star, trial)
                          for trial in _trials(config, meth.partition(":")[2])]

@@ -87,9 +87,15 @@ def apply_gaussian(spec: GaussianSketchSpec, X: np.ndarray) -> np.ndarray:
     into its rows of the result.  Beyond X and the result, the call holds
     that block instead of the m x n matrix.  X must be a finite 2-d
     array of n rows (:func:`sketch._matrix`, which names its shape or
-    first non-finite row).
+    first non-finite row); it is checked once per call, before the draw.
     """
-    X = _matrix("X", X, rows=spec.n)
+    return _gaussian_product(spec, _matrix("X", X, rows=spec.n))
+
+
+def _gaussian_product(spec: GaussianSketchSpec, X: np.ndarray) -> np.ndarray:
+    """The draw and product of :func:`apply_gaussian` for an X already
+    checked by its rule, so a loop that redraws S against one data
+    matrix reads that matrix for the products alone."""
     rng = np.random.default_rng(spec.seed)
     scale = np.sqrt(spec.m)
     out = np.empty((spec.m, X.shape[1]))

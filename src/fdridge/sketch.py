@@ -19,9 +19,6 @@ import numpy as np
 MODE_FD = "fd"
 MODE_RFD = "rfd"
 MODES = (MODE_FD, MODE_RFD)
-# Scans for non-finite entries walk this many rows at a time, so their
-# mask stays a small fraction of the data.
-_SCAN_ROWS = 1024
 
 
 def _resolution(size: int, top: float) -> float:
@@ -101,16 +98,14 @@ def _gram_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _first_nonfinite_row(rows: np.ndarray):
     """Index of the first row of a 2-d array holding a NaN or infinite
     entry, or None.  A finite sum of every entry settles it with no mask;
-    only a sum that is not finite starts the scan, :data:`_SCAN_ROWS`
-    rows at a time, which a finite array whose sum overflows passes."""
+    only a sum that is not finite, on the way to an error, builds the
+    mask that finds the row, and a finite array whose sum overflows
+    passes it."""
     with np.errstate(over="ignore", invalid="ignore"):
         if np.isfinite(rows.sum()):
             return None
-    for lo in range(0, rows.shape[0], _SCAN_ROWS):
-        bad = np.flatnonzero(~np.isfinite(rows[lo:lo + _SCAN_ROWS]).all(axis=1))
-        if bad.size:
-            return lo + int(bad[0])
-    return None
+    bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+    return int(bad[0]) if bad.size else None
 
 
 def _row_masses(rows: np.ndarray) -> np.ndarray:
@@ -381,11 +376,11 @@ def load_sketch_csv(path) -> SketchOutput:
 
     Raises ValueError naming ``path`` on a malformed header (non-integer
     m or d, a non-numeric shift included), and, through the argument
-    rules, naming the field too: a mode other than "fd" or "rfd"
-    (:func:`_one_of`), a negative or non-finite shift
-    (:func:`_nonnegative`), an unparsable entry, and a matrix that is not
-    m x d (an empty body included) or holds a non-finite entry
-    (:func:`_matrix`, which names its first such row).
+    rules, naming the field too: an m or d below 1 (:func:`_count`), a
+    mode other than "fd" or "rfd" (:func:`_one_of`), a negative or
+    non-finite shift (:func:`_nonnegative`), an unparsable entry, and a
+    matrix that is not m x d (an empty body included) or holds a
+    non-finite entry (:func:`_matrix`, which names its first such row).
     """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip()
@@ -407,7 +402,7 @@ def load_sketch_csv(path) -> SketchOutput:
         mat = np.empty((0, 0))
         if any(line.split("#", 1)[0].strip() for line in body):
             mat = np.loadtxt(body, delimiter=",", ndmin=2)
-        mat = _matrix("matrix", mat, rows=m, cols=d)
+        mat = _matrix("matrix", mat, rows=_count("m", m), cols=_count("d", d))
     except ValueError as err:
         raise ValueError(f"{path}: {err}") from None
     return SketchOutput(matrix=mat, shift=shift, mode=mode)

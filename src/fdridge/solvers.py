@@ -8,7 +8,7 @@ randomized schemes hand it one draw or a fresh draw per iteration.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -41,17 +41,24 @@ class RidgeProblem:
     regularizer positive and finite; otherwise ValueError names the
     argument and, for a NaN or infinite entry, its first row of A or
     index of y.
+
+    Construction checks A and y once and forms ``rhs`` = A^T y, the
+    right-hand side every solver of the instance reads, so neither is
+    read again for it.  A and y are held, not copied: change neither in
+    place once the problem is built.
     """
 
     A: np.ndarray
     y: np.ndarray
     gamma: float
+    rhs: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         A = _matrix("A", self.A)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "y", _vector("y", self.y, A.shape[0]))
         object.__setattr__(self, "gamma", _positive("regularizer", self.gamma))
+        object.__setattr__(self, "rhs", A.T @ self.y)
 
 
 class InverseOperator:
@@ -132,10 +139,9 @@ def solve_exact(problem: RidgeProblem) -> np.ndarray:
     """Dense oracle: factor the d x d regularized Gram matrix directly.
     gamma is added to the diagonal in place, so the call forms one d x d
     matrix."""
-    A, y, gamma = problem.A, problem.y, problem.gamma
-    H = A.T @ A
-    H.flat[::H.shape[0] + 1] += gamma
-    return np.linalg.solve(H, A.T @ y)
+    H = problem.A.T @ problem.A
+    H.flat[::H.shape[0] + 1] += problem.gamma
+    return np.linalg.solve(H, problem.rhs)
 
 
 def fdrr_solve(problem: RidgeProblem, m: int, mode: str = MODE_FD) -> np.ndarray:
@@ -146,7 +152,7 @@ def fdrr_solve(problem: RidgeProblem, m: int, mode: str = MODE_FD) -> np.ndarray
     """
     op = InverseOperator.from_sketch(sketch_matrix(problem.A, m, mode),
                                      problem.gamma)
-    return op.apply(problem.A.T @ problem.y)
+    return op.apply(problem.rhs)
 
 
 def classical_sketch_solve(SA: np.ndarray, Sy: np.ndarray,
@@ -178,9 +184,10 @@ def refine(problem: RidgeProblem,
     the same one every time for a fixed sketch, a new
     ``InverseOperator(S_i A, gamma)`` for iterative Hessian sketching.  The
     ridge gradient A^T (A x - y) + gamma x is evaluated as two streaming
-    matrix-vector products; the d x d Gram matrix is never formed.  Raises
-    :class:`DivergenceError` when the iterate norm passes the guard; the
-    partial trace rides along on the exception.
+    matrix-vector products; the d x d Gram matrix is never formed, and
+    the guard reads the problem's ``rhs`` rather than forming A^T y again.
+    Raises :class:`DivergenceError` when the iterate norm passes the
+    guard; the partial trace rides along on the exception.
     """
     A, y, gamma = problem.A, problem.y, problem.gamma
     t = _count("t", t)
@@ -189,7 +196,7 @@ def refine(problem: RidgeProblem,
     track = x_star is not None
     trace = IterativeTrace(residual_norms=[float(np.linalg.norm(x - x_star))]
                            if track else None)
-    guard = DIVERGENCE_FACTOR * np.linalg.norm(A.T @ y) / gamma
+    guard = DIVERGENCE_FACTOR * np.linalg.norm(problem.rhs) / gamma
     for i in range(t):
         grad = A.T @ (A @ x - y) + gamma * x
         x = x - preconditioner(i).apply(grad)

@@ -12,6 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from fdridge import sketch
 from fdridge.datasets import dump_libsvm, SparseRowMatrix
 from fdridge.diagnostics import (DiagnosticsReport,
                                  classical_sketch_diagnostics)
@@ -126,6 +127,14 @@ def test_config_validation(kw):
     match = "^seed must be a non-negative integer" if "seed" in kw else None
     with pytest.raises(ConfigError, match=match):
         SweepConfig(**kw)
+
+
+def test_config_refuses_an_empty_method_list():
+    # refused when the config is built, not first by a runner
+    with pytest.raises(ConfigError, match="^no methods requested$"):
+        SweepConfig(methods=())
+    with pytest.raises(ConfigError, match="^no methods requested$"):
+        load_config(overrides={"methods": ""})
 
 
 def test_child_seed_is_stable_and_order_sensitive():
@@ -355,6 +364,47 @@ def test_iterate_streams_each_instance_once(monkeypatch):
     run_iterative_experiment(
         small_config(methods=("ihs:gauss", "single:gauss"), m=32), t=2)
     assert sum(streamed) == 0
+
+
+def _instance_scans(monkeypatch, config, runs):
+    """The finiteness scans (``_first_nonfinite_row`` calls) on arrays of
+    the shape of ``config``'s instance during each call in ``runs``."""
+    shape = load_instance(config)[0].shape
+    shapes = []
+    scan = sketch._first_nonfinite_row
+
+    def counting(rows):
+        shapes.append(rows.shape)
+        return scan(rows)
+
+    monkeypatch.setattr(sketch, "_first_nonfinite_row", counting)
+    counts = []
+    for run in runs:
+        shapes.clear()
+        run()
+        counts.append(shapes.count(shape))
+    return counts
+
+
+def test_iterate_checks_the_instance_a_fixed_number_of_times(monkeypatch):
+    # the draws and refinement steps reuse the checked instance, so more
+    # trials and iterations add no scan of it
+    methods = ("ifdrr:fd", "ihs:gauss", "ihs:sjlt", "single:gauss",
+               "single:sjlt")
+    few, many = _instance_scans(monkeypatch, small_config(), [
+        lambda: run_iterative_experiment(
+            small_config(methods=methods, trials=1), t=2),
+        lambda: run_iterative_experiment(
+            small_config(methods=methods, trials=3), t=4)])
+    assert few == many > 0
+
+
+def test_sketch_accuracy_checks_the_instance_a_fixed_number_of_times(
+        monkeypatch):
+    few, many = _instance_scans(monkeypatch, small_config(), [
+        lambda: run_sketch_accuracy(small_config(trials=1)),
+        lambda: run_sketch_accuracy(small_config(trials=3))])
+    assert few == many > 0
 
 
 def test_iterate_validation():

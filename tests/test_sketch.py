@@ -5,6 +5,7 @@ test itself: tail masses from the full spectrum, spectral norms from
 eigvalsh of the symmetric difference.
 """
 import dataclasses
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -640,8 +641,8 @@ def test_non_finite_rows_are_rejected(bad):
 
 
 def test_extend_checks_finiteness_without_a_block_sized_mask(traced_peak):
-    # the check walks the block 2m rows at a time; one boolean mask over
-    # the whole block would take n * d bytes
+    # a finite block is settled by its sum; one boolean mask over the
+    # whole block would take n * d bytes
     m, n, d = 32, 8000, 128
     A = np.random.default_rng(12).standard_normal((n, d))
     sk = StreamingSketch(m, d)
@@ -749,6 +750,20 @@ def test_csv_rejects_non_finite_entries_and_bad_shift(tmp_path, text):
     path = tmp_path / "bad.csv"
     path.write_text(text, encoding="utf-8")
     with pytest.raises(ValueError, match="bad.csv"):
+        load_sketch_csv(path)
+
+
+@pytest.mark.parametrize("text,value", [
+    ("# 0,0,0.0,fd\n", "0"),
+    ("# -1,2,0.0,fd\n0,0\n", "-1"),
+])
+def test_csv_header_sizes_are_counts(tmp_path, text, value):
+    # m and d go through the count rule: a 0 x 0 sketch is not loaded, and
+    # a negative m is a bad header, not a matrix of the wrong shape
+    path = tmp_path / "sizes.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: m must "
+                       rf"be a positive integer, got {value}$"):
         load_sketch_csv(path)
 
 

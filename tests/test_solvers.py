@@ -36,6 +36,24 @@ def make_problem(seed, n=30, d=6, gamma=0.7, noise=0.1):
     return RidgeProblem(A, y, gamma)
 
 
+def test_problem_forms_its_right_hand_side_once():
+    problem = make_problem(3)
+    assert np.array_equal(problem.rhs, problem.A.T @ problem.y)
+    # the solvers and the divergence guard read rhs, not A^T y formed
+    # again: with a doubled rhs the estimates double, and with a zero rhs
+    # the first nonzero iterate trips the guard
+    object.__setattr__(problem, "rhs", 2.0 * problem.rhs)
+    assert np.allclose(solve_exact(problem),
+                       2.0 * dense_ridge(problem.A, problem.y, problem.gamma))
+    lossless = InverseOperator.from_sketch(
+        sketch_matrix(problem.A, 8), problem.gamma).apply(problem.rhs)
+    assert np.array_equal(fdrr_solve(problem, 8), lossless)
+    object.__setattr__(problem, "rhs", np.zeros_like(problem.rhs))
+    with pytest.raises(DivergenceError):
+        refine(problem, lambda _i: InverseOperator(problem.A, problem.gamma),
+               t=1)
+
+
 def test_problem_validation():
     with pytest.raises(ValueError):
         RidgeProblem(np.eye(3), np.zeros(3), 0.0)
