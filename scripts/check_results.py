@@ -6,8 +6,9 @@
 Every table in ``results/`` must have a counterpart of the same name in
 DIR (regenerate with ``--out DIR/<name>`` on each command of
 ``scripts/reproduce.sh``).  ``results/`` is only read, never written.
-The ``#`` lines, which embed the run's config, must match exactly; the
-first that differs is printed.
+The ``#`` lines, which embed the run's config, must match exactly; for
+the first that differs, the ``key=value`` tokens found on one side only
+are printed.
 
 Rules, per cell:
 
@@ -105,6 +106,18 @@ def _deviation(col: str, new: float, ref: float, slack: float) -> tuple:
     return rel, diff, share
 
 
+def _header_difference(new, ref) -> str:
+    """The whitespace-separated tokens (``key=value`` on the config line)
+    that only one of two ``#`` lines holds; a missing line holds none."""
+    new, ref = (new or "").split(), (ref or "").split()
+    parts = []
+    for side, ours, theirs in (("new", new, ref), ("reference", ref, new)):
+        only = [token for token in ours if token not in theirs]
+        if only:
+            parts.append(f"only in {side}: {' '.join(only)}")
+    return "; ".join(parts) or "the same tokens in another order"
+
+
 def _sign(a: float, b: float) -> int:
     if math.isnan(a) or math.isnan(b):
         return 2  # a diverged cell has no order; it must stay that way
@@ -149,7 +162,8 @@ def compare(new_rows: list, ref_rows: list, name: str,
     for lineno, (new, ref) in enumerate(
             itertools.zip_longest(new_comments, ref_comments), start=1):
         if new != ref:
-            print(f"{name}: # line {lineno} differs: {new!r} != {ref!r}")
+            print(f"{name}: # line {lineno} differs: "
+                  f"{_header_difference(new, ref)}")
             ok = False
             break
     if len(new_rows) != len(ref_rows) or (

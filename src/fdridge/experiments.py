@@ -72,12 +72,15 @@ class SweepConfig:
 
     Construction checks the keys through the argument rules of
     :mod:`fdridge.sketch` and raises ConfigError naming the first bad
-    one: dataset is one of the three kinds, noise_sd is non-negative and
-    finite, each gamma and, where random Fourier features are drawn,
+    key: dataset is one of the three kinds, noise_sd is non-negative and
+    finite, each of gammas and, where random Fourier features are drawn,
     rff_gamma are positive and finite, the methods are known, none
     repeated and at least one, and the counts are integers of at least
     their least value.  A synthetic instance's n, d, r and noise_sd
-    are checked by building its :class:`SyntheticSpec`.
+    are checked by building its :class:`SyntheticSpec`.  The gamma grid
+    is then stored sorted and without repeats, the order in which the
+    runners walk it.  Any m works with every method: the SJLT's block
+    count follows from m where the sketch is drawn.
     """
 
     dataset: str = "synthetic"
@@ -94,21 +97,19 @@ class SweepConfig:
     methods: tuple = STATISTICAL_METHODS
     trials: int = 10
     seed: int = 0
-    # Block count for the SJLT.  The construction requires sjlt_s | m, so
-    # the default is the divisor of m = 256 closest to the usual choice 10.
-    sjlt_s: int = 8
     out: str | None = None
 
     def __post_init__(self):
         try:
             _one_of("dataset", self.dataset, _DATASETS)
-            _nonnegative("noise level", self.noise_sd)  # 0: targets without noise
+            _nonnegative("noise_sd", self.noise_sd)  # 0: targets without noise
             if not self.gammas:
                 raise ConfigError("the regularizer grid is empty")
             if not self.methods:
                 raise ConfigError("no methods requested")
-            for g in self.gammas:
-                _positive("regularizer", g)
+            # the runners walk the grid in this order and seed by position
+            object.__setattr__(self, "gammas", tuple(sorted(
+                {_positive("gammas", g) for g in self.gammas})))
             unknown = [meth for meth in self.methods if meth not in ALL_METHODS]
             if unknown:
                 raise ConfigError(f"unknown methods {unknown}; "
@@ -127,11 +128,7 @@ class SweepConfig:
             if self.dataset == "synthetic":
                 self._synthetic_spec()
             elif self.dataset == "gaussian-rff" or self.rff_features:
-                _positive("kernel width", self.rff_gamma)
-            if (any(meth.endswith(":sjlt") for meth in self.methods)
-                    and self.m % _count("sjlt_s", self.sjlt_s)):
-                raise ConfigError(f"sjlt_s must divide m, "
-                                  f"got sjlt_s={self.sjlt_s}, m={self.m}")
+                _positive("rff_gamma", self.rff_gamma)
         except ValueError as err:
             raise ConfigError(str(err)) from None
 
@@ -141,7 +138,7 @@ class SweepConfig:
                              noise_sd=self.noise_sd, seed=self.seed)
 
 
-_INT_KEYS = {"n", "d", "raw_dim", "rff_features", "m", "trials", "seed", "sjlt_s"}
+_INT_KEYS = {"n", "d", "raw_dim", "rff_features", "m", "trials", "seed"}
 _FLOAT_KEYS = {"r", "noise_sd", "rff_gamma"}
 _LIST_KEYS = {"gammas", "methods"}
 
@@ -248,10 +245,13 @@ def _trials(config: SweepConfig, flavor: str) -> range:
 
 
 def _realize(config: SweepConfig, flavor: str, n: int, seed: int):
+    """The m x n sketch of ``flavor`` drawn from ``seed``.  The SJLT's
+    block count s must divide m, so it is the largest divisor of m up to
+    8, the divisor of m = 256 closest to the usual choice of 10 blocks."""
     if flavor == "gauss":
         return realize_gaussian(GaussianSketchSpec(m=config.m, n=n, seed=seed))
-    return realize_sjlt(SjltSketchSpec(m=config.m, n=n, s=config.sjlt_s,
-                                       seed=seed))
+    s = max(k for k in range(1, 9) if config.m % k == 0)
+    return realize_sjlt(SjltSketchSpec(m=config.m, n=n, s=s, seed=seed))
 
 
 def _sketch_product(config: SweepConfig, flavor: str, A: np.ndarray,
@@ -364,7 +364,7 @@ def run_bias_variance_sweep(config: SweepConfig, raw: bool = False,
         raise ConfigError(
             "bias/variance diagnostics need an instance with known weights "
             "(synthetic or gaussian-rff with noise_sd > 0)")
-    gammas = sorted(set(config.gammas))
+    gammas = config.gammas
     baseline = optimal_diagnostics(A, model, gammas)
     sketched = {}
     if {"fdrr", "rfdrr"} & set(config.methods):
@@ -373,7 +373,7 @@ def run_bias_variance_sweep(config: SweepConfig, raw: bool = False,
         sketches = _sketch_both(A, config.m)
         shift = sketches[MODE_RFD].shift
         both = sketched_diagnostics(A, sketches[MODE_FD], model,
-                                    gammas + [g + shift for g in gammas])
+                                    gammas + tuple(g + shift for g in gammas))
         sketched = {"fdrr": both[:len(gammas)], "rfdrr": both[len(gammas):]}
 
     def trial_reports(meth, trial):
@@ -435,8 +435,7 @@ def run_iterative_experiment(config: SweepConfig, t: int, out=None) -> list:
     _check_methods(config, ITERATIVE_METHODS,
                    "iteration study handles iterative solvers")
     A, y, _ = load_instance(config)
-    gammas = sorted(set(config.gammas))
-    exact = InverseOperator(A, gammas[0])
+    exact = InverseOperator(A, config.gammas[0])
     # One sketch serves every ifdrr cell: it depends on neither mode nor gamma.
     sketches = (_sketch_both(A, config.m)
                 if any(meth.startswith("ifdrr") for meth in config.methods)
@@ -471,7 +470,7 @@ def run_iterative_experiment(config: SweepConfig, t: int, out=None) -> list:
         return errors, flag
 
     rows = []
-    for gi, g in enumerate(gammas):
+    for gi, g in enumerate(config.gammas):
         problem = RidgeProblem(A, y, g)
         x_star = exact.retarget(g).apply(problem.rhs)
         for meth in config.methods:

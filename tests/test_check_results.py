@@ -153,13 +153,19 @@ def test_changed_config_line_fails(check, tmp_path, monkeypatch, capsys):
     results.mkdir()
     fresh.mkdir()
     body = "method,gamma\nexact,1\n"
-    (results / "a.csv").write_text("# sweep\n# m=256 seed=0\n" + body)
-    (fresh / "a.csv").write_text("# sweep\n# m=256 seed=1\n" + body)
+    (results / "a.csv").write_text("# sweep\n# m=256 seed=0 sjlt_s=8\n" + body)
+    (fresh / "a.csv").write_text("# sweep\n# m=256 seed=1 sjlt_s=8\n" + body)
     monkeypatch.setattr(check, "RESULTS", results)
     assert check.main([str(fresh)]) == 1
     out = capsys.readouterr().out
-    assert "a.csv: # line 2 differs: '# m=256 seed=1' != '# m=256 seed=0'" in out
+    assert ("a.csv: # line 2 differs: only in new: seed=1; "
+            "only in reference: seed=0\n") in out
+    # a key dropped from the config: only its token is printed
+    (fresh / "a.csv").write_text("# sweep\n# m=256 seed=0\n" + body)
+    assert check.main([str(fresh)]) == 1
+    out = capsys.readouterr().out
+    assert "a.csv: # line 2 differs: only in reference: sjlt_s=8\n" in out
     (fresh / "a.csv").write_text("# sweep\n" + body)
     assert check.main([str(fresh)]) == 1
-    (fresh / "a.csv").write_text("# sweep\n# m=256 seed=0\n" + body)
+    (fresh / "a.csv").write_text("# sweep\n# m=256 seed=0 sjlt_s=8\n" + body)
     assert check.main([str(fresh)]) == 0

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from fdridge.cli import _build_parser, main
-from fdridge.experiments import load_config
+from fdridge.experiments import _config_comment, load_config
 
 REPO = Path(__file__).resolve().parents[1]
 REPRODUCE = REPO / "scripts" / "reproduce.sh"
@@ -102,11 +102,11 @@ def test_sketch_acc_subcommand(config_path, tmp_path):
     (["--set", "zorp=1"], "unknown config key"),
     (["--set", "seed"], "KEY=VALUE"),
     (["--set", "methods=ifdrr:fd"], "one-shot"),
-    (["--set", "noise_sd=inf"], "noise level"),
+    (["--set", "noise_sd=inf"], "noise_sd"),
     (["--set", "dataset=gaussian-rff", "--set", "rff_gamma=inf"],
-     "kernel width"),
-    (["--set", "dataset=gaussian-rff", "--set", "noise_sd=-1"], "noise level"),
-    (["--set", "dataset=gaussian-rff", "--set", "noise_sd=nan"], "noise level"),
+     "rff_gamma"),
+    (["--set", "dataset=gaussian-rff", "--set", "noise_sd=-1"], "noise_sd"),
+    (["--set", "dataset=gaussian-rff", "--set", "noise_sd=nan"], "noise_sd"),
 ])
 def test_cli_errors_exit_2(config_path, capsys, argv_tail, fragment):
     code = main(["sweep", "--config", str(config_path)] + argv_tail)
@@ -145,7 +145,10 @@ def test_jobs_one_still_runs(config_path, tmp_path, command):
 
 def test_reproduce_script_parses():
     """Every fdridge line of scripts/reproduce.sh parses and names a config
-    that loads, so a bad key or value fails here; nothing is run."""
+    that loads, so a bad key or value fails here, and line 2 of each
+    results/ table it writes is that config's line, so a key added,
+    dropped or reformatted fails here too, the iterate table included;
+    nothing is run."""
     lines = [shlex.split(line) for line in REPRODUCE.read_text().splitlines()
              if line.startswith("python3 -m fdridge.cli ")]
     assert {argv[3] for argv in lines} == {"sweep", "iterate", "sketch-acc"}
@@ -155,7 +158,14 @@ def test_reproduce_script_parses():
             args = parser.parse_args(argv[3:])
         except SystemExit:
             pytest.fail(f"reproduce.sh line does not parse: {shlex.join(argv)}")
-        load_config(REPO / args.config)
+        config = load_config(REPO / args.config)
+        expected = "# " + _config_comment(config) + (
+            f" t={args.t}" if args.command == "iterate" else "")
+        name = Path(config.out).name
+        for table in [name] + ([f"{name}.raw.csv"]
+                               if getattr(args, "raw", False) else []):
+            text = (REPO / "results" / table).read_text(encoding="utf-8")
+            assert text.splitlines()[1] == expected, table
 
 
 def _first_difference(path, ref):

@@ -18,13 +18,14 @@ from fdridge.diagnostics import (DiagnosticsReport,
                                  classical_sketch_diagnostics)
 from fdridge.experiments import (ACC_COLUMNS, ConfigError, ITER_COLUMNS,
                                  ITERATIVE_METHODS, STATISTICAL_METHODS,
-                                 SWEEP_COLUMNS, SweepConfig, _sweep_row,
-                                 _sweep_values, child_seed, load_config,
-                                 load_instance,
+                                 SWEEP_COLUMNS, SweepConfig, _realize,
+                                 _sweep_row, _sweep_values, child_seed,
+                                 load_config, load_instance,
                                  run_bias_variance_sweep,
                                  run_iterative_experiment,
                                  run_sketch_accuracy, write_csv)
-from fdridge.random_sketch import GaussianSketchSpec, realize_gaussian
+from fdridge.random_sketch import (GaussianSketchSpec, SjltSketchSpec,
+                                   realize_gaussian, realize_sjlt)
 from fdridge.sketch import StreamingSketch, tail_masses
 
 
@@ -77,6 +78,11 @@ def test_load_config_error_positions(tmp_path):
     path.write_text("just words\n")
     with pytest.raises(ConfigError, match="key = value"):
         load_config(path)
+    # the SJLT's block count follows from m; it is no key
+    path.write_text("sjlt_s = 8\n")
+    with pytest.raises(ConfigError,
+                       match="bad.cfg:1: unknown config key 'sjlt_s'"):
+        load_config(path)
     with pytest.raises(ConfigError, match="could not parse"):
         load_config(None, overrides={"trials": "many"})
     with pytest.raises(ConfigError, match="unknown config key"):
@@ -93,7 +99,6 @@ def test_load_config_error_positions(tmp_path):
     dict(gammas=(0.0, 1.0)),
     dict(methods=("zigzag",)),
     dict(dataset="libsvm"),
-    dict(methods=("classical:sjlt",), sjlt_s=7, m=256),
     dict(gammas=(1.0, math.inf)),
     dict(dataset="gaussian-rff", n=0),
     dict(dataset="gaussian-rff", raw_dim=0),
@@ -109,8 +114,6 @@ def test_load_config_error_positions(tmp_path):
     dict(dataset="gaussian-rff", n=2.5),
     dict(dataset="gaussian-rff", raw_dim=True),
     dict(dataset="libsvm", libsvm_path="data.txt", rff_features=2.5),
-    dict(methods=("classical:sjlt",), sjlt_s=2.0),
-    dict(methods=("classical:sjlt",), sjlt_s=True),
     dict(seed=2.5),
     dict(seed=2.0),
     dict(seed=True),
@@ -135,6 +138,31 @@ def test_config_refuses_an_empty_method_list():
         SweepConfig(methods=())
     with pytest.raises(ConfigError, match="^no methods requested$"):
         load_config(overrides={"methods": ""})
+
+
+def test_gamma_grid_is_sorted_and_deduplicated_once(tmp_path):
+    assert SweepConfig(gammas=(4.0, 1.0, 4.0)).gammas == (1.0, 4.0)
+    tables = []
+    for gammas in ((4.0, 1.0, 4.0), (1.0, 4.0)):
+        out = tmp_path / "sweep.csv"
+        run_bias_variance_sweep(small_config(
+            gammas=gammas, methods=("exact", "fdrr", "hessian:gauss"),
+            trials=2), out=out)
+        tables.append(out.read_bytes())
+    assert tables[0] == tables[1]
+
+
+def test_sjlt_block_count_follows_from_m():
+    # the largest divisor of m up to 8: one nonzero of 1/sqrt(s) per block
+    n, seed = 20, 5
+    for m, s in ((256, 8), (40, 8), (12, 6), (9, 3), (7, 7)):
+        S = _realize(SweepConfig(m=m), "sjlt", n, seed)
+        assert S.shape == (m, n)
+        assert S.nnz == s * n
+        np.testing.assert_array_equal(np.abs(S.data), 1.0 / np.sqrt(s))
+    drawn = _realize(SweepConfig(m=256), "sjlt", n, seed)
+    spec = realize_sjlt(SjltSketchSpec(m=256, n=n, s=8, seed=seed))
+    np.testing.assert_array_equal(drawn.toarray(), spec.toarray())
 
 
 def test_child_seed_is_stable_and_order_sensitive():
@@ -447,6 +475,13 @@ def test_sketch_accuracy_bounds():
         # spectral error of the robust variant never exceeds the plain one
         assert per_method["rfd"][0]["spectral_error"] <= \
             per_method["fd"][0]["spectral_error"]
+
+
+def test_sketch_accuracy_draws_an_sjlt_at_any_m():
+    # sketch-acc compares every flavor whatever the config's methods say
+    rows = run_sketch_accuracy(small_config(m=12, trials=2,
+                                            methods=("exact",)))
+    assert {row["method"] for row in rows} == {"fd", "rfd", "gauss", "sjlt"}
 
 
 def test_sketch_accuracy_writes_table(tmp_path):

@@ -200,7 +200,7 @@ CHOICES = {
     "SyntheticSpec-noise_sd": (lambda v: SyntheticSpec(4, 4, 0.5, v, 0),
                                "noise level", (-1.0, np.inf, np.nan), 0.0),
     "SweepConfig-noise_sd": (lambda v: SweepConfig(noise_sd=v),
-                             "noise level", (-1.0, np.inf, np.nan), 0.0),
+                             "noise_sd", (-1.0, np.inf, np.nan), 0.0),
     "load_sketch_csv-shift": (lambda v: _load_csv(np.eye(4), shift=v),
                               r".*sketch\.csv: shift", (-1.0, np.inf), 0.0),
     "finalize-mode": (lambda v: StreamingSketch(2, 4).finalize(v), "mode",
