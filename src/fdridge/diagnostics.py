@@ -138,12 +138,11 @@ def _data_terms(A: np.ndarray, basis: np.ndarray) -> tuple:
     step = max(DIAGNOSTICS_BLOCK_BYTES // (8 * d), 1)
     for lo in range(0, n, step):
         block = A[lo:lo + step]
-        if keep is not None:
-            kept = keep[lo:lo + step]
-            if not kept.any():
-                continue
-            if not kept.all():
-                block = block[kept]
+        kept = keep[lo:lo + step]
+        if not kept.any():
+            continue
+        if not kept.all():
+            block = block[kept]
         inside = block @ basis
         weights += np.einsum("ij,ij->j", inside, inside)
         beyond = inside @ basis.T

@@ -67,18 +67,18 @@ class SweepConfig:
     raw_dim pushed through random Fourier features to dimension d, with a
     planted unit-norm weight vector), or "libsvm" (read libsvm_path, keep
     the first n samples, optionally expand to rff_features dimensions;
-    n = 0 keeps every sample, rff_features unset or 0 keeps the raw
-    features).
+    n = 0 keeps every sample, rff_features = 0 keeps the raw features).
 
     Construction checks the keys through the argument rules of
     :mod:`fdridge.sketch` and raises ConfigError naming the first bad
     key: dataset is one of the three kinds, noise_sd is non-negative and
-    finite, each of gammas and, where random Fourier features are drawn,
-    rff_gamma are positive and finite, the methods are known, none
-    repeated and at least one, and the counts are integers of at least
-    their least value.  A synthetic instance's n, d, r and noise_sd
-    are checked by building its :class:`SyntheticSpec`.  The gamma grid
-    is then stored sorted and without repeats, the order in which the
+    finite, the list keys gammas and methods are each a non-empty tuple
+    or list, each gamma and, where random Fourier features are drawn,
+    rff_gamma are positive and finite, the methods are known and none
+    repeated, and the counts are integers of at least their least value.
+    A synthetic instance's n, d, r and noise_sd are checked by building
+    its :class:`SyntheticSpec`.  Both list keys are stored as tuples, the
+    gamma grid sorted and without repeats, the order in which the
     runners walk it.  Any m works with every method: the SJLT's block
     count follows from m where the sketch is drawn.
     """
@@ -90,7 +90,7 @@ class SweepConfig:
     noise_sd: float = 2.0
     raw_dim: int = 8
     rff_gamma: float = 1.0
-    rff_features: int | None = None
+    rff_features: int = 0
     libsvm_path: str | None = None
     m: int = 256
     gammas: tuple = tuple(2.0 ** k for k in range(-8, 7))
@@ -103,10 +103,12 @@ class SweepConfig:
         try:
             _one_of("dataset", self.dataset, _DATASETS)
             _nonnegative("noise_sd", self.noise_sd)  # 0: targets without noise
-            if not self.gammas:
-                raise ConfigError("the regularizer grid is empty")
-            if not self.methods:
-                raise ConfigError("no methods requested")
+            for key in ("gammas", "methods"):
+                value = getattr(self, key)
+                if not isinstance(value, (tuple, list)) or not value:
+                    raise ConfigError(f"{key} must be a non-empty tuple or "
+                                      f"list, got {value!r}")
+                object.__setattr__(self, key, tuple(value))
             # the runners walk the grid in this order and seed by position
             object.__setattr__(self, "gammas", tuple(sorted(
                 {_positive("gammas", g) for g in self.gammas})))
@@ -122,9 +124,7 @@ class SweepConfig:
                 raise ConfigError("dataset 'libsvm' needs libsvm_path")
             for key, least in {**_COUNTS,
                                **_MINIMUMS.get(self.dataset, {})}.items():
-                value = getattr(self, key)
-                # an unset rff_features counts as 0
-                _count(key, 0 if value is None else value, least)
+                _count(key, getattr(self, key), least)
             if self.dataset == "synthetic":
                 self._synthetic_spec()
             elif self.dataset == "gaussian-rff" or self.rff_features:
@@ -138,43 +138,41 @@ class SweepConfig:
                              noise_sd=self.noise_sd, seed=self.seed)
 
 
-_INT_KEYS = {"n", "d", "raw_dim", "rff_features", "m", "trials", "seed"}
-_FLOAT_KEYS = {"r", "noise_sd", "rff_gamma"}
-_LIST_KEYS = {"gammas", "methods"}
-
-
 def _parse_number(token: str) -> float:
-    token = token.strip()
     if "^" in token:  # allow 2^-8 style grid entries
         base, _, exp = token.partition("^")
-        return float(base) ** float(exp)
+        return math.pow(float(base), float(exp))
     return float(token)
 
 
 def _coerce(key: str, value) -> object:
+    """``value`` as the type of ``key``'s :class:`SweepConfig` default
+    when it is text: an int, float or str as the default is; a tuple of
+    the comma-separated items for a list key, grid entries parsed by
+    :func:`_parse_number`; the text itself for a path whose default is
+    None.  Text that does not parse, a power form that cannot be
+    evaluated (``0^-1``, ``10^400``, ``-8^0.5``) included, raises
+    ConfigError; any other value is returned unchanged."""
     if not isinstance(value, str):
         return value
     text = value.strip()
+    default = getattr(SweepConfig, key)
     try:
-        if key in _INT_KEYS:
-            return int(text)
-        if key in _FLOAT_KEYS:
-            return float(text)
-        if key in _LIST_KEYS:
-            items = [tok.strip() for tok in text.split(",") if tok.strip()]
-            if key == "methods":
-                return tuple(items)
-            return tuple(_parse_number(tok) for tok in items)
-    except ValueError:
+        if isinstance(default, tuple):
+            parse = _parse_number if isinstance(default[0], float) else str
+            return tuple(parse(tok.strip()) for tok in text.split(",")
+                         if tok.strip())
+        return text if default is None else type(default)(text)
+    except (ArithmeticError, ValueError):
         raise ConfigError(f"could not parse {key} = {text!r}") from None
-    return text
 
 
 def load_config(path=None, overrides: dict | None = None) -> SweepConfig:
     """Build a config from a ``key = value`` text file plus overrides.
 
-    Lines are ``key = value``; ``#`` starts a comment.  List values are
-    comma separated and numeric entries may use the 2^-8 power form.
+    Lines are ``key = value``; ``#`` starts a comment.  Each value parses
+    as its key's type (:func:`_coerce`): list values are comma separated
+    and grid entries may use the 2^-8 power form.
     Overrides (e.g. from command-line flags) take precedence over the
     file, which takes precedence over defaults.
     """

@@ -34,7 +34,7 @@ def _light_rows(mass: np.ndarray, floor, fixed: int = 0):
     first ``fixed``, whose running total stays at or below ``floor``.
     The floor is a scalar or, for 1, 2, ... rows left out, a sequence
     that does not grow, so the counts that fit run from 1 up to a cut.
-    Returns None when no row is left out.
+    The mask is all True when no row is left out.
 
     ``mass`` comes from :func:`_row_masses`, which rejects rows whose
     masses have no finite total, so every running total here is finite.
@@ -42,8 +42,6 @@ def _light_rows(mass: np.ndarray, floor, fixed: int = 0):
     order = fixed + np.argsort(mass[fixed:], kind="stable")
     running = np.cumsum(mass[order])
     drop = np.count_nonzero(running <= floor)
-    if not drop:
-        return None
     keep = np.ones(mass.size, dtype=bool)
     keep[order[:drop]] = False
     return keep
@@ -68,7 +66,7 @@ def _resolved_rows(rows: np.ndarray, fixed: int = 0) -> np.ndarray:
     left = np.arange(rows.shape[0] - 1, fixed - 1, -1)
     floor = _resolution(np.minimum(left, rows.shape[1]), top)
     keep = _light_rows(mass, floor, fixed)
-    return rows if keep is None else rows[keep]
+    return rows if keep.all() else rows[keep]
 
 
 def _gram_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -107,6 +107,10 @@ def test_sketch_acc_subcommand(config_path, tmp_path):
      "rff_gamma"),
     (["--set", "dataset=gaussian-rff", "--set", "noise_sd=-1"], "noise_sd"),
     (["--set", "dataset=gaussian-rff", "--set", "noise_sd=nan"], "noise_sd"),
+    # a power form that cannot be evaluated is no grid entry
+    (["--set", "gammas=0^-1"], "could not parse gammas = '0^-1'"),
+    (["--set", "gammas=10^400"], "could not parse gammas = '10^400'"),
+    (["--set", "gammas=-8^0.5"], "could not parse gammas = '-8^0.5'"),
 ])
 def test_cli_errors_exit_2(config_path, capsys, argv_tail, fragment):
     code = main(["sweep", "--config", str(config_path)] + argv_tail)

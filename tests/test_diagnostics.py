@@ -387,7 +387,7 @@ def test_rows_below_rounding_change_no_report(grid_instance, monkeypatch,
     np.testing.assert_allclose(grids(padded), grids(A), rtol=1e-15)
     assert len(masks) == 8
     assert all(np.array_equal(keep, stays) for keep in masks[:4])
-    assert all(keep is None for keep in masks[4:])
+    assert all(keep.all() for keep in masks[4:])
 
 
 def test_diagnostics_hold_no_copy_of_the_data(traced_peak):

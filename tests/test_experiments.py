@@ -8,6 +8,7 @@ rates measured on a hand-tuned instance.
 """
 import math
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -18,9 +19,9 @@ from fdridge.diagnostics import (DiagnosticsReport,
                                  classical_sketch_diagnostics)
 from fdridge.experiments import (ACC_COLUMNS, ConfigError, ITER_COLUMNS,
                                  ITERATIVE_METHODS, STATISTICAL_METHODS,
-                                 SWEEP_COLUMNS, SweepConfig, _realize,
-                                 _sweep_row, _sweep_values, child_seed,
-                                 load_config, load_instance,
+                                 SWEEP_COLUMNS, SweepConfig, _config_comment,
+                                 _fmt, _realize, _sweep_row, _sweep_values,
+                                 child_seed, load_config, load_instance,
                                  run_bias_variance_sweep,
                                  run_iterative_experiment,
                                  run_sketch_accuracy, write_csv)
@@ -91,53 +92,91 @@ def test_load_config_error_positions(tmp_path):
         load_config(None, overrides={"methods": "ifdrr:rfd, ifdrr:rfd"})
 
 
-@pytest.mark.parametrize("kw", [
-    dict(dataset="mystery"),
-    dict(m=0),
-    dict(trials=0),
-    dict(gammas=()),
-    dict(gammas=(0.0, 1.0)),
-    dict(methods=("zigzag",)),
-    dict(dataset="libsvm"),
-    dict(gammas=(1.0, math.inf)),
-    dict(dataset="gaussian-rff", n=0),
-    dict(dataset="gaussian-rff", raw_dim=0),
-    dict(dataset="libsvm", libsvm_path="data.txt", n=-2),
-    dict(dataset="gaussian-rff", d=0),
-    dict(dataset="libsvm", libsvm_path="data.txt", rff_features=-3),
-    dict(methods=("exact", "exact")),
-    dict(methods=("ifdrr:rfd", "ihs:gauss", "ifdrr:rfd")),
-    dict(m=2.5, methods=("fdrr",)),
-    dict(m=True, methods=("fdrr",)),
-    dict(trials=2.5),
-    dict(trials=True),
-    dict(dataset="gaussian-rff", n=2.5),
-    dict(dataset="gaussian-rff", raw_dim=True),
-    dict(dataset="libsvm", libsvm_path="data.txt", rff_features=2.5),
-    dict(seed=2.5),
-    dict(seed=2.0),
-    dict(seed=True),
-    dict(seed=-1),
-    # checked when the config is built, not when the instance is loaded
-    dict(r=2.0),
-    dict(r=0.001, d=4),
-    dict(dataset="gaussian-rff", rff_gamma=-1.0),
-    dict(dataset="libsvm", libsvm_path="data.txt", rff_features=8,
-         rff_gamma=0.0),
-])
-def test_config_validation(kw):
+# the list rule's message for a list key that is not a non-empty list
+_NOT_A_LIST = " must be a non-empty tuple or list, got "
+# (keywords, the message they must raise or None), run as kw0, kw1, ...
+_INVALID_CONFIGS = [
+    (dict(dataset="mystery"), None),
+    (dict(m=0), None),
+    (dict(trials=0), None),
+    (dict(gammas=()), r"^gammas" + _NOT_A_LIST + r"\(\)$"),
+    (dict(gammas=(0.0, 1.0)), None),
+    (dict(methods=("zigzag",)), None),
+    (dict(dataset="libsvm"), None),
+    (dict(gammas=(1.0, math.inf)), None),
+    (dict(dataset="gaussian-rff", n=0), None),
+    (dict(dataset="gaussian-rff", raw_dim=0), None),
+    (dict(dataset="libsvm", libsvm_path="data.txt", n=-2), None),
+    (dict(dataset="gaussian-rff", d=0), None),
+    (dict(dataset="libsvm", libsvm_path="data.txt", rff_features=-3), None),
+    (dict(methods=("exact", "exact")), None),
+    (dict(methods=("ifdrr:rfd", "ihs:gauss", "ifdrr:rfd")), None),
+    (dict(m=2.5, methods=("fdrr",)), None),
+    (dict(m=True, methods=("fdrr",)), None),
+    (dict(trials=2.5), None),
+    (dict(trials=True), None),
+    (dict(dataset="gaussian-rff", n=2.5), None),
+    (dict(dataset="gaussian-rff", raw_dim=True), None),
+    (dict(dataset="libsvm", libsvm_path="data.txt", rff_features=2.5), None),
     # a seed is a count like the others: named, not truncated or read as 1
-    match = "^seed must be a non-negative integer" if "seed" in kw else None
+    (dict(seed=2.5), "^seed must be a non-negative integer"),
+    (dict(seed=2.0), "^seed must be a non-negative integer"),
+    (dict(seed=True), "^seed must be a non-negative integer"),
+    (dict(seed=-1), "^seed must be a non-negative integer"),
+    # checked when the config is built, not when the instance is loaded
+    (dict(r=2.0), None),
+    (dict(r=0.001, d=4), None),
+    (dict(dataset="gaussian-rff", rff_gamma=-1.0), None),
+    (dict(dataset="libsvm", libsvm_path="data.txt", rff_features=8,
+          rff_gamma=0.0), None),
+    # a list key that is no list is refused by name, not iterated
+    (dict(gammas=1.0), "^gammas" + _NOT_A_LIST + "1.0$"),
+    (dict(methods="fdrr"), "^methods" + _NOT_A_LIST + "'fdrr'$"),
+    # rff_features = 0 keeps the raw features; None is no count
+    (dict(dataset="libsvm", libsvm_path="data.txt", rff_features=None),
+     "^rff_features must be a non-negative integer, got None$"),
+]
+
+
+@pytest.mark.parametrize("kw,match", _INVALID_CONFIGS,
+                         ids=[f"kw{i}" for i in range(len(_INVALID_CONFIGS))])
+def test_config_validation(kw, match):
     with pytest.raises(ConfigError, match=match):
         SweepConfig(**kw)
 
 
 def test_config_refuses_an_empty_method_list():
     # refused when the config is built, not first by a runner
-    with pytest.raises(ConfigError, match="^no methods requested$"):
+    empty = "^methods" + _NOT_A_LIST + r"\(\)$"
+    with pytest.raises(ConfigError, match=empty):
         SweepConfig(methods=())
-    with pytest.raises(ConfigError, match="^no methods requested$"):
+    with pytest.raises(ConfigError, match=empty):
         load_config(overrides={"methods": ""})
+
+
+def test_list_keys_are_stored_as_tuples():
+    config = SweepConfig(methods=["exact", "fdrr"], gammas=[2.0, 0.5])
+    assert config.methods == ("exact", "fdrr")
+    assert config.gammas == (0.5, 2.0)
+    same = SweepConfig(methods=("exact", "fdrr"), gammas=(0.5, 2.0))
+    assert hash(config) == hash(same)
+    assert " methods=exact;fdrr " in _config_comment(config)
+
+
+@pytest.mark.parametrize("field", [f for f in fields(SweepConfig)
+                                   if f.default is not None],
+                         ids=lambda f: f.name)
+def test_each_key_reads_back_as_its_default_type(field):
+    # a key's type is stated once, by its default: written as config
+    # text and read back, every default comes back equal and of its type
+    default = field.default
+    text = (",".join(map(_fmt, default)) if isinstance(default, tuple)
+            else _fmt(default))
+    value = getattr(load_config(overrides={field.name: text}), field.name)
+    assert value == default
+    assert type(value) is type(default)
+    if isinstance(default, tuple):
+        assert list(map(type, value)) == list(map(type, default))
 
 
 def test_gamma_grid_is_sorted_and_deduplicated_once(tmp_path):
