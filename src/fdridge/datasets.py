@@ -47,6 +47,7 @@ class SyntheticSpec:
     def __post_init__(self):
         _count("n", self.n)
         _count("d", self.d)
+        _count("seed", self.seed, 0)
         if not 0.0 < self.r <= 1.0:
             raise ValueError(f"rank fraction must lie in (0, 1], got {self.r}")
         _nonnegative("noise level", self.noise_sd)  # 0: targets without noise
@@ -113,7 +114,7 @@ def rff_expand(X: np.ndarray, n_features: int, gamma_rbf: float = 1.0,
     X = _matrix("X", X)
     n_features = _count("n_features", n_features)
     gamma_rbf = _positive("kernel width", gamma_rbf)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_count("seed", seed, 0))
     W = rng.normal(0.0, math.sqrt(2.0 * gamma_rbf), size=(n_features, X.shape[1]))
     b = rng.uniform(0.0, 2.0 * math.pi, size=n_features)
     out = X @ W.T

@@ -5,7 +5,8 @@ one-shot estimators over a regularizer grid, an error-vs-iteration study
 of the iterative solvers, and a covariance-error comparison of the
 sketches themselves.  All randomness derives from a single config seed
 through numpy SeedSequence children, so every run is reproducible down to
-the output bytes.
+the output bytes.  How each randomized flavor is drawn is left to
+:mod:`fdridge.random_sketch`; the runners name a flavor, m and a seed.
 """
 from __future__ import annotations
 
@@ -20,8 +21,7 @@ from .datasets import (SparseRowMatrix, SyntheticSpec, parse_libsvm,
 from .diagnostics import (LinearModelSpec, classical_sketch_diagnostics,
                           hessian_sketch_diagnostics, optimal_diagnostics,
                           sketched_diagnostics)
-from .random_sketch import (GaussianSketchSpec, SjltSketchSpec,
-                            _gaussian_product, realize_gaussian, realize_sjlt)
+from .random_sketch import FLAVORS, _product, _realize
 from .sketch import (MODE_FD, MODE_RFD, _count, _nonnegative, _one_of,
                      _positive, sketch_matrix, tail_masses)
 from .solvers import DivergenceError, InverseOperator, RidgeProblem, refine
@@ -37,8 +37,6 @@ STATISTICAL_METHODS = ("exact", "fdrr", "rfdrr",
 ITERATIVE_METHODS = ("ifdrr:fd", "ifdrr:rfd", "ihs:gauss", "ihs:sjlt",
                      "single:gauss", "single:sjlt")
 ALL_METHODS = STATISTICAL_METHODS + ITERATIVE_METHODS
-# Flavors of the randomized sketches, whose methods `_trials` repeats.
-_RANDOM_FLAVORS = ("gauss", "sjlt")
 
 # Stable integer tags for seed derivation; order must never change, or
 # archived runs stop being reproducible.
@@ -51,11 +49,10 @@ ITER_COLUMNS = ("method", "gamma", "iteration", "log10_error", "diverged")
 ACC_COLUMNS = ("method", "m", "k", "spectral_error", "bound", "within_bound")
 
 _DATASETS = ("synthetic", "gaussian-rff", "libsvm")
-# The least value of each integer key every run, then each dataset kind,
-# needs; the synthetic kind's n and d are checked by its SyntheticSpec.
-_COUNTS = {"m": 1, "trials": 1, "seed": 0}
-_MINIMUMS = {"gaussian-rff": {"n": 1, "d": 1, "raw_dim": 1},
-             "libsvm": {"n": 0, "rff_features": 0}}
+# The least value of each integer key on every dataset, save that a
+# libsvm run's n may be 0, which keeps every sample.
+_LEAST = {"n": 1, "d": 1, "raw_dim": 1, "m": 1, "trials": 1,
+          "rff_features": 0, "seed": 0}
 
 
 @dataclass(frozen=True)
@@ -75,12 +72,12 @@ class SweepConfig:
     finite, the list keys gammas and methods are each a non-empty tuple
     or list, each gamma and, where random Fourier features are drawn,
     rff_gamma are positive and finite, the methods are known and none
-    repeated, and the counts are integers of at least their least value.
-    A synthetic instance's n, d, r and noise_sd are checked by building
-    its :class:`SyntheticSpec`.  Both list keys are stored as tuples, the
-    gamma grid sorted and without repeats, the order in which the
-    runners walk it.  Any m works with every method: the SJLT's block
-    count follows from m where the sketch is drawn.
+    repeated, and every count, on every dataset, is an integer of at
+    least its least value.  A synthetic instance's r and noise_sd are
+    checked by building its :class:`SyntheticSpec`.  Both list keys are
+    stored as tuples, the gamma grid sorted and without repeats, the
+    order in which the runners walk it.  Any m works with every method:
+    the SJLT's block count follows from m in :class:`SjltSketchSpec`.
     """
 
     dataset: str = "synthetic"
@@ -122,9 +119,9 @@ class SweepConfig:
                 raise ConfigError(f"methods listed more than once: {repeated}")
             if self.dataset == "libsvm" and not self.libsvm_path:
                 raise ConfigError("dataset 'libsvm' needs libsvm_path")
-            for key, least in {**_COUNTS,
-                               **_MINIMUMS.get(self.dataset, {})}.items():
-                _count(key, getattr(self, key), least)
+            for key, least in _LEAST.items():
+                libsvm_n = key == "n" and self.dataset == "libsvm"
+                _count(key, getattr(self, key), 0 if libsvm_n else least)
             if self.dataset == "synthetic":
                 self._synthetic_spec()
             elif self.dataset == "gaussian-rff" or self.rff_features:
@@ -172,12 +169,14 @@ def load_config(path=None, overrides: dict | None = None) -> SweepConfig:
 
     Lines are ``key = value``; ``#`` starts a comment.  Each value parses
     as its key's type (:func:`_coerce`): list values are comma separated
-    and grid entries may use the 2^-8 power form.
+    and grid entries may use the 2^-8 power form.  A key set twice in the
+    file is refused, naming both lines.
     Overrides (e.g. from command-line flags) take precedence over the
     file, which takes precedence over defaults.
     """
     known = {f.name for f in fields(SweepConfig)}
     settings: dict = {}
+    set_on: dict = {}  # key -> the file line that set it
     if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, start=1):
@@ -191,6 +190,10 @@ def load_config(path=None, overrides: dict | None = None) -> SweepConfig:
                         f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
                 if key not in known:
                     raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+                if key in set_on:
+                    raise ConfigError(f"{path}:{lineno}: {key!r} is already "
+                                      f"set on line {set_on[key]}")
+                set_on[key] = lineno
                 settings[key] = _coerce(key, value)
     for key, value in (overrides or {}).items():
         if key not in known:
@@ -236,31 +239,10 @@ def load_instance(config: SweepConfig):
 
 
 def _trials(config: SweepConfig, flavor: str) -> range:
-    """The trial rule: a randomized sketch (flavor gauss or sjlt) is drawn
+    """The trial rule: a randomized sketch (a flavor in FLAVORS) is drawn
     ``config.trials`` times; every other method is deterministic and runs
     once."""
-    return range(config.trials if flavor in _RANDOM_FLAVORS else 1)
-
-
-def _realize(config: SweepConfig, flavor: str, n: int, seed: int):
-    """The m x n sketch of ``flavor`` drawn from ``seed``.  The SJLT's
-    block count s must divide m, so it is the largest divisor of m up to
-    8, the divisor of m = 256 closest to the usual choice of 10 blocks."""
-    if flavor == "gauss":
-        return realize_gaussian(GaussianSketchSpec(m=config.m, n=n, seed=seed))
-    s = max(k for k in range(1, 9) if config.m % k == 0)
-    return realize_sjlt(SjltSketchSpec(m=config.m, n=n, s=s, seed=seed))
-
-
-def _sketch_product(config: SweepConfig, flavor: str, A: np.ndarray,
-                    seed: int) -> np.ndarray:
-    """S A for the draw that ``_realize`` would make, without holding a
-    dense Gaussian S.  A is the runner's instance, which its first
-    public call has checked, so no draw checks it again."""
-    if flavor == "gauss":
-        return _gaussian_product(
-            GaussianSketchSpec(m=config.m, n=A.shape[0], seed=seed), A)
-    return _realize(config, flavor, A.shape[0], seed) @ A
+    return range(config.trials if flavor in FLAVORS else 1)
 
 
 def _sketch_both(A: np.ndarray, m: int) -> dict:
@@ -382,9 +364,9 @@ def run_bias_variance_sweep(config: SweepConfig, raw: bool = False,
             return sketched[kind]
         seed = child_seed(config.seed, _SWEEP_TAG, _METHOD_INDEX[meth], trial)
         if kind == "classical":
-            S = _realize(config, flavor, A.shape[0], seed)
+            S = _realize(flavor, config.m, A.shape[0], seed)
             return classical_sketch_diagnostics(A, S, model, gammas)
-        SA = _sketch_product(config, flavor, A, seed)
+        SA = _product(flavor, config.m, A, seed)
         return hessian_sketch_diagnostics(A, SA, model, gammas)
 
     rows = []
@@ -397,7 +379,7 @@ def run_bias_variance_sweep(config: SweepConfig, raw: bool = False,
         diverged = ~np.isfinite(values).all(axis=(0, 2))
         for i, g in enumerate(gammas):
             rows.append(_sweep_row(meth, g, medians[i], diverged[i]))
-            if flavor in _RANDOM_FLAVORS:  # the raw table holds draws only
+            if flavor in FLAVORS:  # the raw table holds draws only
                 raw_rows.extend(_sweep_row(meth, g, trial[i], False, trial=t)
                                 for t, trial in enumerate(values))
     rows.sort(key=lambda r: (r["method"], r["gamma"]))
@@ -446,7 +428,7 @@ def run_iterative_experiment(config: SweepConfig, t: int, out=None) -> list:
         def draw(i):
             seed = child_seed(config.seed, _ITER_TAG, _METHOD_INDEX[meth],
                               gi, trial, i)
-            return InverseOperator(_sketch_product(config, flavor, A, seed), g)
+            return InverseOperator(_product(flavor, config.m, A, seed), g)
 
         if kind == "ihs":  # a fresh draw every iteration
             preconditioner = draw
@@ -516,9 +498,8 @@ def run_sketch_accuracy(config: SweepConfig, out=None) -> list:
     def error(name, trial):
         if name in sketches:
             return _spectral_norm_sym(gram - sketches[name].covariance())
-        seed = child_seed(config.seed, _ACC_TAG,
-                          _RANDOM_FLAVORS.index(name), trial)
-        SA = _sketch_product(config, name, A, seed)
+        seed = child_seed(config.seed, _ACC_TAG, FLAVORS.index(name), trial)
+        SA = _product(name, m, A, seed)
         return _spectral_norm_sym(gram - SA.T @ SA)
 
     # Forming the n-term inner products of A^T A rounds each entry by up
@@ -527,7 +508,7 @@ def run_sketch_accuracy(config: SweepConfig, out=None) -> list:
     roundoff = n * np.finfo(float).eps * float(tails[0])
     rows = []
     max_k = min(m, n, d) - 1
-    for name in (MODE_FD, MODE_RFD) + _RANDOM_FLAVORS:
+    for name in (MODE_FD, MODE_RFD) + FLAVORS:
         err = float(np.median([error(name, trial)
                                for trial in _trials(config, name)]))
         for k in range(max_k + 1):

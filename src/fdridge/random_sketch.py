@@ -8,6 +8,11 @@ that needs only the product S X of a Gaussian sketch uses
 Gaussian sketch needs only numpy; scipy.sparse is imported by
 :func:`realize_sjlt` on its first call, so a run that draws no SJLT never
 loads scipy.
+
+:data:`FLAVORS` names the sketches by flavor, and this module alone
+knows how each is drawn: :func:`_realize` gives S and :func:`_product`
+gives S X for a flavor, an m and a seed, every other parameter of the
+draw following from those.
 """
 from __future__ import annotations
 
@@ -30,10 +35,15 @@ if TYPE_CHECKING:
 # included; blocks of a few rows agree with it to roundoff.
 GAUSSIAN_BLOCK_BYTES = 8 * 2 ** 20
 
+# The randomized flavors; their order must never change, as the sketch
+# accuracy runner seeds each by its position here.
+FLAVORS = ("gauss", "sjlt")
+
 
 @dataclass(frozen=True)
-class GaussianSketchSpec:
-    """Dense m x n sketch with i.i.d. N(0, 1/m) entries."""
+class _SketchSpec:
+    """The recipe every flavor shares: an m x n sketch and the seed it is
+    drawn from, each checked by the count rule."""
 
     m: int
     n: int
@@ -42,27 +52,28 @@ class GaussianSketchSpec:
     def __post_init__(self):
         _count("m", self.m)
         _count("n", self.n)
+        _count("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)
-class SjltSketchSpec:
+class GaussianSketchSpec(_SketchSpec):
+    """Dense m x n sketch with i.i.d. N(0, 1/m) entries."""
+
+
+@dataclass(frozen=True)
+class SjltSketchSpec(_SketchSpec):
     """Sparse JL transform: s stacked CountSketch blocks of m/s rows each.
 
     Every input coordinate receives exactly one nonzero per block, a sign
     scaled by 1/sqrt(s), for s nonzeros per column of S overall.
     """
 
-    m: int
-    n: int
-    s: int
-    seed: int
-
-    def __post_init__(self):
-        _count("m", self.m)
-        _count("n", self.n)
-        if self.m % _count("s", self.s):
-            raise ValueError(
-                f"block count s must divide m, got s={self.s}, m={self.m}")
+    @property
+    def s(self) -> int:
+        """The block count: the largest divisor of m up to 8, so that the
+        blocks tile m, and 8 at m = 256, the divisor closest to the usual
+        choice of 10 blocks."""
+        return max(k for k in range(1, 9) if self.m % k == 0)
 
 
 def realize_gaussian(spec: GaussianSketchSpec) -> np.ndarray:
@@ -133,3 +144,22 @@ def realize_sjlt(spec: SjltSketchSpec) -> scipy.sparse.csc_matrix:
     indptr = np.arange(0, spec.s * spec.n + 1, spec.s, dtype=np.int64)
     return scipy.sparse.csc_matrix(
         (vals.ravel(), rows.ravel(), indptr), shape=(spec.m, spec.n))
+
+
+def _realize(flavor: str, m: int, n: int, seed: int):
+    """The m x n sketch of ``flavor`` drawn from ``seed``.  The draw
+    functions are called by their module names, where a tracer may
+    rebind them."""
+    if flavor == "gauss":
+        return realize_gaussian(GaussianSketchSpec(m=m, n=n, seed=seed))
+    return realize_sjlt(SjltSketchSpec(m=m, n=n, seed=seed))
+
+
+def _product(flavor: str, m: int, X: np.ndarray, seed: int) -> np.ndarray:
+    """S X for the draw that :func:`_realize` would make, without holding
+    a dense Gaussian S.  X must already be checked by its rule, so a
+    loop that redraws S against one data matrix does not read it again."""
+    if flavor == "gauss":
+        return _gaussian_product(
+            GaussianSketchSpec(m=m, n=X.shape[0], seed=seed), X)
+    return _realize(flavor, m, X.shape[0], seed) @ X

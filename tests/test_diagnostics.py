@@ -297,7 +297,7 @@ def test_rfd_diagnostics_are_fd_diagnostics_at_the_shifted_gamma(
 
 def _draws(n, m):
     return {"gauss": realize_gaussian(GaussianSketchSpec(m=m, n=n, seed=5)),
-            "sjlt": realize_sjlt(SjltSketchSpec(m=m, n=n, s=2, seed=5))}
+            "sjlt": realize_sjlt(SjltSketchSpec(m=m, n=n, seed=5))}
 
 
 @pytest.mark.parametrize("flavor", ["gauss", "sjlt"])

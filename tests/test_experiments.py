@@ -20,13 +20,12 @@ from fdridge.diagnostics import (DiagnosticsReport,
 from fdridge.experiments import (ACC_COLUMNS, ConfigError, ITER_COLUMNS,
                                  ITERATIVE_METHODS, STATISTICAL_METHODS,
                                  SWEEP_COLUMNS, SweepConfig, _config_comment,
-                                 _fmt, _realize, _sweep_row, _sweep_values,
+                                 _fmt, _sweep_row, _sweep_values,
                                  child_seed, load_config, load_instance,
                                  run_bias_variance_sweep,
                                  run_iterative_experiment,
                                  run_sketch_accuracy, write_csv)
-from fdridge.random_sketch import (GaussianSketchSpec, SjltSketchSpec,
-                                   realize_gaussian, realize_sjlt)
+from fdridge.random_sketch import GaussianSketchSpec, realize_gaussian
 from fdridge.sketch import StreamingSketch, tail_masses
 
 
@@ -92,6 +91,14 @@ def test_load_config_error_positions(tmp_path):
         load_config(None, overrides={"methods": "ifdrr:rfd, ifdrr:rfd"})
 
 
+def test_load_config_refuses_a_key_set_twice(tmp_path):
+    path = tmp_path / "twice.cfg"
+    path.write_text("m = 128\nn = 64\nm = 64\n")
+    with pytest.raises(ConfigError,
+                       match="twice.cfg:3: 'm' is already set on line 1$"):
+        load_config(path)
+
+
 # the list rule's message for a list key that is not a non-empty list
 _NOT_A_LIST = " must be a non-empty tuple or list, got "
 # (keywords, the message they must raise or None), run as kw0, kw1, ...
@@ -135,6 +142,12 @@ _INVALID_CONFIGS = [
     # rff_features = 0 keeps the raw features; None is no count
     (dict(dataset="libsvm", libsvm_path="data.txt", rff_features=None),
      "^rff_features must be a non-negative integer, got None$"),
+    # every count is checked on every dataset, not only where it is read
+    (dict(rff_features=None),
+     "^rff_features must be a non-negative integer, got None$"),
+    (dict(raw_dim=None), "^raw_dim must be a positive integer, got None$"),
+    (dict(dataset="libsvm", libsvm_path="data.txt", d=0),
+     "^d must be a positive integer, got 0$"),
 ]
 
 
@@ -189,19 +202,6 @@ def test_gamma_grid_is_sorted_and_deduplicated_once(tmp_path):
             trials=2), out=out)
         tables.append(out.read_bytes())
     assert tables[0] == tables[1]
-
-
-def test_sjlt_block_count_follows_from_m():
-    # the largest divisor of m up to 8: one nonzero of 1/sqrt(s) per block
-    n, seed = 20, 5
-    for m, s in ((256, 8), (40, 8), (12, 6), (9, 3), (7, 7)):
-        S = _realize(SweepConfig(m=m), "sjlt", n, seed)
-        assert S.shape == (m, n)
-        assert S.nnz == s * n
-        np.testing.assert_array_equal(np.abs(S.data), 1.0 / np.sqrt(s))
-    drawn = _realize(SweepConfig(m=256), "sjlt", n, seed)
-    spec = realize_sjlt(SjltSketchSpec(m=256, n=n, s=8, seed=seed))
-    np.testing.assert_array_equal(drawn.toarray(), spec.toarray())
 
 
 def test_child_seed_is_stable_and_order_sensitive():

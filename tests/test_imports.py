@@ -51,7 +51,7 @@ def test_numpy_only_paths_load_no_scipy():
 
 
 @pytest.mark.parametrize("call, module", [
-    ("fdridge.realize_sjlt(fdridge.SjltSketchSpec(m=8, n=20, s=2, seed=0))",
+    ("fdridge.realize_sjlt(fdridge.SjltSketchSpec(m=8, n=20, seed=0))",
      "scipy.sparse"),
 ], ids=["realize_sjlt"])
 def test_scipy_callers_work_when_called_first(call, module):

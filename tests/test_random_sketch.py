@@ -82,28 +82,26 @@ def test_apply_gaussian_never_holds_the_sketch(traced_peak):
     assert peak <= random_sketch.GAUSSIAN_BLOCK_BYTES + SX.nbytes + 2 ** 16
 
 
-def test_sjlt_rejects_bad_block_count():
-    with pytest.raises(ValueError):
-        SjltSketchSpec(m=8, n=10, s=0, seed=0)
-    with pytest.raises(ValueError):
-        SjltSketchSpec(m=8, n=10, s=3, seed=0)
-
-
 def test_sjlt_column_structure():
     """Each column holds exactly one entry of magnitude 1/sqrt(s) per block."""
-    s, m, n = 4, 16, 30
-    S = np.asarray(realize_sjlt(SjltSketchSpec(m=m, n=n, s=s, seed=5)).todense())
+    m, n = 12, 30
+    spec = SjltSketchSpec(m=m, n=n, seed=5)
+    s = spec.s
+    S = np.asarray(realize_sjlt(spec).todense())
     blocks = S.reshape(s, m // s, n)
     mags = np.abs(blocks)
     assert np.all(np.count_nonzero(mags, axis=1) == 1)
     assert np.allclose(mags.sum(axis=1), 1.0 / np.sqrt(s))
 
 
+# (m, n, s, seed): s is the block count that m gives, the largest
+# divisor of m up to 8
 @pytest.mark.parametrize("m, n, s, seed", [
-    (16, 30, 4, 5), (64, 24, 8, 6), (6, 15, 3, 0), (256, 1000, 8, 11)])
+    (256, 1000, 8, 11), (64, 24, 8, 6), (40, 20, 8, 5), (12, 30, 6, 5),
+    (9, 15, 3, 0), (7, 20, 7, 5)])
 def test_sjlt_csc_matches_the_coordinate_construction(m, n, s, seed):
-    # the per-block draws laid out as (row, column, value) triples: the
-    # CSC arrays hold the same matrix
+    # the per-block draws at block count s laid out as (row, column,
+    # value) triples: the CSC arrays of the spec at m hold the same matrix
     import scipy.sparse
 
     rng = np.random.default_rng(seed)
@@ -114,19 +112,21 @@ def test_sjlt_csc_matches_the_coordinate_construction(m, n, s, seed):
     cols = np.tile(np.arange(n), s)
     old = scipy.sparse.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), cols)), shape=(m, n))
-    S = realize_sjlt(SjltSketchSpec(m=m, n=n, s=s, seed=seed))
-    assert S.nnz == s * n and S.has_sorted_indices
+    spec = SjltSketchSpec(m=m, n=n, seed=seed)
+    assert spec.s == s
+    S = realize_sjlt(spec)
+    assert S.shape == (m, n) and S.nnz == s * n and S.has_sorted_indices
     np.testing.assert_array_equal(S.toarray(), old.toarray())
 
 
 def test_sjlt_on_basis_vector():
-    s = 8
+    spec = SjltSketchSpec(m=64, n=24, seed=6)
     col = np.zeros((24, 1))
     col[13, 0] = 1.0
-    out = realize_sjlt(SjltSketchSpec(m=64, n=24, s=s, seed=6)) @ col
+    out = realize_sjlt(spec) @ col
     nz = out[out != 0.0]
-    assert nz.size == s
-    assert np.allclose(np.abs(nz), 1.0 / np.sqrt(s))
+    assert nz.size == spec.s
+    assert np.allclose(np.abs(nz), 1.0 / np.sqrt(spec.s))
 
 
 def test_isometry_in_expectation_gaussian():
@@ -144,7 +144,7 @@ def test_isometry_in_expectation_sjlt():
     x = rng.standard_normal(64)
     x /= np.linalg.norm(x)
     vals = [float(np.linalg.norm(
-        realize_sjlt(SjltSketchSpec(m=512, n=64, s=8, seed=seed)) @ x) ** 2)
+        realize_sjlt(SjltSketchSpec(m=512, n=64, seed=seed)) @ x) ** 2)
         for seed in range(200)]
     assert 0.9 <= np.mean(vals) <= 1.1
 
@@ -160,7 +160,7 @@ def test_subspace_embedding_sanity(flavor):
         if flavor == "gauss":
             SU = realize_gaussian(GaussianSketchSpec(m=1024, n=2048, seed=seed)) @ U
         else:
-            SU = realize_sjlt(SjltSketchSpec(m=1024, n=2048, s=8, seed=seed)) @ U
+            SU = realize_sjlt(SjltSketchSpec(m=1024, n=2048, seed=seed)) @ U
         sv = np.linalg.svd(np.asarray(SU), compute_uv=False)
         good += int(sv.min() >= 0.5 and sv.max() <= 1.5)
     assert good >= 95
@@ -173,7 +173,7 @@ def test_application_is_linear(seed, a, b):
     X = rng.standard_normal((15, 3))
     Y = rng.standard_normal((15, 3))
     for S in (realize_gaussian(GaussianSketchSpec(m=6, n=15, seed=seed)),
-              realize_sjlt(SjltSketchSpec(m=6, n=15, s=3, seed=seed))):
+              realize_sjlt(SjltSketchSpec(m=6, n=15, seed=seed))):
         np.testing.assert_allclose(S @ (a * X + b * Y),
                                    a * (S @ X) + b * (S @ Y),
                                    rtol=1e-10, atol=1e-10)

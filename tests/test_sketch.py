@@ -68,7 +68,7 @@ def _model():
 
 
 # (call, name, least): one size argument of each public call that takes
-# one, with the least value it accepts
+# one, and the seed of each recipe, with the least value it accepts
 SIZES = {
     "StreamingSketch-m": (lambda v: StreamingSketch(v, 5), "m", 1),
     "StreamingSketch-d": (lambda v: StreamingSketch(4, v), "d", 1),
@@ -78,14 +78,20 @@ SIZES = {
         np.eye(3), 1.0), v), "t", 1),
     "GaussianSketchSpec-m": (lambda v: GaussianSketchSpec(v, 4, 0), "m", 1),
     "GaussianSketchSpec-n": (lambda v: GaussianSketchSpec(4, v, 0), "n", 1),
-    "SjltSketchSpec-m": (lambda v: SjltSketchSpec(v, 4, 1, 0), "m", 1),
-    "SjltSketchSpec-n": (lambda v: SjltSketchSpec(4, v, 1, 0), "n", 1),
-    "SjltSketchSpec-s": (lambda v: SjltSketchSpec(4, 4, v, 0), "s", 1),
+    "GaussianSketchSpec-seed": (lambda v: GaussianSketchSpec(4, 4, v),
+                                "seed", 0),
+    "SjltSketchSpec-m": (lambda v: SjltSketchSpec(v, 4, 0), "m", 1),
+    "SjltSketchSpec-n": (lambda v: SjltSketchSpec(4, v, 0), "n", 1),
+    "SjltSketchSpec-seed": (lambda v: SjltSketchSpec(4, 4, v), "seed", 0),
     "SyntheticSpec-n": (lambda v: SyntheticSpec(v, 4, 0.5, 1.0, 0), "n", 1),
     "SyntheticSpec-d": (lambda v: SyntheticSpec(4, v, 0.5, 1.0, 0), "d", 1),
+    "SyntheticSpec-seed": (lambda v: SyntheticSpec(4, 4, 0.5, 1.0, v),
+                           "seed", 0),
     "dct_rotation-d": (dct_rotation, "d", 1),
     "rff_expand-n_features": (lambda v: rff_expand(np.zeros((3, 2)), v),
                               "n_features", 1),
+    "rff_expand-seed": (lambda v: rff_expand(np.zeros((3, 2)), 2, seed=v),
+                        "seed", 0),
     "parse_libsvm-n_features": (lambda v: parse_libsvm(["1 1:2"],
                                                        n_features=v),
                                 "n_features", 0),
