@@ -53,7 +53,10 @@ def _gather_overrides(args) -> dict:
         key, eq, value = item.partition("=")
         if not eq:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
-        overrides[key.strip()] = value.strip()
+        key = key.strip()
+        if key in overrides:
+            raise ConfigError(f"--set gives {key!r} twice")
+        overrides[key] = value.strip()
     return overrides
 
 

@@ -126,18 +126,50 @@ def rff_expand(X: np.ndarray, n_features: int, gamma_rbf: float = 1.0,
 
 @dataclass
 class SparseRowMatrix:
-    """Row-major sparse matrix: per row, strictly increasing 0-based
-    indices and their values."""
+    """Row-major sparse matrix: ``rows`` holds n pairs (indices, values),
+    the indices integers strictly increasing within [0, d), one value
+    each.  :meth:`toarray` and :func:`dump_libsvm` refuse rows that break
+    this (:func:`_check_rows`)."""
 
     n: int
     d: int
     rows: list
 
     def toarray(self) -> np.ndarray:
+        """The dense n x d matrix; raises ValueError naming the first row
+        that breaks the contract, before any row is filled."""
+        _check_rows(self)
         dense = np.zeros((self.n, self.d))
         for i, (idx, vals) in enumerate(self.rows):
             dense[i, idx] = vals
         return dense
+
+
+def _check_rows(matrix: SparseRowMatrix) -> None:
+    """Raise ValueError unless ``matrix.rows`` holds n rows whose indices
+    are integers, strictly increasing within [0, d), with one value per
+    index; the message names the first row that does not."""
+    if len(matrix.rows) != matrix.n:
+        raise ValueError(f"matrix has {len(matrix.rows)} rows, but n is {matrix.n}")
+    for i, (idx, vals) in enumerate(matrix.rows):
+        idx = np.asarray(idx)
+        if idx.ndim != 1 or np.shape(vals) != idx.shape:
+            raise ValueError(f"row {i}: indices and values must be 1-d of one "
+                             f"length, got shapes {idx.shape} and {np.shape(vals)}")
+        if not idx.size:
+            continue
+        if idx.dtype.kind not in "iu":
+            raise ValueError(f"row {i} has indices of type {idx.dtype}, "
+                             "not integers")
+        down = np.flatnonzero(idx[1:] <= idx[:-1])
+        if down.size:
+            j = down[0]
+            raise ValueError(f"row {i}: index {idx[j + 1]} does not increase "
+                             f"(previous was {idx[j]})")
+        if idx[0] < 0 or idx[-1] >= matrix.d:
+            bad = idx[0] if idx[0] < 0 else idx[-1]
+            raise ValueError(f"row {i}: index {bad} lies outside "
+                             f"[0, {matrix.d})")
 
 
 _TOKEN = re.compile(r"\S+")
@@ -223,13 +255,15 @@ def parse_libsvm(source, n_features: int | None = None
 def dump_libsvm(matrix: SparseRowMatrix, labels: np.ndarray, path) -> None:
     """Write the sparse-text format back out, losslessly for float64.
 
-    ``labels`` must be a finite vector of length n (:func:`sketch._vector`)
-    and every stored value finite, as :func:`parse_libsvm` requires: a
-    NaN or infinite label or value raises ValueError naming the label's
-    index, or the value's row and 0-based feature, before ``path`` is
-    opened.
+    ``labels`` must be a finite vector of length n (:func:`sketch._vector`),
+    the rows must keep :class:`SparseRowMatrix`'s contract
+    (:func:`_check_rows`), and every stored value must be finite, as
+    :func:`parse_libsvm` requires.  Otherwise ValueError names the
+    label's index, the row, or the value's row and 0-based feature,
+    before ``path`` is opened.
     """
     labels = _vector("labels", labels, matrix.n)
+    _check_rows(matrix)
     for i, (idx, vals) in enumerate(matrix.rows):
         bad = np.flatnonzero(~np.isfinite(vals))
         if bad.size:

@@ -78,11 +78,12 @@ def _grid(A: np.ndarray, curvature: np.ndarray, op: InverseOperator,
     so one pass for the weights |N v_i|^2 and the outside mass serves the
     grid, and each gamma costs an O(d r) apply.  For N = A the pass is
     :func:`_data_terms`, for N = S^T X :func:`_sketch_terms`; N itself is
-    never formed.  The residual N^T A - X^T X is formed only for N = A
-    with a curvature other than A (the FD/RFD and Hessian estimators): it
-    is zero for the exact estimator (X = A) and for the classical one
-    (N^T A = A^T S^T S A = X^T X), so their bias is -g H^{-1} x0.  A
-    scalar ``gamma`` gives one report, a sequence a list.  Raises
+    never formed.  For N = A the residual A^T (A x0) - X^T (X x0) is
+    formed whatever X is; for the exact estimator (X = A) both products
+    run the same arithmetic on the same values, so it is exactly zero.
+    For the classical estimator N^T A = A^T S^T S A = X^T X, so the
+    residual is the scalar 0 and the bias is -g H^{-1} x0.  A scalar
+    ``gamma`` gives one report, a sequence a list.  Raises
     ValueError naming the argument when the truth's length or X's column
     count is not A's column count.
     """
@@ -102,10 +103,8 @@ def _grid(A: np.ndarray, curvature: np.ndarray, op: InverseOperator,
     weights, outside = (_data_terms(A, op.basis) if gram is None
                         else _sketch_terms(curvature, op.basis, gram))
     truth = model.truth
-    if gram is None and curvature is not A:
-        resid = A.T @ (A @ truth) - curvature.T @ (curvature @ truth)
-    else:
-        resid = np.zeros(d)
+    resid = (A.T @ (A @ truth) - curvature.T @ (curvature @ truth)
+             if gram is None else 0.0)
     reports = []
     for g in gammas:
         total = g + shift
@@ -125,8 +124,9 @@ def _data_terms(A: np.ndarray, basis: np.ndarray) -> tuple:
     eps^2 |A|_F^2 are left out (:func:`sketch._light_rows`): a row moves
     each term by at most its squared norm, and each term already rounds
     at about eps^2 |A|_F^2.  A block keeps a view of A when all its rows
-    stay, gathers the rows that stay otherwise, and is skipped when none
-    does, so A is never copied whole.  A must be finite
+    stay and gathers the rows that stay otherwise; a block that keeps
+    none gathers zero rows and adds exact zeros.  So A is never copied
+    whole.  A must be finite
     (:func:`sketch._matrix`); rows too large to square raise ValueError
     (:func:`sketch._row_masses`).
     """
@@ -139,8 +139,6 @@ def _data_terms(A: np.ndarray, basis: np.ndarray) -> tuple:
     for lo in range(0, n, step):
         block = A[lo:lo + step]
         kept = keep[lo:lo + step]
-        if not kept.any():
-            continue
         if not kept.all():
             block = block[kept]
         inside = block @ basis

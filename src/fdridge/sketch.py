@@ -217,14 +217,9 @@ class SketchOutput:
     shift: float
     mode: str
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[1]
-
     def covariance(self) -> np.ndarray:
         """Dense d x d approximation B^T B + shift * I."""
-        d = self.dim
-        return self.matrix.T @ self.matrix + self.shift * np.eye(d)
+        return self.matrix.T @ self.matrix + self.shift * np.eye(self.matrix.shape[1])
 
 
 class StreamingSketch:

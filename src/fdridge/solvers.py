@@ -100,10 +100,6 @@ class InverseOperator:
         self.spectrum, self.basis = factors
         return self
 
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[0]
-
     def retarget(self, gamma_total: float) -> "InverseOperator":
         """The same factorization under another total regularizer."""
         return InverseOperator.__new__(InverseOperator)._set(
@@ -112,9 +108,9 @@ class InverseOperator:
     def apply(self, v: np.ndarray) -> np.ndarray:
         """Apply to a vector or to each column of a matrix."""
         v = np.asarray(v, dtype=float)
-        if v.shape[0] != self.dim:
-            raise ValueError(
-                f"operator acts on dimension {self.dim}, got {v.shape[0]}")
+        d = self.basis.shape[0]
+        if v.shape[0] != d:
+            raise ValueError(f"operator acts on dimension {d}, got {v.shape[0]}")
         g = self.gamma_total
         coeff = 1.0 / (self.spectrum + g) - 1.0 / g
         proj = self.basis.T @ v

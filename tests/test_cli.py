@@ -111,6 +111,8 @@ def test_sketch_acc_subcommand(config_path, tmp_path):
     (["--set", "gammas=0^-1"], "could not parse gammas = '0^-1'"),
     (["--set", "gammas=10^400"], "could not parse gammas = '10^400'"),
     (["--set", "gammas=-8^0.5"], "could not parse gammas = '-8^0.5'"),
+    # a key given twice is refused, as a key set twice in a file is
+    (["--set", "m=128", "--set", "m=64"], "--set gives 'm' twice"),
 ])
 def test_cli_errors_exit_2(config_path, capsys, argv_tail, fragment):
     code = main(["sweep", "--config", str(config_path)] + argv_tail)

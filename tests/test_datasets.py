@@ -273,6 +273,28 @@ def test_dump_rejects_label_mismatch(tmp_path):
         dump_libsvm(matrix, np.zeros(3), tmp_path / "bad.txt")
 
 
+def _second_row(idx, values=None, n=2):
+    values = np.ones(len(idx)) if values is None else values
+    return SparseRowMatrix(n, 3, [(np.array([0]), np.array([1.0])),
+                                  (np.asarray(idx), values)])
+
+
+# matrices (d = 3) that break SparseRowMatrix's contract, each with the
+# error that names where
+BROKEN = [
+    (_second_row([2, 0]), r"^row 1: index 0 does not increase \(previous was 2\)"),
+    (_second_row([1, 1]), r"^row 1: index 1 does not increase \(previous was 1\)"),
+    (_second_row([-1]), r"^row 1: index -1 lies outside \[0, 3\)"),
+    (_second_row([5]), r"^row 1: index 5 lies outside \[0, 3\)"),
+    (_second_row(np.array([0.0])),
+     "^row 1 has indices of type float64, not integers"),
+    (_second_row([1], np.ones(2)),
+     r"^row 1: indices and values must be 1-d of one length, "
+     r"got shapes \(1,\) and \(2,\)"),
+    (_second_row([1], n=3), "^matrix has 2 rows, but n is 3"),
+]
+
+
 def test_dump_refuses_what_parse_would_refuse(tmp_path):
     # a NaN label or an infinite value would write a line parse_libsvm
     # rejects; both are named before the file is opened
@@ -292,3 +314,21 @@ def test_dump_refuses_what_parse_would_refuse(tmp_path):
     dump_libsvm(matrix, np.zeros(3), path)
     back, _ = parse_libsvm(path, n_features=4)
     assert np.array_equal(back.toarray(), matrix.toarray())
+    # so is a row that breaks SparseRowMatrix's contract, which would
+    # write a line parse_libsvm refuses or drop a label
+    path = tmp_path / "broken.txt"
+    for broken, message in BROKEN:
+        with pytest.raises(ValueError, match=message):
+            dump_libsvm(broken, np.zeros(broken.n), path)
+    assert not path.exists()
+
+
+def test_toarray_refuses_rows_that_break_the_contract():
+    # index -1 would fill the last column, 5 raise a bare IndexError, and
+    # a short row list leave a zero row
+    for broken, message in BROKEN:
+        with pytest.raises(ValueError, match=message):
+            broken.toarray()
+    assert np.array_equal(_second_row([0, 2]).toarray(),
+                          [[1.0, 0.0, 0.0], [1.0, 0.0, 1.0]])
+

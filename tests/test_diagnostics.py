@@ -272,6 +272,23 @@ def test_grid_exact_matches_dense(grid_instance):
     assert optimal_diagnostics(A, model, GRID[3]) == reports[3]
 
 
+@pytest.mark.parametrize("synthetic", [False, True])
+def test_factor_equal_to_A_leaves_no_residual(grid_instance, synthetic):
+    # the residual A^T (A x0) - X^T (X x0) is formed for every factor X;
+    # one that holds A's values in another array runs the same arithmetic
+    # on the same values, so the Hessian estimator with S A = A is the
+    # exact one to the bit, light rows dropped from the data terms or not
+    if synthetic:
+        A, _, truth = synthetic_regression(SyntheticSpec(300, 64, 0.1, 1.0, 3))
+        model = LinearModelSpec(truth, 1.0)
+        assert not _light_rows(np.einsum("ij,ij->i", A, A),
+                               np.finfo(float).eps ** 2 * np.vdot(A, A)).all()
+    else:
+        A, model = grid_instance
+    assert (hessian_sketch_diagnostics(A, A.copy(), model, GRID)
+            == optimal_diagnostics(A, model, GRID))
+
+
 @pytest.mark.parametrize("mode", [MODE_FD, MODE_RFD])
 def test_grid_sketched_matches_dense(grid_instance, mode):
     A, model = grid_instance
