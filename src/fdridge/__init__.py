@@ -14,8 +14,7 @@ from .experiments import (ConfigError, SweepConfig, load_config, load_instance,
 from .random_sketch import (GaussianSketchSpec, SjltSketchSpec,
                             apply_gaussian, realize_gaussian, realize_sjlt)
 from .sketch import (MODE_FD, MODE_RFD, SketchOutput, StreamingSketch,
-                     load_sketch_csv, save_sketch_csv, sketch_matrix,
-                     tail_masses)
+                     save_sketch_csv, sketch_matrix, tail_masses)
 from .solvers import (DivergenceError, InverseOperator, IterativeTrace,
                       RidgeProblem, classical_sketch_solve, fdrr_solve,
                       hessian_sketch_solve, ifdrr_solve, refine, solve_exact)
@@ -29,7 +28,7 @@ __all__ = [
     "apply_gaussian", "budget_for_theta", "classical_sketch_diagnostics",
     "classical_sketch_solve", "dct_rotation", "dump_libsvm", "fdrr_solve",
     "hessian_sketch_diagnostics", "hessian_sketch_solve", "ifdrr_solve",
-    "load_config", "load_instance", "load_sketch_csv", "optimal_diagnostics",
+    "load_config", "load_instance", "optimal_diagnostics",
     "parse_libsvm", "realize_gaussian", "realize_sjlt", "refine", "rff_expand",
     "run_bias_variance_sweep", "run_iterative_experiment",
     "run_sketch_accuracy", "save_sketch_csv", "sketch_matrix",

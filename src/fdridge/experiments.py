@@ -208,13 +208,21 @@ def child_seed(base: int, *key: int) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
+def _known_weights(config: SweepConfig) -> bool:
+    """Whether ``config``'s instance has known weights and noise, the
+    model the bias/variance diagnostics need: a synthetic or gaussian-rff
+    instance with noise_sd > 0."""
+    return config.dataset != "libsvm" and config.noise_sd > 0
+
+
 def load_instance(config: SweepConfig):
-    """Materialize (A, y, model); model is None without known weights.
+    """Materialize (A, y, model); model is None without known weights
+    (:func:`_known_weights`).
 
     A libsvm instance densifies only the rows it keeps, so A owns its
-    data and holds none of the rows past the first n.
+    data and holds none of the rows past the first n.  A libsvm file with
+    no samples or no features raises ConfigError naming the path.
     """
-    truth = None
     if config.dataset == "synthetic":
         A, y, truth = synthetic_regression(config._synthetic_spec())
     elif config.dataset == "gaussian-rff":
@@ -228,13 +236,16 @@ def load_instance(config: SweepConfig):
     else:
         matrix, labels = parse_libsvm(config.libsvm_path)
         kept = matrix.rows[:config.n or None]
+        if not kept or not matrix.d:
+            what = "samples" if not kept else "features"
+            raise ConfigError(f"{config.libsvm_path} has no {what}")
         A = SparseRowMatrix(len(kept), matrix.d, kept).toarray()
         y = labels[:len(kept)].copy()
         if config.rff_features:
             A = rff_expand(A, config.rff_features, config.rff_gamma,
                            seed=child_seed(config.seed, _DATA_TAG, 1))
     model = (LinearModelSpec(truth, config.noise_sd)
-             if truth is not None and config.noise_sd > 0 else None)
+             if _known_weights(config) else None)
     return A, y, model
 
 
@@ -252,7 +263,7 @@ def _sketch_both(A: np.ndarray, m: int) -> dict:
     both: the FD output is the RFD output with a zero shift.
     """
     rfd = sketch_matrix(A, m, MODE_RFD)
-    return {MODE_FD: replace(rfd, shift=0.0, mode=MODE_FD),
+    return {MODE_FD: replace(rfd, shift=0.0),
             MODE_RFD: rfd}
 
 
@@ -339,11 +350,11 @@ def run_bias_variance_sweep(config: SweepConfig, raw: bool = False,
     """
     _check_methods(config, STATISTICAL_METHODS,
                    "bias/variance sweep handles one-shot estimators")
-    A, y, model = load_instance(config)
-    if model is None:
+    if not _known_weights(config):
         raise ConfigError(
             "bias/variance diagnostics need an instance with known weights "
             "(synthetic or gaussian-rff with noise_sd > 0)")
+    A, y, model = load_instance(config)
     gammas = config.gammas
     baseline = optimal_diagnostics(A, model, gammas)
     sketched = {}
@@ -407,6 +418,8 @@ def run_iterative_experiment(config: SweepConfig, t: int, out=None) -> list:
     the grid.  A run that trips the divergence guard keeps its valid
     prefix; later iterations are recorded as nan with the diverged flag
     set.  Randomized methods report the per-iteration median over trials.
+    When A^T y = 0, x* is zero at every gamma and the relative error is
+    undefined, so ConfigError is raised before any cell runs.
     """
     try:
         _count("t", t)
@@ -415,6 +428,10 @@ def run_iterative_experiment(config: SweepConfig, t: int, out=None) -> list:
     _check_methods(config, ITERATIVE_METHODS,
                    "iteration study handles iterative solvers")
     A, y, _ = load_instance(config)
+    problems = [RidgeProblem(A, y, g) for g in config.gammas]
+    if not problems[0].rhs.any():
+        raise ConfigError("the relative error is undefined: A^T y = 0, so "
+                          "the exact solution is zero at every gamma")
     exact = InverseOperator(A, config.gammas[0])
     # One sketch serves every ifdrr cell: it depends on neither mode nor gamma.
     sketches = (_sketch_both(A, config.m)
@@ -450,9 +467,8 @@ def run_iterative_experiment(config: SweepConfig, t: int, out=None) -> list:
         return errors, flag
 
     rows = []
-    for gi, g in enumerate(config.gammas):
-        problem = RidgeProblem(A, y, g)
-        x_star = exact.retarget(g).apply(problem.rhs)
+    for gi, problem in enumerate(problems):
+        x_star = exact.retarget(problem.gamma).apply(problem.rhs)
         for meth in config.methods:
             per_trial = [run_one(meth, gi, problem, x_star, trial)
                          for trial in _trials(config, meth.partition(":")[2])]
@@ -460,7 +476,8 @@ def run_iterative_experiment(config: SweepConfig, t: int, out=None) -> list:
                                axis=0)
             flag = max(flag for _, flag in per_trial)
             for i in range(t):
-                rows.append({"method": meth, "gamma": g, "iteration": i + 1,
+                rows.append({"method": meth, "gamma": problem.gamma,
+                             "iteration": i + 1,
                              "log10_error": _log10(float(errors[i])),
                              "diverged": flag})
     rows.sort(key=lambda r: (r["method"], r["gamma"], r["iteration"]))

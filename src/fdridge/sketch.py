@@ -127,8 +127,8 @@ def _positive(name: str, value) -> float:
 
 def _nonnegative(name: str, value) -> float:
     """``value`` as a float; raises ValueError naming ``name`` unless it
-    is at least 0 and finite, the rule for a noise level or shift that
-    may vanish."""
+    is at least 0 and finite, the rule for a noise level that may
+    vanish."""
     if not 0 <= value < np.inf:
         raise ValueError(
             f"{name} must be non-negative and finite, got {value}")
@@ -215,7 +215,6 @@ class SketchOutput:
 
     matrix: np.ndarray
     shift: float
-    mode: str
 
     def covariance(self) -> np.ndarray:
         """Dense d x d approximation B^T B + shift * I."""
@@ -332,7 +331,7 @@ class StreamingSketch:
         out = np.zeros((self.m, self.d))
         out[:rows.shape[0]] = rows
         shift = self.shift_total + reduction / 2.0 if mode == MODE_RFD else 0.0
-        return SketchOutput(matrix=out, shift=shift, mode=mode)
+        return SketchOutput(matrix=out, shift=shift)
 
 
 def sketch_matrix(A: np.ndarray, m: int, mode: str = MODE_FD) -> SketchOutput:
@@ -353,49 +352,14 @@ def tail_masses(A: np.ndarray) -> np.ndarray:
 def save_sketch_csv(output: SketchOutput, path) -> None:
     """Write a finalized sketch as CSV.
 
-    The first line is a comment header ``# m,d,shift,mode``; the remaining
-    m lines hold d comma-separated decimals at 17 significant digits,
-    enough for an exact float64 round trip.
+    The first line is a comment header ``# m,d,shift``; the remaining m
+    lines hold d comma-separated decimals at 17 significant digits, enough
+    for an exact float64 round trip: ``np.loadtxt(path, delimiter=",",
+    ndmin=2)`` reads the rows back.
     """
     m, d = output.matrix.shape
     with open(path, "w", encoding="utf-8") as fh:
         np.savetxt(fh, output.matrix, fmt="%.17g", delimiter=",",
-                   header=f"{m},{d},{output.shift:.17g},{output.mode}",
+                   header=f"{m},{d},{output.shift:.17g}",
                    comments="# ")
 
-
-def load_sketch_csv(path) -> SketchOutput:
-    """Inverse of :func:`save_sketch_csv`.
-
-    Raises ValueError naming ``path`` on a malformed header (non-integer
-    m or d, a non-numeric shift included), and, through the argument
-    rules, naming the field too: an m or d below 1 (:func:`_count`), a
-    mode other than "fd" or "rfd" (:func:`_one_of`), a negative or
-    non-finite shift (:func:`_nonnegative`), an unparsable entry, and a
-    matrix that is not m x d (an empty body included) or holds a
-    non-finite entry (:func:`_matrix`, which names its first such row).
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if not header.startswith("#"):
-            raise ValueError(f"{path}: missing '# m,d,shift,mode' header line")
-        fields = header.lstrip("#").strip().split(",")
-        if len(fields) != 4:
-            raise ValueError(f"{path}: malformed header {header!r}")
-        try:
-            m, d, shift = int(fields[0]), int(fields[1]), float(fields[2])
-        except ValueError:
-            raise ValueError(f"{path}: header {header!r} needs integer m and d "
-                             "and a numeric shift") from None
-        body = fh.readlines()
-    try:
-        mode = _one_of("mode", fields[3].strip(), MODES)
-        shift = _nonnegative("shift", shift)
-        # loadtxt warns on a body without data; the shape rule reports it
-        mat = np.empty((0, 0))
-        if any(line.split("#", 1)[0].strip() for line in body):
-            mat = np.loadtxt(body, delimiter=",", ndmin=2)
-        mat = _matrix("matrix", mat, rows=_count("m", m), cols=_count("d", d))
-    except ValueError as err:
-        raise ValueError(f"{path}: {err}") from None
-    return SketchOutput(matrix=mat, shift=shift, mode=mode)

@@ -305,7 +305,7 @@ def test_rfd_diagnostics_are_fd_diagnostics_at_the_shifted_gamma(
     # the bit, so one grid of FD diagnostics can serve both
     A, model = grid_instance
     rfd = sketch_matrix(A, 6, MODE_RFD)
-    fd = dataclasses.replace(rfd, shift=0.0, mode=MODE_FD)
+    fd = dataclasses.replace(rfd, shift=0.0)
     assert rfd.shift > 0
     shifted = sketched_diagnostics(A, fd, model, [g + rfd.shift for g in GRID])
     assert sketched_diagnostics(A, rfd, model, GRID) == shifted

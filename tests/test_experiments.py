@@ -7,6 +7,7 @@ seed fan-out, and the iterative table is checked against contraction
 rates measured on a hand-tuned instance.
 """
 import math
+import re
 import tracemalloc
 from dataclasses import fields
 
@@ -277,6 +278,26 @@ def test_load_instance_libsvm_densifies_only_kept_rows(tmp_path, traced_peak):
     assert peak < n_file * d * 8
 
 
+@pytest.mark.parametrize("text,missing", [
+    ("", "samples"),
+    ("1\n-1\n1\n", "features"),  # labels only: d = 0
+])
+def test_load_instance_libsvm_refuses_an_empty_instance(tmp_path, text,
+                                                        missing):
+    # the file, not a config key, is named, and no runner reaches a NaN
+    path = tmp_path / "data.txt"
+    path.write_text(text, encoding="utf-8")
+    config = small_config(dataset="libsvm", libsvm_path=str(path), n=0,
+                          methods=("single:gauss", "ifdrr:fd"), m=4)
+    match = rf"^{re.escape(str(path))} has no {missing}$"
+    with pytest.raises(ConfigError, match=match):
+        load_instance(config)
+    with pytest.raises(ConfigError, match=match):
+        run_iterative_experiment(config, t=2)
+    with pytest.raises(ConfigError, match=match):
+        run_sketch_accuracy(config)
+
+
 def test_sweep_exact_baseline_is_zero():
     rows = run_bias_variance_sweep(small_config(methods=("exact",)))
     assert len(rows) == 2
@@ -346,6 +367,14 @@ def test_sweep_rejects_iterative_methods():
 def test_sweep_needs_known_weights():
     with pytest.raises(ConfigError, match="known weights"):
         run_bias_variance_sweep(small_config(noise_sd=0.0))
+
+
+def test_sweep_refuses_before_loading_the_instance(tmp_path):
+    # a libsvm instance has no known weights, so its file is never read
+    missing = tmp_path / "absent.txt"
+    with pytest.raises(ConfigError, match="known weights"):
+        run_bias_variance_sweep(small_config(dataset="libsvm",
+                                             libsvm_path=str(missing)))
 
 
 def test_sweep_writes_tables(tmp_path):
@@ -472,6 +501,20 @@ def test_sketch_accuracy_checks_the_instance_a_fixed_number_of_times(
         lambda: run_sketch_accuracy(small_config(trials=1)),
         lambda: run_sketch_accuracy(small_config(trials=3))])
     assert few == many > 0
+
+
+def test_iterate_refuses_a_zero_exact_solution(tmp_path):
+    # all-zero labels give A^T y = 0, so x* = 0 at every gamma and the
+    # relative error |x_i - x*| / |x*| has no value
+    path = tmp_path / "data.txt"
+    dump_libsvm(SparseRowMatrix(3, 2, [(np.array([0]), np.array([1.0])),
+                                       (np.array([1]), np.array([2.0])),
+                                       (np.array([0, 1]), np.ones(2))]),
+                np.zeros(3), path)
+    config = small_config(dataset="libsvm", libsvm_path=str(path),
+                          methods=("ifdrr:rfd", "single:gauss"), m=2)
+    with pytest.raises(ConfigError, match="relative error is undefined"):
+        run_iterative_experiment(config, t=2)
 
 
 def test_iterate_validation():

@@ -5,9 +5,6 @@ test itself: tail masses from the full spectrum, spectral norms from
 eigvalsh of the symmetric difference.
 """
 import dataclasses
-import re
-import tempfile
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -25,8 +22,7 @@ from fdridge.experiments import SweepConfig, load_config, load_instance
 from fdridge.random_sketch import (GaussianSketchSpec, SjltSketchSpec,
                                    apply_gaussian)
 from fdridge.sketch import (MODE_FD, MODE_RFD, SketchOutput, StreamingSketch,
-                            load_sketch_csv, save_sketch_csv, sketch_matrix,
-                            tail_masses)
+                            save_sketch_csv, sketch_matrix, tail_masses)
 from fdridge.solvers import (InverseOperator, RidgeProblem,
                              classical_sketch_solve, fdrr_solve,
                              hessian_sketch_solve, refine, solve_exact)
@@ -116,16 +112,6 @@ def _sparse(S):
     return scipy.sparse.coo_array(S)
 
 
-def _load_csv(X, shift=0.0, mode=MODE_FD):
-    """load_sketch_csv on a file whose header promises a 4 x 4 sketch and
-    whose body holds the rows of X."""
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "sketch.csv"
-        np.savetxt(path, X, fmt="%.17g", delimiter=",",
-                   header=f"4,4,{shift},{mode}", comments="# ")
-        return load_sketch_csv(path)
-
-
 # (call, name): one data argument of each public call that takes one
 MATRICES = {
     "extend-rows": (lambda X: StreamingSketch(2, 4).extend(X), "rows"),
@@ -155,16 +141,13 @@ MATRICES = {
         X, np.eye(4), _model(), 1.0), "A"),
     "hessian_sketch_diagnostics-SA": (lambda X: hessian_sketch_diagnostics(
         np.eye(4), X, _model(), 1.0), "SA"),
-    # the error names the file first
-    "load_sketch_csv-matrix": (_load_csv, r".*sketch\.csv: matrix"),
 }
 
 # (bad shape, expected): for the MATRICES calls whose argument has an
-# expected shape (4 rows, 4 columns or 4 x 4), an argument off by one
+# expected shape (4 rows or 4 columns), an argument off by one
 SHAPES = {
     "extend-rows": ((4, 5), "with 4 columns"),
     "apply_gaussian-X": ((5, 4), "with 4 rows"),
-    "load_sketch_csv-matrix": ((3, 4), r"of shape \(4, 4\)"),
 }
 
 
@@ -207,14 +190,10 @@ CHOICES = {
                                "noise level", (-1.0, np.inf, np.nan), 0.0),
     "SweepConfig-noise_sd": (lambda v: SweepConfig(noise_sd=v),
                              "noise_sd", (-1.0, np.inf, np.nan), 0.0),
-    "load_sketch_csv-shift": (lambda v: _load_csv(np.eye(4), shift=v),
-                              r".*sketch\.csv: shift", (-1.0, np.inf), 0.0),
     "finalize-mode": (lambda v: StreamingSketch(2, 4).finalize(v), "mode",
                       ("xfd",), MODE_RFD),
     "budget_for_theta-mode": (lambda v: budget_for_theta(0.5, 1, 1.0, 1.0, v),
                               "mode", ("xfd",), MODE_RFD),
-    "load_sketch_csv-mode": (lambda v: _load_csv(np.eye(4), mode=v),
-                             r".*sketch\.csv: mode", ("xfd",), MODE_RFD),
     "SweepConfig-dataset": (lambda v: SweepConfig(dataset=v), "dataset",
                             ("mystery",), "gaussian-rff"),
 }
@@ -711,10 +690,11 @@ def test_csv_round_trip(tmp_path):
     out = sketch_matrix(rng.standard_normal((60, 5)), 3, MODE_RFD)
     path = tmp_path / "sketch.csv"
     save_sketch_csv(out, path)
-    back = load_sketch_csv(path)
-    np.testing.assert_array_equal(back.matrix, out.matrix)
-    assert back.shift == out.shift
-    assert back.mode == out.mode
+    header = path.read_text(encoding="utf-8").splitlines()[0]
+    assert header.startswith("# 3,5,")
+    assert float(header.split(",")[2]).hex() == out.shift.hex()
+    back = np.loadtxt(path, delimiter=",", ndmin=2)
+    assert back.tobytes() == out.matrix.tobytes()
 
 
 def test_csv_rows_match_per_value_formatting(tmp_path):
@@ -723,60 +703,7 @@ def test_csv_rows_match_per_value_formatting(tmp_path):
     mat = np.array([[-0.0, 5e-324, 1e308, 0.1, 1.0 / 3.0],
                     [1.0, -2.5, 0.0, -1e-300, 123456789.0]])
     path = tmp_path / "sketch.csv"
-    save_sketch_csv(SketchOutput(matrix=mat, shift=0.25, mode=MODE_RFD), path)
-    expected = "# 2,5,0.25,rfd\n" + "".join(
+    save_sketch_csv(SketchOutput(matrix=mat, shift=0.25), path)
+    expected = "# 2,5,0.25\n" + "".join(
         ",".join(format(v, ".17g") for v in row) + "\n" for row in mat)
     assert path.read_bytes() == expected.encode("utf-8")
-
-
-def test_csv_rejects_bad_header(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("1,2,3\n", encoding="utf-8")
-    with pytest.raises(ValueError):
-        load_sketch_csv(path)
-    path.write_text("# 2,3,0.0,weird\n0,0,0\n0,0,0\n", encoding="utf-8")
-    with pytest.raises(ValueError):
-        load_sketch_csv(path)
-
-
-@pytest.mark.parametrize("text", [
-    "# 2,2,0.0,rfd\nnan,1\n0,1\n",
-    "# 2,2,0.0,fd\n1,0\n0,inf\n",
-    "# 2,2,-5,rfd\n1,0\n0,1\n",
-    "# 2,2,inf,rfd\n1,0\n0,1\n",
-    "# 2,2,nan,rfd\n1,0\n0,1\n",
-    # unparsable header fields and entries, and a ragged row
-    "# 2.5,2,0.0,fd\n1,0\n0,1\n",
-    "# 2,two,0.0,fd\n1,0\n0,1\n",
-    "# 2,2,none,rfd\n1,0\n0,1\n",
-    "# 2,2,0.0,fd\n1,zero\n0,1\n",
-    "# 2,2,0.0,fd\n1,0\n0\n",
-])
-def test_csv_rejects_non_finite_entries_and_bad_shift(tmp_path, text):
-    path = tmp_path / "bad.csv"
-    path.write_text(text, encoding="utf-8")
-    with pytest.raises(ValueError, match="bad.csv"):
-        load_sketch_csv(path)
-
-
-@pytest.mark.parametrize("text,value", [
-    ("# 0,0,0.0,fd\n", "0"),
-    ("# -1,2,0.0,fd\n0,0\n", "-1"),
-])
-def test_csv_header_sizes_are_counts(tmp_path, text, value):
-    # m and d go through the count rule: a 0 x 0 sketch is not loaded, and
-    # a negative m is a bad header, not a matrix of the wrong shape
-    path = tmp_path / "sizes.csv"
-    path.write_text(text, encoding="utf-8")
-    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: m must "
-                       rf"be a positive integer, got {value}$"):
-        load_sketch_csv(path)
-
-
-def test_csv_empty_body_is_a_shape_mismatch(tmp_path):
-    path = tmp_path / "empty.csv"
-    path.write_text("# 2,2,0.0,fd\n", encoding="utf-8")
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # no loadtxt "no data" warning
-        with pytest.raises(ValueError, match=r"empty.csv.*\(2, 2\)"):
-            load_sketch_csv(path)
