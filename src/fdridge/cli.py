@@ -64,7 +64,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config = load_config(args.config, _gather_overrides(args))
-        out = args.out or config.out or f"fdridge-{args.command}.csv"
+        out = args.out or f"fdridge-{args.command}.csv"
         if args.command == "sweep":
             rows = run_bias_variance_sweep(config, raw=args.raw, out=out)
         elif args.command == "iterate":

@@ -94,7 +94,6 @@ class SweepConfig:
     methods: tuple = STATISTICAL_METHODS
     trials: int = 10
     seed: int = 0
-    out: str | None = None
 
     def __post_init__(self):
         try:
@@ -278,8 +277,6 @@ def _fmt(value) -> str:
 def _config_comment(config: SweepConfig) -> str:
     parts = []
     for f in sorted(fields(SweepConfig), key=lambda f: f.name):
-        if f.name == "out":
-            continue
         value = getattr(config, f.name)
         if isinstance(value, tuple):
             value = ";".join(_fmt(v) for v in value)
@@ -387,11 +384,11 @@ def run_bias_variance_sweep(config: SweepConfig, raw: bool = False,
         values = _sweep_values([trial_reports(meth, trial)
                                 for trial in _trials(config, flavor)], baseline)
         medians = np.median(values, axis=0)
-        diverged = ~np.isfinite(values).all(axis=(0, 2))
+        diverged = ~np.isfinite(values).all(axis=2)  # trials x gammas
         for i, g in enumerate(gammas):
-            rows.append(_sweep_row(meth, g, medians[i], diverged[i]))
+            rows.append(_sweep_row(meth, g, medians[i], diverged[:, i].any()))
             if flavor in FLAVORS:  # the raw table holds draws only
-                raw_rows.extend(_sweep_row(meth, g, trial[i], False, trial=t)
+                raw_rows.extend(_sweep_row(meth, g, trial[i], diverged[t, i], trial=t)
                                 for t, trial in enumerate(values))
     rows.sort(key=lambda r: (r["method"], r["gamma"]))
     raw_rows.sort(key=lambda r: (r["method"], r["gamma"], r["trial"]))

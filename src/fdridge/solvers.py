@@ -106,17 +106,17 @@ class InverseOperator:
             (self.spectrum, self.basis), gamma_total)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        """Apply to a vector or to each column of a matrix."""
+        """Apply to a vector of length d or to each column of a matrix of
+        d rows; anything else raises ValueError naming its shape."""
         v = np.asarray(v, dtype=float)
         d = self.basis.shape[0]
-        if v.shape[0] != d:
-            raise ValueError(f"operator acts on dimension {d}, got {v.shape[0]}")
+        if v.ndim not in (1, 2) or v.shape[0] != d:
+            raise ValueError(f"operator acts on a vector or matrix of "
+                             f"dimension {d}, got shape {v.shape}")
         g = self.gamma_total
         coeff = 1.0 / (self.spectrum + g) - 1.0 / g
-        proj = self.basis.T @ v
-        if v.ndim == 1:
-            return v / g + self.basis @ (coeff * proj)
-        return v / g + self.basis @ (coeff[:, None] * proj)
+        coeff = coeff.reshape((-1,) + (1,) * (v.ndim - 1))  # per row of V^T v
+        return v / g + self.basis @ (coeff * (self.basis.T @ v))
 
 
 @dataclass
@@ -183,13 +183,17 @@ def refine(problem: RidgeProblem,
     matrix-vector products; the d x d Gram matrix is never formed, and
     the guard reads the problem's ``rhs`` rather than forming A^T y again.
     Raises :class:`DivergenceError` when the iterate norm passes the
-    guard; the partial trace rides along on the exception.
+    guard; the partial trace rides along on the exception.  A reference
+    ``x_star``, when given, must be a finite vector of length d
+    (:func:`sketch._vector`), or ValueError names it.
     """
     A, y, gamma = problem.A, problem.y, problem.gamma
     t = _count("t", t)
     d = A.shape[1]
     x = np.zeros(d)
     track = x_star is not None
+    if track:
+        x_star = _vector("x_star", x_star, d)
     trace = IterativeTrace(residual_norms=[float(np.linalg.norm(x - x_star))]
                            if track else None)
     guard = DIVERGENCE_FACTOR * np.linalg.norm(problem.rhs) / gamma

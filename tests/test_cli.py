@@ -113,6 +113,8 @@ def test_sketch_acc_subcommand(config_path, tmp_path):
     (["--set", "gammas=-8^0.5"], "could not parse gammas = '-8^0.5'"),
     # a key given twice is refused, as a key set twice in a file is
     (["--set", "m=128", "--set", "m=64"], "--set gives 'm' twice"),
+    # a table's path is the command's --out, not a config key
+    (["--set", "out=x.csv"], "unknown config key 'out'"),
 ])
 def test_cli_errors_exit_2(config_path, capsys, argv_tail, fragment):
     code = main(["sweep", "--config", str(config_path)] + argv_tail)
@@ -149,14 +151,26 @@ def test_jobs_one_still_runs(config_path, tmp_path, command):
     assert out.exists()
 
 
+def _reproduce_commands() -> list:
+    """The argv of every fdridge command in scripts/reproduce.sh."""
+    return [shlex.split(line) for line in REPRODUCE.read_text().splitlines()
+            if line.startswith("python3 -m fdridge.cli ")]
+
+
+def _tables(argv) -> list:
+    """The results/ tables a reproduce.sh command writes, by name: its
+    ``--out`` file, and that name plus .raw.csv under ``--raw``."""
+    name = Path(argv[argv.index("--out") + 1]).name
+    return [name] + ([f"{name}.raw.csv"] if "--raw" in argv else [])
+
+
 def test_reproduce_script_parses():
-    """Every fdridge line of scripts/reproduce.sh parses and names a config
-    that loads, so a bad key or value fails here, and line 2 of each
-    results/ table it writes is that config's line, so a key added,
-    dropped or reformatted fails here too, the iterate table included;
-    nothing is run."""
-    lines = [shlex.split(line) for line in REPRODUCE.read_text().splitlines()
-             if line.startswith("python3 -m fdridge.cli ")]
+    """Every fdridge line of scripts/reproduce.sh parses, writes into
+    results/ and names a config that loads, so a bad key or value fails
+    here, and line 2 of each results/ table it writes is that config's
+    line, so a key added, dropped or reformatted fails here too, the
+    iterate table included; nothing is run."""
+    lines = _reproduce_commands()
     assert {argv[3] for argv in lines} == {"sweep", "iterate", "sketch-acc"}
     parser = _build_parser()
     for argv in lines:
@@ -164,14 +178,23 @@ def test_reproduce_script_parses():
             args = parser.parse_args(argv[3:])
         except SystemExit:
             pytest.fail(f"reproduce.sh line does not parse: {shlex.join(argv)}")
+        assert Path(args.out).parent == Path("results"), shlex.join(argv)
         config = load_config(REPO / args.config)
         expected = "# " + _config_comment(config) + (
             f" t={args.t}" if args.command == "iterate" else "")
-        name = Path(config.out).name
-        for table in [name] + ([f"{name}.raw.csv"]
-                               if getattr(args, "raw", False) else []):
+        for table in _tables(argv):
             text = (REPO / "results" / table).read_text(encoding="utf-8")
             assert text.splitlines()[1] == expected, table
+
+
+def test_results_are_the_reproduce_tables():
+    """results/ holds exactly the tables reproduce.sh writes, so none is
+    left behind by a command that no longer writes it."""
+    written = [table for argv in _reproduce_commands()
+               for table in _tables(argv)]
+    assert len(set(written)) == len(written)
+    assert sorted(p.name for p in (REPO / "results").iterdir()) == \
+        sorted(written)
 
 
 def _first_difference(path, ref):
@@ -190,22 +213,35 @@ def test_reproduce_command_rewrites_results_byte_for_byte(config, tmp_path):
     """The reproduce.sh command for ``config``, run in a subprocess at one
     BLAS thread, writes tables byte-identical to those in results/: the
     ``#`` lines, the header and every body line."""
-    argv = next(shlex.split(line) for line in REPRODUCE.read_text().splitlines()
-                if line.startswith("python3 -m fdridge.cli ") and config in line)
-    name = Path(load_config(REPO / argv[argv.index("--config") + 1]).out).name
+    argv = next(argv for argv in _reproduce_commands()
+                if Path(argv[argv.index("--config") + 1]).name == config)
+    tables = _tables(argv)
+    argv[argv.index("--out") + 1] = str(tmp_path / tables[0])
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                MKL_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(filter(None, [
                    str(REPO / "src"), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable] + argv[1:]
-                          + ["--out", str(tmp_path / name)],
+    proc = subprocess.run([sys.executable] + argv[1:],
                           cwd=REPO, env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    tables = [name] + ([f"{name}.raw.csv"] if "--raw" in argv else [])
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(tables)
     for table in tables:
         line = _first_difference(tmp_path / table, REPO / "results" / table)
         assert line is None, f"{table} differs from results/ at line {line}"
+
+
+@pytest.mark.parametrize("command", [
+    ["sweep"],
+    ["iterate", "--t", "2", "--set", "methods=ifdrr:fd"],
+    ["sketch-acc"],
+])
+def test_default_out_is_named_by_command(config_path, tmp_path, monkeypatch,
+                                         command):
+    workdir = tmp_path / "work"
+    workdir.mkdir()
+    monkeypatch.chdir(workdir)
+    assert main(command + ["--config", str(config_path)]) == 0
+    assert [p.name for p in workdir.iterdir()] == [f"fdridge-{command[0]}.csv"]
 
 
 def test_missing_config_file(tmp_path, capsys):

@@ -6,6 +6,7 @@ median rows of the sweep are rebuilt from scratch with the documented
 seed fan-out, and the iterative table is checked against contraction
 rates measured on a hand-tuned instance.
 """
+import csv
 import math
 import re
 import tracemalloc
@@ -14,10 +15,11 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from fdridge import sketch
+from fdridge import experiments, sketch
 from fdridge.datasets import dump_libsvm, SparseRowMatrix
 from fdridge.diagnostics import (DiagnosticsReport,
-                                 classical_sketch_diagnostics)
+                                 classical_sketch_diagnostics,
+                                 hessian_sketch_diagnostics)
 from fdridge.experiments import (ACC_COLUMNS, ConfigError, ITER_COLUMNS,
                                  ITERATIVE_METHODS, STATISTICAL_METHODS,
                                  SWEEP_COLUMNS, SweepConfig, _config_comment,
@@ -83,6 +85,11 @@ def test_load_config_error_positions(tmp_path):
     path.write_text("sjlt_s = 8\n")
     with pytest.raises(ConfigError,
                        match="bad.cfg:1: unknown config key 'sjlt_s'"):
+        load_config(path)
+    # a table's path is its command's --out; it is no key either
+    path.write_text("out = x.csv\n")
+    with pytest.raises(ConfigError,
+                       match="bad.cfg:1: unknown config key 'out'"):
         load_config(path)
     with pytest.raises(ConfigError, match="could not parse"):
         load_config(None, overrides={"trials": "many"})
@@ -395,6 +402,32 @@ def test_sweep_writes_tables(tmp_path):
 
     run_bias_variance_sweep(config, raw=True, out=out)
     assert out.read_text().splitlines() == text
+
+
+def test_sweep_raw_rows_flag_their_own_trial(tmp_path, monkeypatch):
+    # one Hessian-sketch draw reports an infinite variance: its raw rows
+    # and the aggregate rows are flagged, the other draws' raw rows not
+    trials = iter(range(3))  # the draws run in trial order
+
+    def diagnostics(*args):
+        reports = hessian_sketch_diagnostics(*args)
+        if next(trials) == 1:
+            reports = [DiagnosticsReport(rep.bias_sq, math.inf)
+                       for rep in reports]
+        return reports
+
+    monkeypatch.setattr(experiments, "hessian_sketch_diagnostics",
+                        diagnostics)
+    out = tmp_path / "sweep.csv"
+    config = small_config(methods=("exact", "hessian:gauss"), trials=3)
+    rows = run_bias_variance_sweep(config, raw=True, out=out)
+    flagged = {(r["method"], r["diverged"]) for r in rows}
+    assert flagged == {("exact", 0), ("hessian:gauss", 1)}
+    lines = (tmp_path / "sweep.csv.raw.csv").read_text().splitlines()[3:]
+    raw = list(csv.DictReader(lines))
+    assert len(raw) == 3 * len(config.gammas)
+    for row in raw:
+        assert row["diverged"] == ("1" if row["trial"] == "1" else "0"), row
 
 
 def test_iterate_lossless_converges_immediately():

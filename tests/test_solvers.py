@@ -5,6 +5,7 @@ inv(A^T A + gamma I) and friends, formed densely with numpy.  Sketch-based
 solvers must agree with the same formulas evaluated on their own sketch.
 """
 import math
+import re
 
 import numpy as np
 import pytest
@@ -221,6 +222,14 @@ def test_operator_rejects_bad_regularizer():
                 InverseOperator(X, 1.0)
 
 
+@pytest.mark.parametrize("v", [np.ones((6, 6, 6)), np.ones((6, 2, 6)),
+                               np.float64(1.0)], ids=["cube", "stack", "scalar"])
+def test_operator_refuses_a_non_vector_non_matrix(v):
+    op = InverseOperator(np.random.default_rng(9).standard_normal((4, 6)), 1.0)
+    with pytest.raises(ValueError, match=rf"got shape {re.escape(str(v.shape))}"):
+        op.apply(v)
+
+
 def test_operator_from_sketch_adds_shift():
     rng = np.random.default_rng(4)
     out = sketch_matrix(rng.standard_normal((40, 6)), 3, MODE_RFD)
@@ -351,6 +360,22 @@ def test_zero_targets_fix_the_origin():
     x, trace = ifdrr_solve(problem, 3, t=4, x_star=np.zeros(5))
     assert trace.residual_norms == [0.0] * 5
     np.testing.assert_array_equal(x, np.zeros(5))
+
+
+@pytest.mark.parametrize("bad,message", [
+    (np.ones((6, 1)), r"x_star must be a vector of length 6, got shape \(6, 1\)"),
+    (np.ones(7), r"x_star must be a vector of length 6, got shape \(7,\)"),
+    (np.full(6, np.nan), "x_star entry 0 is not finite"),
+], ids=["column", "length-7", "nan"])
+@pytest.mark.parametrize("solve", [
+    lambda problem, x_star: ifdrr_solve(problem, 8, t=3, x_star=x_star),
+    lambda problem, x_star: refine(problem, lambda _i: InverseOperator(
+        problem.A, problem.gamma), 3, x_star),
+], ids=["ifdrr_solve", "refine"])
+def test_reference_solution_is_checked(solve, bad, message):
+    problem = make_problem(16, n=40, d=6, gamma=1.0)
+    with pytest.raises(ValueError, match=message):
+        solve(problem, bad)
 
 
 def test_iteration_count_validation():
