@@ -11,8 +11,7 @@ from .diagnostics import (BudgetError, DiagnosticsReport, LinearModelSpec,
 from .experiments import (ConfigError, SweepConfig, load_config, load_instance,
                           run_bias_variance_sweep, run_iterative_experiment,
                           run_sketch_accuracy)
-from .random_sketch import (GaussianSketchSpec, SjltSketchSpec,
-                            apply_gaussian, realize_gaussian, realize_sjlt)
+from .random_sketch import apply_gaussian, realize_gaussian, realize_sjlt
 from .sketch import (MODE_FD, MODE_RFD, SketchOutput, StreamingSketch,
                      save_sketch_csv, sketch_matrix, tail_masses)
 from .solvers import (DivergenceError, InverseOperator, IterativeTrace,
@@ -21,10 +20,9 @@ from .solvers import (DivergenceError, InverseOperator, IterativeTrace,
 
 __all__ = [
     "BudgetError", "ConfigError", "DiagnosticsReport", "DivergenceError",
-    "GaussianSketchSpec", "InverseOperator", "IterativeTrace",
-    "LibsvmParseError", "LinearModelSpec", "MODE_FD", "MODE_RFD",
-    "RidgeProblem", "SjltSketchSpec", "SketchOutput", "SparseRowMatrix",
-    "StreamingSketch", "SweepConfig", "SyntheticSpec",
+    "InverseOperator", "IterativeTrace", "LibsvmParseError",
+    "LinearModelSpec", "MODE_FD", "MODE_RFD", "RidgeProblem", "SketchOutput",
+    "SparseRowMatrix", "StreamingSketch", "SweepConfig", "SyntheticSpec",
     "apply_gaussian", "budget_for_theta", "classical_sketch_diagnostics",
     "classical_sketch_solve", "dct_rotation", "dump_libsvm", "fdrr_solve",
     "hessian_sketch_diagnostics", "hessian_sketch_solve", "ifdrr_solve",

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from .experiments import (ConfigError, load_config, run_bias_variance_sweep,
                           run_iterative_experiment, run_sketch_accuracy)
@@ -65,6 +66,8 @@ def main(argv=None) -> int:
     try:
         config = load_config(args.config, _gather_overrides(args))
         out = args.out or f"fdridge-{args.command}.csv"
+        if not (folder := Path(out).parent).is_dir():
+            raise OSError(f"no directory {str(folder)!r} for --out {out}")
         if args.command == "sweep":
             rows = run_bias_variance_sweep(config, raw=args.raw, out=out)
         elif args.command == "iterate":

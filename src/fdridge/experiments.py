@@ -77,7 +77,7 @@ class SweepConfig:
     checked by building its :class:`SyntheticSpec`.  Both list keys are
     stored as tuples, the gamma grid sorted and without repeats, the
     order in which the runners walk it.  Any m works with every method:
-    the SJLT's block count follows from m in :class:`SjltSketchSpec`.
+    the SJLT's block count follows from m in :func:`realize_sjlt`.
     """
 
     dataset: str = "synthetic"

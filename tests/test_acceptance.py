@@ -22,7 +22,7 @@ from fdridge.sketch import (MODE_FD, MODE_RFD, StreamingSketch, sketch_matrix,
 from fdridge.solvers import (RidgeProblem, InverseOperator,
                              classical_sketch_solve, fdrr_solve,
                              hessian_sketch_solve, ifdrr_solve, solve_exact)
-from fdridge.random_sketch import GaussianSketchSpec, realize_gaussian
+from fdridge.random_sketch import realize_gaussian
 
 
 def spectral_norm(M):
@@ -270,7 +270,7 @@ def test_criterion_7_solver_oracles():
     out = sketch_matrix(A, 4, MODE_RFD)
     close(fdrr_solve(problem, 4, mode=MODE_RFD),
           np.linalg.inv(out.covariance() + gamma * eye) @ (A.T @ y))
-    S = realize_gaussian(GaussianSketchSpec(m=16, n=40, seed=3))
+    S = realize_gaussian(16, 40, 3)
     SA = S @ A
     close(classical_sketch_solve(SA, S @ y, gamma),
           np.linalg.inv(SA.T @ SA + gamma * eye) @ (SA.T @ (S @ y)))

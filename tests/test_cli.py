@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fdridge import cli
 from fdridge.cli import _build_parser, main
 from fdridge.experiments import _config_comment, load_config
 
@@ -242,6 +243,28 @@ def test_default_out_is_named_by_command(config_path, tmp_path, monkeypatch,
     monkeypatch.chdir(workdir)
     assert main(command + ["--config", str(config_path)]) == 0
     assert [p.name for p in workdir.iterdir()] == [f"fdridge-{command[0]}.csv"]
+
+
+@pytest.mark.parametrize("command", [
+    ["sweep", "--raw"],
+    ["iterate", "--t", "2"],
+    ["sketch-acc"],
+])
+def test_missing_out_directory_fails_before_the_run(config_path, tmp_path,
+                                                    monkeypatch, capsys,
+                                                    command):
+    # the table's directory is checked before any work, not after it
+    entered = []
+    for runner in ("run_bias_variance_sweep", "run_iterative_experiment",
+                   "run_sketch_accuracy"):
+        monkeypatch.setattr(cli, runner, lambda *a, **k: entered.append(a))
+    missing = tmp_path / "nodir"
+    code = main(command + ["--config", str(config_path),
+                           "--out", str(missing / "table.csv")])
+    assert code == 2 and entered == []
+    err = capsys.readouterr().err
+    assert err.startswith("fdridge: error:") and repr(str(missing)) in err
+    assert not missing.exists()
 
 
 def test_missing_config_file(tmp_path, capsys):

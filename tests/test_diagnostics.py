@@ -19,8 +19,7 @@ from fdridge.diagnostics import (BudgetError, LinearModelSpec,
                                  optimal_diagnostics, sketched_diagnostics,
                                  theta_interval)
 from fdridge.datasets import SyntheticSpec, synthetic_regression
-from fdridge.random_sketch import (GaussianSketchSpec, SjltSketchSpec,
-                                   apply_gaussian, realize_gaussian,
+from fdridge.random_sketch import (apply_gaussian, realize_gaussian,
                                    realize_sjlt)
 from fdridge.sketch import (MODE_FD, MODE_RFD, StreamingSketch, _light_rows,
                             sketch_matrix, tail_masses)
@@ -187,7 +186,7 @@ def test_sketched_diagnostics_against_monte_carlo(mc_instance):
 
 def test_classical_diagnostics_against_monte_carlo(mc_instance):
     A, model, gamma = mc_instance
-    S = realize_gaussian(GaussianSketchSpec(m=12, n=40, seed=11))
+    S = realize_gaussian(12, 40, 11)
     SA = S @ A
     H = SA.T @ SA + gamma * np.eye(6)
     bias_sq, var = _mc_moments(
@@ -201,7 +200,7 @@ def test_classical_diagnostics_against_monte_carlo(mc_instance):
 
 def test_hessian_diagnostics_against_monte_carlo(mc_instance):
     A, model, gamma = mc_instance
-    S = realize_gaussian(GaussianSketchSpec(m=12, n=40, seed=11))
+    S = realize_gaussian(12, 40, 11)
     SA = S @ A
     H = SA.T @ SA + gamma * np.eye(6)
     bias_sq, var = _mc_moments(lambda ys: np.linalg.solve(H, A.T @ ys),
@@ -313,8 +312,8 @@ def test_rfd_diagnostics_are_fd_diagnostics_at_the_shifted_gamma(
 
 
 def _draws(n, m):
-    return {"gauss": realize_gaussian(GaussianSketchSpec(m=m, n=n, seed=5)),
-            "sjlt": realize_sjlt(SjltSketchSpec(m=m, n=n, seed=5))}
+    return {"gauss": realize_gaussian(m, n, 5),
+            "sjlt": realize_sjlt(m, n, 5)}
 
 
 @pytest.mark.parametrize("flavor", ["gauss", "sjlt"])
@@ -416,7 +415,7 @@ def test_diagnostics_hold_no_copy_of_the_data(traced_peak):
     model = LinearModelSpec(rng.standard_normal(d), 1.0)
     gammas = [0.5, 5.0]
     output = sketch_matrix(A, m, MODE_RFD)
-    SA = apply_gaussian(GaussianSketchSpec(m=m, n=n, seed=1), A)
+    SA = apply_gaussian(m, A, 1)
     calls = [(optimal_diagnostics, A, model, gammas),
              (sketched_diagnostics, A, output, model, gammas),
              (hessian_sketch_diagnostics, A, SA, model, gammas)]

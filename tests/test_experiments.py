@@ -28,7 +28,7 @@ from fdridge.experiments import (ACC_COLUMNS, ConfigError, ITER_COLUMNS,
                                  run_bias_variance_sweep,
                                  run_iterative_experiment,
                                  run_sketch_accuracy, write_csv)
-from fdridge.random_sketch import GaussianSketchSpec, realize_gaussian
+from fdridge.random_sketch import realize_gaussian
 from fdridge.sketch import StreamingSketch, tail_masses
 
 
@@ -360,7 +360,7 @@ def test_sweep_median_matches_hand_rebuild():
         per_trial = []
         for trial in range(config.trials):
             seed = child_seed(config.seed, 1, 3, trial)
-            S = realize_gaussian(GaussianSketchSpec(m=8, n=48, seed=seed))
+            S = realize_gaussian(8, 48, seed)
             per_trial.append(classical_sketch_diagnostics(A, S, model, g).mse)
         row = next(r for r in rows if r["gamma"] == g)
         assert row["mse"] == float(np.median(per_trial))

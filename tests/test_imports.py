@@ -31,9 +31,9 @@ def test_numpy_only_paths_load_no_scipy():
     out = run_fresh("""
         import sys
         import fdridge
-        from fdridge import (GaussianSketchSpec, RidgeProblem, StreamingSketch,
-                             SweepConfig, apply_gaussian, fdrr_solve,
-                             ifdrr_solve, load_instance)
+        from fdridge import (RidgeProblem, StreamingSketch, SweepConfig,
+                             apply_gaussian, fdrr_solve, ifdrr_solve,
+                             load_instance)
 
         load_instance(SweepConfig(dataset="synthetic", n=64, d=16, m=8))
         A, y, _ = load_instance(SweepConfig(dataset="gaussian-rff", n=200,
@@ -44,15 +44,14 @@ def test_numpy_only_paths_load_no_scipy():
         problem = RidgeProblem(A, y, 1.0)
         fdrr_solve(problem, 8, mode="rfd")
         ifdrr_solve(problem, 8, 3, mode="rfd")
-        apply_gaussian(GaussianSketchSpec(m=8, n=200, seed=0), A)
+        apply_gaussian(8, A, 0)
         print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
     """)
     assert out.strip() == "[]"
 
 
 @pytest.mark.parametrize("call, module", [
-    ("fdridge.realize_sjlt(fdridge.SjltSketchSpec(m=8, n=20, seed=0))",
-     "scipy.sparse"),
+    ("fdridge.realize_sjlt(8, 20, 0)", "scipy.sparse"),
 ], ids=["realize_sjlt"])
 def test_scipy_callers_work_when_called_first(call, module):
     out = run_fresh(f"""

@@ -3,41 +3,36 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fdridge import random_sketch
-from fdridge.random_sketch import (GaussianSketchSpec, SjltSketchSpec,
-                                   apply_gaussian, realize_gaussian,
-                                   realize_sjlt)
+from fdridge.random_sketch import apply_gaussian, realize_gaussian, realize_sjlt
 
 BLOCK_ROWS = 32  # rows per Gaussian block that the block tests budget for
 
 
 def test_gaussian_zero_input():
-    spec = GaussianSketchSpec(m=8, n=12, seed=0)
-    assert not (realize_gaussian(spec) @ np.zeros((12, 3))).any()
+    assert not (realize_gaussian(8, 12, 0) @ np.zeros((12, 3))).any()
 
 
 def test_gaussian_deterministic():
-    spec = GaussianSketchSpec(m=8, n=12, seed=3)
     A = np.random.default_rng(1).standard_normal((12, 4))
-    np.testing.assert_array_equal(realize_gaussian(spec) @ A,
-                                  realize_gaussian(spec) @ A)
+    np.testing.assert_array_equal(realize_gaussian(8, 12, 3) @ A,
+                                  realize_gaussian(8, 12, 3) @ A)
 
 
 def test_gaussian_seed_changes_output():
     A = np.random.default_rng(1).standard_normal((12, 4))
-    a = realize_gaussian(GaussianSketchSpec(m=8, n=12, seed=0)) @ A
-    b = realize_gaussian(GaussianSketchSpec(m=8, n=12, seed=1)) @ A
+    a = realize_gaussian(8, 12, 0) @ A
+    b = realize_gaussian(8, 12, 1) @ A
     assert not np.array_equal(a, b)
 
 
 def test_gaussian_shape_mismatch():
-    spec = GaussianSketchSpec(m=8, n=12, seed=0)
     with pytest.raises(ValueError):
-        realize_gaussian(spec) @ np.zeros((11, 3))
+        realize_gaussian(8, 12, 0) @ np.zeros((11, 3))
 
 
 def test_gaussian_entry_scale():
     # Entries are i.i.d. with variance 1/m.
-    S = realize_gaussian(GaussianSketchSpec(m=400, n=50, seed=7))
+    S = realize_gaussian(400, 50, 7)
     assert np.asarray(S).var() == pytest.approx(1.0 / 400, rel=0.05)
 
 
@@ -47,10 +42,20 @@ def test_apply_gaussian_matches_the_realized_product(m, monkeypatch):
     # partial last block: the row-block draw is the same S
     monkeypatch.setattr(random_sketch, "GAUSSIAN_BLOCK_BYTES",
                         8 * 300 * BLOCK_ROWS)
-    spec = GaussianSketchSpec(m=m, n=300, seed=4)
     X = np.random.default_rng(2).standard_normal((300, 7))
-    np.testing.assert_allclose(apply_gaussian(spec, X),
-                               realize_gaussian(spec) @ X, rtol=1e-12)
+    np.testing.assert_allclose(apply_gaussian(m, X, 4),
+                               realize_gaussian(m, 300, 4) @ X, rtol=1e-12)
+
+
+@pytest.mark.parametrize("m", [5, BLOCK_ROWS, 40, 3 * BLOCK_ROWS + 7])
+def test_gaussian_blocks_draw_the_realized_sketch_bit_for_bit(m, monkeypatch):
+    # S I in blocks of 32 rows, short last blocks included, is the S that
+    # realize_gaussian draws, with not one bit rescaled or reordered
+    monkeypatch.setattr(random_sketch, "GAUSSIAN_BLOCK_BYTES",
+                        8 * 300 * BLOCK_ROWS)
+    np.testing.assert_array_equal(
+        random_sketch._product("gauss", m, np.eye(300), 4),
+        realize_gaussian(m, 300, 4))
 
 
 @pytest.mark.parametrize("budget", [1, 8 * 2 ** 20])
@@ -58,36 +63,34 @@ def test_gaussian_blocks_clamp_to_one_row_and_to_m(budget, monkeypatch):
     # a budget below one row still draws a row at a time; a budget above
     # the whole sketch draws it in one block
     monkeypatch.setattr(random_sketch, "GAUSSIAN_BLOCK_BYTES", budget)
-    spec = GaussianSketchSpec(m=9, n=300, seed=5)
     X = np.random.default_rng(6).standard_normal((300, 4))
-    np.testing.assert_allclose(apply_gaussian(spec, X),
-                               realize_gaussian(spec) @ X, rtol=1e-12)
+    np.testing.assert_allclose(apply_gaussian(9, X, 5),
+                               realize_gaussian(9, 300, 5) @ X, rtol=1e-12)
 
 
 def test_apply_gaussian_rejects_bad_input():
-    spec = GaussianSketchSpec(m=8, n=12, seed=0)
-    with pytest.raises(ValueError, match="12 rows"):
-        apply_gaussian(spec, np.zeros((11, 3)))
+    # n is X's row count, so only an X of no rows is refused for its height
+    with pytest.raises(ValueError, match="^n must be a positive integer"):
+        apply_gaussian(8, np.zeros((0, 3)), 0)
     with pytest.raises(ValueError, match="2-d"):
-        apply_gaussian(spec, np.zeros(12))
+        apply_gaussian(8, np.zeros(12), 0)
 
 
 def test_apply_gaussian_never_holds_the_sketch(traced_peak):
     # S would take 41 MB; the draw holds one block of at most the budget
     # beside the 256 x 8 result
-    spec = GaussianSketchSpec(m=256, n=20000, seed=1)
     X = np.random.default_rng(3).standard_normal((20000, 8))
-    SX, peak = traced_peak(apply_gaussian, spec, X)
+    SX, peak = traced_peak(apply_gaussian, 256, X, 1)
     assert SX.shape == (256, 8)
     assert peak <= random_sketch.GAUSSIAN_BLOCK_BYTES + SX.nbytes + 2 ** 16
 
 
 def test_sjlt_column_structure():
     """Each column holds exactly one entry of magnitude 1/sqrt(s) per block."""
-    m, n = 12, 30
-    spec = SjltSketchSpec(m=m, n=n, seed=5)
-    s = spec.s
-    S = np.asarray(realize_sjlt(spec).todense())
+    m, n, s = 12, 30, 6
+    S = realize_sjlt(m, n, 5)
+    assert S.nnz == s * n
+    S = np.asarray(S.todense())
     blocks = S.reshape(s, m // s, n)
     mags = np.abs(blocks)
     assert np.all(np.count_nonzero(mags, axis=1) == 1)
@@ -101,7 +104,7 @@ def test_sjlt_column_structure():
     (9, 15, 3, 0), (7, 20, 7, 5)])
 def test_sjlt_csc_matches_the_coordinate_construction(m, n, s, seed):
     # the per-block draws at block count s laid out as (row, column,
-    # value) triples: the CSC arrays of the spec at m hold the same matrix
+    # value) triples: the CSC arrays drawn at m hold the same matrix
     import scipy.sparse
 
     rng = np.random.default_rng(seed)
@@ -112,21 +115,20 @@ def test_sjlt_csc_matches_the_coordinate_construction(m, n, s, seed):
     cols = np.tile(np.arange(n), s)
     old = scipy.sparse.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), cols)), shape=(m, n))
-    spec = SjltSketchSpec(m=m, n=n, seed=seed)
-    assert spec.s == s
-    S = realize_sjlt(spec)
+    S = realize_sjlt(m, n, seed)
     assert S.shape == (m, n) and S.nnz == s * n and S.has_sorted_indices
     np.testing.assert_array_equal(S.toarray(), old.toarray())
 
 
 def test_sjlt_on_basis_vector():
-    spec = SjltSketchSpec(m=64, n=24, seed=6)
+    S, s = realize_sjlt(64, 24, 6), 8
+    assert S.nnz == s * 24
     col = np.zeros((24, 1))
     col[13, 0] = 1.0
-    out = realize_sjlt(spec) @ col
+    out = S @ col
     nz = out[out != 0.0]
-    assert nz.size == spec.s
-    assert np.allclose(np.abs(nz), 1.0 / np.sqrt(spec.s))
+    assert nz.size == s
+    assert np.allclose(np.abs(nz), 1.0 / np.sqrt(s))
 
 
 def test_isometry_in_expectation_gaussian():
@@ -134,7 +136,7 @@ def test_isometry_in_expectation_gaussian():
     x = rng.standard_normal(64)
     x /= np.linalg.norm(x)
     vals = [float(np.linalg.norm(
-        realize_gaussian(GaussianSketchSpec(m=512, n=64, seed=seed)) @ x) ** 2)
+        realize_gaussian(512, 64, seed) @ x) ** 2)
         for seed in range(200)]
     assert 0.9 <= np.mean(vals) <= 1.1
 
@@ -144,7 +146,7 @@ def test_isometry_in_expectation_sjlt():
     x = rng.standard_normal(64)
     x /= np.linalg.norm(x)
     vals = [float(np.linalg.norm(
-        realize_sjlt(SjltSketchSpec(m=512, n=64, seed=seed)) @ x) ** 2)
+        realize_sjlt(512, 64, seed) @ x) ** 2)
         for seed in range(200)]
     assert 0.9 <= np.mean(vals) <= 1.1
 
@@ -158,9 +160,9 @@ def test_subspace_embedding_sanity(flavor):
     good = 0
     for seed in range(100):
         if flavor == "gauss":
-            SU = realize_gaussian(GaussianSketchSpec(m=1024, n=2048, seed=seed)) @ U
+            SU = realize_gaussian(1024, 2048, seed) @ U
         else:
-            SU = realize_sjlt(SjltSketchSpec(m=1024, n=2048, seed=seed)) @ U
+            SU = realize_sjlt(1024, 2048, seed) @ U
         sv = np.linalg.svd(np.asarray(SU), compute_uv=False)
         good += int(sv.min() >= 0.5 and sv.max() <= 1.5)
     assert good >= 95
@@ -172,8 +174,8 @@ def test_application_is_linear(seed, a, b):
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((15, 3))
     Y = rng.standard_normal((15, 3))
-    for S in (realize_gaussian(GaussianSketchSpec(m=6, n=15, seed=seed)),
-              realize_sjlt(SjltSketchSpec(m=6, n=15, seed=seed))):
+    for S in (realize_gaussian(6, 15, seed),
+              realize_sjlt(6, 15, seed)):
         np.testing.assert_allclose(S @ (a * X + b * Y),
                                    a * (S @ X) + b * (S @ Y),
                                    rtol=1e-10, atol=1e-10)

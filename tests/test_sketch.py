@@ -19,8 +19,8 @@ from fdridge.diagnostics import (LinearModelSpec, budget_for_theta,
                                  hessian_sketch_diagnostics,
                                  optimal_diagnostics, sketched_diagnostics)
 from fdridge.experiments import SweepConfig, load_config, load_instance
-from fdridge.random_sketch import (GaussianSketchSpec, SjltSketchSpec,
-                                   apply_gaussian)
+from fdridge.random_sketch import (apply_gaussian, realize_gaussian,
+                                   realize_sjlt)
 from fdridge.sketch import (MODE_FD, MODE_RFD, SketchOutput, StreamingSketch,
                             save_sketch_csv, sketch_matrix, tail_masses)
 from fdridge.solvers import (InverseOperator, RidgeProblem,
@@ -72,13 +72,15 @@ SIZES = {
     "fdrr_solve-m": (lambda v: fdrr_solve(_problem(), v), "m", 1),
     "refine-t": (lambda v: refine(_problem(), lambda _i: InverseOperator(
         np.eye(3), 1.0), v), "t", 1),
-    "GaussianSketchSpec-m": (lambda v: GaussianSketchSpec(v, 4, 0), "m", 1),
-    "GaussianSketchSpec-n": (lambda v: GaussianSketchSpec(4, v, 0), "n", 1),
-    "GaussianSketchSpec-seed": (lambda v: GaussianSketchSpec(4, 4, v),
-                                "seed", 0),
-    "SjltSketchSpec-m": (lambda v: SjltSketchSpec(v, 4, 0), "m", 1),
-    "SjltSketchSpec-n": (lambda v: SjltSketchSpec(4, v, 0), "n", 1),
-    "SjltSketchSpec-seed": (lambda v: SjltSketchSpec(4, 4, v), "seed", 0),
+    "realize_gaussian-m": (lambda v: realize_gaussian(v, 4, 0), "m", 1),
+    "realize_gaussian-n": (lambda v: realize_gaussian(4, v, 0), "n", 1),
+    "realize_gaussian-seed": (lambda v: realize_gaussian(4, 4, v), "seed", 0),
+    "realize_sjlt-m": (lambda v: realize_sjlt(v, 4, 0), "m", 1),
+    "realize_sjlt-n": (lambda v: realize_sjlt(4, v, 0), "n", 1),
+    "realize_sjlt-seed": (lambda v: realize_sjlt(4, 4, v), "seed", 0),
+    "apply_gaussian-m": (lambda v: apply_gaussian(v, np.eye(4), 0), "m", 1),
+    "apply_gaussian-seed": (lambda v: apply_gaussian(4, np.eye(4), v),
+                            "seed", 0),
     "SyntheticSpec-n": (lambda v: SyntheticSpec(v, 4, 0.5, 1.0, 0), "n", 1),
     "SyntheticSpec-d": (lambda v: SyntheticSpec(4, v, 0.5, 1.0, 0), "d", 1),
     "SyntheticSpec-seed": (lambda v: SyntheticSpec(4, 4, 0.5, 1.0, v),
@@ -123,8 +125,7 @@ MATRICES = {
         lambda X: classical_sketch_solve(X, np.ones(4), 1.0), "SA"),
     "hessian_sketch_solve-SA": (
         lambda X: hessian_sketch_solve(X, np.ones(4), 1.0), "SA"),
-    "apply_gaussian-X": (
-        lambda X: apply_gaussian(GaussianSketchSpec(2, 4, 0), X), "X"),
+    "apply_gaussian-X": (lambda X: apply_gaussian(2, X, 0), "X"),
     "rff_expand-X": (lambda X: rff_expand(X, 3), "X"),
     "optimal_diagnostics-A": (
         lambda X: optimal_diagnostics(X, _model(), 1.0), "A"),
@@ -144,10 +145,9 @@ MATRICES = {
 }
 
 # (bad shape, expected): for the MATRICES calls whose argument has an
-# expected shape (4 rows or 4 columns), an argument off by one
+# expected shape (4 columns), an argument off by one
 SHAPES = {
     "extend-rows": ((4, 5), "with 4 columns"),
-    "apply_gaussian-X": ((5, 4), "with 4 rows"),
 }
 
 

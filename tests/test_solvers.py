@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fdridge import solvers
-from fdridge.random_sketch import GaussianSketchSpec, realize_gaussian
+from fdridge.random_sketch import realize_gaussian
 from fdridge.sketch import MODE_FD, MODE_RFD, sketch_matrix, tail_masses
 from fdridge.solvers import (DivergenceError, InverseOperator, RidgeProblem,
                              classical_sketch_solve, fdrr_solve,
@@ -288,7 +288,7 @@ def test_classical_sanity_at_four_d_rows():
     y = A @ x0 + 0.1 * rng.standard_normal(60)
     ref = solve_exact(RidgeProblem(A, y, 1.0))
     for seed in range(10):
-        S = realize_gaussian(GaussianSketchSpec(m=24, n=60, seed=seed))
+        S = realize_gaussian(24, 60, seed)
         x = classical_sketch_solve(S @ A, S @ y, 1.0)
         assert rel_err(x, ref) < 1.0
 
@@ -307,7 +307,7 @@ def test_hessian_zero_sketch_is_scaled_cross():
 
 def test_hessian_matches_dense_formula():
     problem = make_problem(10, n=48, d=6)
-    S = realize_gaussian(GaussianSketchSpec(m=24, n=48, seed=0))
+    S = realize_gaussian(24, 48, 0)
     SA = S @ problem.A
     x = hessian_sketch_solve(SA, problem.A.T @ problem.y, problem.gamma)
     H = SA.T @ SA + problem.gamma * np.eye(6)
@@ -449,8 +449,8 @@ def test_refreshed_sketch_error_decreases():
     monotone = 0
     for seed in range(10):
         def draw(i, seed=seed):
-            spec = GaussianSketchSpec(m=40, n=80, seed=1000 * seed + i)
-            return InverseOperator(realize_gaussian(spec) @ A, problem.gamma)
+            S = realize_gaussian(40, 80, 1000 * seed + i)
+            return InverseOperator(S @ A, problem.gamma)
         _, trace = refine(problem, draw, t=10, x_star=x_star)
         diffs = np.diff(trace.residual_norms[1:])
         monotone += int(np.all(diffs < 0))
