@@ -1,8 +1,8 @@
 """Sketched ridge regression: streaming deterministic sketches, randomized
 baselines, exact bias/variance diagnostics, and an experiment harness."""
 
-from .datasets import (LibsvmParseError, SparseRowMatrix, SyntheticSpec,
-                       dct_rotation, dump_libsvm, parse_libsvm, rff_expand,
+from .datasets import (LibsvmParseError, SparseRowMatrix, dct_rotation,
+                       dump_libsvm, parse_libsvm, rff_expand,
                        synthetic_regression)
 from .diagnostics import (BudgetError, DiagnosticsReport, LinearModelSpec,
                           budget_for_theta, classical_sketch_diagnostics,
@@ -22,7 +22,7 @@ __all__ = [
     "BudgetError", "ConfigError", "DiagnosticsReport", "DivergenceError",
     "InverseOperator", "IterativeTrace", "LibsvmParseError",
     "LinearModelSpec", "MODE_FD", "MODE_RFD", "RidgeProblem", "SketchOutput",
-    "SparseRowMatrix", "StreamingSketch", "SweepConfig", "SyntheticSpec",
+    "SparseRowMatrix", "StreamingSketch", "SweepConfig",
     "apply_gaussian", "budget_for_theta", "classical_sketch_diagnostics",
     "classical_sketch_solve", "dct_rotation", "dump_libsvm", "fdrr_solve",
     "hessian_sketch_diagnostics", "hessian_sketch_solve", "ifdrr_solve",

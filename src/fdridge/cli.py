@@ -66,6 +66,8 @@ def main(argv=None) -> int:
     try:
         config = load_config(args.config, _gather_overrides(args))
         out = args.out or f"fdridge-{args.command}.csv"
+        if out.endswith("/") or Path(out).is_dir():
+            raise OSError(f"--out {out!r} names a directory, not a file")
         if not (folder := Path(out).parent).is_dir():
             raise OSError(f"no directory {str(folder)!r} for --out {out}")
         if args.command == "sweep":

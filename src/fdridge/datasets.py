@@ -26,38 +26,15 @@ class LibsvmParseError(ValueError):
         self.reason = reason
 
 
-@dataclass(frozen=True)
-class SyntheticSpec:
-    """Recipe for a synthetic instance with controlled effective rank.
-
-    The effective rank is R = floor(r * d + 0.5).  Pre-rotation row i
-    (1-based) has i.i.d. N(0, exp(-(i-1)^2 / R^2)^2) entries, so row
-    energy falls off rapidly after the first few multiples of R; the rows
-    are then rotated by an orthonormal discrete cosine transform.  True
-    weights live on the first R coordinates and are normalized to unit
-    length; targets add N(0, noise_sd^2) noise.
-    """
-
-    n: int
-    d: int
-    r: float
-    noise_sd: float
-    seed: int
-
-    def __post_init__(self):
-        _count("n", self.n)
-        _count("d", self.d)
-        _count("seed", self.seed, 0)
-        if not 0.0 < self.r <= 1.0:
-            raise ValueError(f"rank fraction must lie in (0, 1], got {self.r}")
-        _nonnegative("noise level", self.noise_sd)  # 0: targets without noise
-        if self.effective_rank < 1:
-            raise ValueError(
-                f"rank fraction {self.r} with d={self.d} gives an empty signal")
-
-    @property
-    def effective_rank(self) -> int:
-        return int(math.floor(self.r * self.d + 0.5))
+def _effective_rank(d: int, r: float) -> int:
+    """R = floor(r * d + 0.5) for a rank fraction r in (0, 1]; ValueError
+    when r lies outside it or R rounds to 0."""
+    if not 0.0 < r <= 1.0:
+        raise ValueError(f"rank fraction must lie in (0, 1], got {r}")
+    R = int(math.floor(r * d + 0.5))
+    if R < 1:
+        raise ValueError(f"rank fraction {r} with d={d} gives an empty signal")
+    return R
 
 
 def dct_rotation(d: int) -> np.ndarray:
@@ -79,25 +56,34 @@ def dct_rotation(d: int) -> np.ndarray:
     return rotation
 
 
-def synthetic_regression(spec: SyntheticSpec
+def synthetic_regression(n: int, d: int, r: float, noise_sd: float, seed: int
                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Draw (A, y, truth) for the given spec.
+    """Draw (A, y, truth), an n x d instance with controlled effective rank.
+
+    The effective rank is R = floor(r * d + 0.5).  Pre-rotation row i
+    (1-based) has i.i.d. N(0, exp(-(i-1)^2 / R^2)^2) entries, so row
+    energy falls off rapidly after the first few multiples of R; the rows
+    are then rotated by an orthonormal discrete cosine transform.  True
+    weights live on the first R coordinates and are normalized to unit
+    length; targets add N(0, noise_sd^2) noise.
 
     Draw order is fixed (data, then weights, then noise) so a seed pins
     the entire instance.  The rotation draws nothing and is built first,
     so its d x d integer phase table is freed before the n x d draws
     rather than held beside them.
     """
-    rotation = dct_rotation(spec.d)
-    rng = np.random.default_rng(spec.seed)
-    R = spec.effective_rank
-    scales = np.exp(-(np.arange(spec.n) / R) ** 2)
-    pre = scales[:, None] * rng.standard_normal((spec.n, spec.d))
+    n, d, seed = _count("n", n), _count("d", d), _count("seed", seed, 0)
+    R = _effective_rank(d, r)
+    noise_sd = _nonnegative("noise level", noise_sd)  # 0: noiseless targets
+    rotation = dct_rotation(d)
+    rng = np.random.default_rng(seed)
+    scales = np.exp(-(np.arange(n) / R) ** 2)
+    pre = scales[:, None] * rng.standard_normal((n, d))
     A = pre @ rotation
-    truth = np.zeros(spec.d)
+    truth = np.zeros(d)
     truth[:R] = rng.standard_normal(R)
     truth /= np.linalg.norm(truth)
-    y = A @ truth + spec.noise_sd * rng.standard_normal(spec.n)
+    y = A @ truth + noise_sd * rng.standard_normal(n)
     return A, y, truth
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .datasets import (SparseRowMatrix, SyntheticSpec, parse_libsvm,
+from .datasets import (SparseRowMatrix, _effective_rank, parse_libsvm,
                        rff_expand, synthetic_regression)
 from .diagnostics import (LinearModelSpec, classical_sketch_diagnostics,
                           hessian_sketch_diagnostics, optimal_diagnostics,
@@ -73,8 +73,8 @@ class SweepConfig:
     or list, each gamma and, where random Fourier features are drawn,
     rff_gamma are positive and finite, the methods are known and none
     repeated, and every count, on every dataset, is an integer of at
-    least its least value.  A synthetic instance's r and noise_sd are
-    checked by building its :class:`SyntheticSpec`.  Both list keys are
+    least its least value.  A synthetic instance's r is checked as
+    :func:`synthetic_regression` checks it.  Both list keys are
     stored as tuples, the gamma grid sorted and without repeats, the
     order in which the runners walk it.  Any m works with every method:
     the SJLT's block count follows from m in :func:`realize_sjlt`.
@@ -122,16 +122,11 @@ class SweepConfig:
                 libsvm_n = key == "n" and self.dataset == "libsvm"
                 _count(key, getattr(self, key), 0 if libsvm_n else least)
             if self.dataset == "synthetic":
-                self._synthetic_spec()
+                _effective_rank(self.d, self.r)
             elif self.dataset == "gaussian-rff" or self.rff_features:
                 _positive("rff_gamma", self.rff_gamma)
         except ValueError as err:
             raise ConfigError(str(err)) from None
-
-    def _synthetic_spec(self) -> SyntheticSpec:
-        """The recipe of the synthetic instance these keys describe."""
-        return SyntheticSpec(n=self.n, d=self.d, r=self.r,
-                             noise_sd=self.noise_sd, seed=self.seed)
 
 
 def _parse_number(token: str) -> float:
@@ -223,7 +218,8 @@ def load_instance(config: SweepConfig):
     no samples or no features raises ConfigError naming the path.
     """
     if config.dataset == "synthetic":
-        A, y, truth = synthetic_regression(config._synthetic_spec())
+        A, y, truth = synthetic_regression(config.n, config.d, config.r,
+                                           config.noise_sd, config.seed)
     elif config.dataset == "gaussian-rff":
         rng = np.random.default_rng(child_seed(config.seed, _DATA_TAG))
         X = rng.standard_normal((config.n, config.raw_dim))

@@ -10,8 +10,8 @@ import time
 import numpy as np
 import pytest
 
-from fdridge.datasets import (SparseRowMatrix, SyntheticSpec, dump_libsvm,
-                              parse_libsvm, synthetic_regression)
+from fdridge.datasets import (SparseRowMatrix, dump_libsvm, parse_libsvm,
+                              synthetic_regression)
 from fdridge.diagnostics import (budget_for_theta, optimal_diagnostics,
                                  LinearModelSpec, sketched_diagnostics)
 from fdridge.experiments import (SweepConfig, run_bias_variance_sweep,
@@ -94,8 +94,7 @@ def test_criterion_3_theta_budget_intervals():
     gamma = 1.0
     budgets = []
     for seed in range(3):
-        A, _, truth = synthetic_regression(
-            SyntheticSpec(1024, 512, 0.15, 2.0, seed))
+        A, _, truth = synthetic_regression(1024, 512, 0.15, 2.0, seed)
         model = LinearModelSpec(truth, 2.0)
         tails = tail_masses(A)
         base = optimal_diagnostics(A, model, gamma)
@@ -133,7 +132,7 @@ def test_criterion_4_contraction_rates():
     # consecutive relative errors must then contract by at least 3x
     # (plain) and 7x (robust) until the 1e-12 floor, in < 30 s.
     start = time.perf_counter()
-    A, y, _ = synthetic_regression(SyntheticSpec(256, 64, 0.15, 2.0, 5))
+    A, y, _ = synthetic_regression(256, 64, 0.15, 2.0, 5)
     m, k = 16, 8
     # alpha * tail = gamma / 4 with alpha = 1 / (m - k) = 1/8
     gamma = float(tail_masses(A)[k]) / 2.0

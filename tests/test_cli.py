@@ -253,18 +253,25 @@ def test_default_out_is_named_by_command(config_path, tmp_path, monkeypatch,
 def test_missing_out_directory_fails_before_the_run(config_path, tmp_path,
                                                     monkeypatch, capsys,
                                                     command):
-    # the table's directory is checked before any work, not after it
+    # the table's directory is checked before any work, not after it, and
+    # so is an --out that names a directory rather than a file
     entered = []
     for runner in ("run_bias_variance_sweep", "run_iterative_experiment",
                    "run_sketch_accuracy"):
         monkeypatch.setattr(cli, runner, lambda *a, **k: entered.append(a))
     missing = tmp_path / "nodir"
-    code = main(command + ["--config", str(config_path),
-                           "--out", str(missing / "table.csv")])
-    assert code == 2 and entered == []
-    err = capsys.readouterr().err
-    assert err.startswith("fdridge: error:") and repr(str(missing)) in err
-    assert not missing.exists()
+    folder = tmp_path / "fd"
+    folder.mkdir()
+    # (--out, the path the error names): a file in a missing directory, an
+    # existing directory, and a missing one written as a directory
+    for out, named in ((missing / "table.csv", missing), (folder, folder),
+                       (f"{missing}/", f"{missing}/")):
+        code = main(command + ["--config", str(config_path),
+                               "--out", str(out)])
+        assert code == 2 and entered == []
+        err = capsys.readouterr().err
+        assert err.startswith("fdridge: error:") and repr(str(named)) in err
+    assert not missing.exists() and list(folder.iterdir()) == []
 
 
 def test_missing_config_file(tmp_path, capsys):

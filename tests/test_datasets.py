@@ -12,54 +12,56 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fdridge.datasets import (LibsvmParseError, SparseRowMatrix,
-                              SyntheticSpec, dct_rotation, dump_libsvm,
-                              parse_libsvm, rff_expand, synthetic_regression)
+                              dct_rotation, dump_libsvm, parse_libsvm,
+                              rff_expand, synthetic_regression)
 
 
 def test_effective_rank_rounding():
-    assert SyntheticSpec(8, 512, 0.15, 1.0, 0).effective_rank == 77
-    assert SyntheticSpec(8, 512, 0.25, 1.0, 0).effective_rank == 128
-    assert SyntheticSpec(8, 10, 0.25, 1.0, 0).effective_rank == 3
+    # R = floor(r d + 0.5) weights are drawn, the rest stay 0
+    def rank(*args):
+        return np.count_nonzero(synthetic_regression(*args)[2])
+    assert rank(8, 512, 0.15, 1.0, 0) == 77
+    assert rank(8, 512, 0.25, 1.0, 0) == 128
+    assert rank(8, 10, 0.25, 1.0, 0) == 3
 
 
 def test_spec_validation():
     with pytest.raises(ValueError):
-        SyntheticSpec(0, 4, 0.5, 1.0, 0)
+        synthetic_regression(0, 4, 0.5, 1.0, 0)
     with pytest.raises(ValueError):
-        SyntheticSpec(4, 4, 0.0, 1.0, 0)
+        synthetic_regression(4, 4, 0.0, 1.0, 0)
     with pytest.raises(ValueError):
-        SyntheticSpec(4, 4, 1.5, 1.0, 0)
+        synthetic_regression(4, 4, 1.5, 1.0, 0)
     for noise_sd in (-1.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="noise level"):
-            SyntheticSpec(4, 4, 0.5, noise_sd, 0)
+            synthetic_regression(4, 4, 0.5, noise_sd, 0)
     with pytest.raises(ValueError):
-        SyntheticSpec(4, 100, 0.001, 1.0, 0)  # rounds to rank zero
+        synthetic_regression(4, 100, 0.001, 1.0, 0)  # rounds to rank zero
 
 
 def test_instance_shapes_and_unit_truth():
-    spec = SyntheticSpec(40, 16, 0.25, 0.5, 3)
-    A, y, truth = synthetic_regression(spec)
+    A, y, truth = synthetic_regression(40, 16, 0.25, 0.5, 3)
     assert A.shape == (40, 16)
     assert y.shape == (40,)
     assert truth.shape == (16,)
     assert np.linalg.norm(truth) == pytest.approx(1.0, rel=1e-12)
-    # signal is confined to the first R rotated coordinates
-    assert np.all(truth[spec.effective_rank:] == 0.0)
+    # signal is confined to the first R = floor(0.25 * 16 + 0.5) = 4
+    # rotated coordinates
+    assert np.all(truth[4:] == 0.0)
 
 
 @given(st.integers(0, 50))
 @settings(max_examples=20)
 def test_generator_is_deterministic(seed):
-    spec = SyntheticSpec(12, 6, 0.5, 1.0, seed)
-    A1, y1, t1 = synthetic_regression(spec)
-    A2, y2, t2 = synthetic_regression(spec)
+    A1, y1, t1 = synthetic_regression(12, 6, 0.5, 1.0, seed)
+    A2, y2, t2 = synthetic_regression(12, 6, 0.5, 1.0, seed)
     assert np.array_equal(A1, A2)
     assert np.array_equal(y1, y2)
     assert np.array_equal(t1, t2)
 
 
 def test_noiseless_targets_lie_on_the_plane():
-    A, y, truth = synthetic_regression(SyntheticSpec(20, 8, 0.5, 0.0, 1))
+    A, y, truth = synthetic_regression(20, 8, 0.5, 0.0, 1)
     np.testing.assert_allclose(y, A @ truth, rtol=1e-12, atol=1e-14)
 
 
@@ -70,7 +72,7 @@ def test_row_energy_decay_matches_design():
     probes = [0, 76, 230]
     totals = np.zeros(len(probes))
     for seed in range(100):
-        A, _, _ = synthetic_regression(SyntheticSpec(n, d, 0.15, 2.0, seed))
+        A, _, _ = synthetic_regression(n, d, 0.15, 2.0, seed)
         rows = A[probes]
         totals += np.sum(rows ** 2, axis=1)
     means = totals / 100
@@ -82,7 +84,7 @@ def test_row_energy_decay_matches_design():
 def test_spectrum_concentrates_in_leading_block():
     # The design decays fast enough that the top R directions carry at
     # least 90 percent of the squared spectrum.
-    A, _, _ = synthetic_regression(SyntheticSpec(1024, 512, 0.15, 2.0, 0))
+    A, _, _ = synthetic_regression(1024, 512, 0.15, 2.0, 0)
     sv = np.linalg.svd(A, compute_uv=False)
     energy = sv ** 2
     assert energy[:77].sum() / energy.sum() >= 0.90

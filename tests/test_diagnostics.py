@@ -18,7 +18,7 @@ from fdridge.diagnostics import (BudgetError, LinearModelSpec,
                                  hessian_sketch_diagnostics,
                                  optimal_diagnostics, sketched_diagnostics,
                                  theta_interval)
-from fdridge.datasets import SyntheticSpec, synthetic_regression
+from fdridge.datasets import synthetic_regression
 from fdridge.random_sketch import (apply_gaussian, realize_gaussian,
                                    realize_sjlt)
 from fdridge.sketch import (MODE_FD, MODE_RFD, StreamingSketch, _light_rows,
@@ -278,7 +278,7 @@ def test_factor_equal_to_A_leaves_no_residual(grid_instance, synthetic):
     # on the same values, so the Hessian estimator with S A = A is the
     # exact one to the bit, light rows dropped from the data terms or not
     if synthetic:
-        A, _, truth = synthetic_regression(SyntheticSpec(300, 64, 0.1, 1.0, 3))
+        A, _, truth = synthetic_regression(300, 64, 0.1, 1.0, 3)
         model = LinearModelSpec(truth, 1.0)
         assert not _light_rows(np.einsum("ij,ij->i", A, A),
                                np.finfo(float).eps ** 2 * np.vdot(A, A)).all()
@@ -528,8 +528,8 @@ def test_interval_contains_measured_ratios():
     # End to end on a synthetic instance: pick the cheapest (k, m) pair
     # delivering theta = 0.5 with m <= d, then check the measured
     # bias/variance/MSE ratios land inside the promised intervals.
-    A, _, truth = synthetic_regression(
-        SyntheticSpec(n=256, d=128, r=0.15, noise_sd=2.0, seed=0))
+    A, _, truth = synthetic_regression(n=256, d=128, r=0.15, noise_sd=2.0,
+                                       seed=0)
     model = LinearModelSpec(truth, 2.0)
     gamma, theta = 1.0, 0.5
     best = None
@@ -566,8 +566,7 @@ def test_a_posteriori_interval_contains_measured_ratios(n, d, r, m, seed):
     # a bound on the RFD covariance error, and Delta one on FD's.  Each
     # bound carries the roundoff of forming A^T A, n eps |A|_F^2, which
     # covers mass the shrink drops below its floor without counting it.
-    A, _, truth = synthetic_regression(
-        SyntheticSpec(n=n, d=d, r=r, noise_sd=1.0, seed=seed))
+    A, _, truth = synthetic_regression(n=n, d=d, r=r, noise_sd=1.0, seed=seed)
     model = LinearModelSpec(truth, 1.0)
     roundoff = n * np.finfo(float).eps * float(np.vdot(A, A))
     rfd = sketch_matrix(A, m, MODE_RFD)

@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fdridge import sketch
-from fdridge.datasets import (SyntheticSpec, dct_rotation, parse_libsvm,
-                              rff_expand)
+from fdridge.datasets import (dct_rotation, parse_libsvm, rff_expand,
+                              synthetic_regression)
 from fdridge.diagnostics import (LinearModelSpec, budget_for_theta,
                                  classical_sketch_diagnostics,
                                  hessian_sketch_diagnostics,
@@ -81,10 +81,12 @@ SIZES = {
     "apply_gaussian-m": (lambda v: apply_gaussian(v, np.eye(4), 0), "m", 1),
     "apply_gaussian-seed": (lambda v: apply_gaussian(4, np.eye(4), v),
                             "seed", 0),
-    "SyntheticSpec-n": (lambda v: SyntheticSpec(v, 4, 0.5, 1.0, 0), "n", 1),
-    "SyntheticSpec-d": (lambda v: SyntheticSpec(4, v, 0.5, 1.0, 0), "d", 1),
-    "SyntheticSpec-seed": (lambda v: SyntheticSpec(4, 4, 0.5, 1.0, v),
-                           "seed", 0),
+    "synthetic_regression-n": (
+        lambda v: synthetic_regression(v, 4, 0.5, 1.0, 0), "n", 1),
+    "synthetic_regression-d": (
+        lambda v: synthetic_regression(4, v, 0.5, 1.0, 0), "d", 1),
+    "synthetic_regression-seed": (
+        lambda v: synthetic_regression(4, 4, 0.5, 1.0, v), "seed", 0),
     "dct_rotation-d": (dct_rotation, "d", 1),
     "rff_expand-n_features": (lambda v: rff_expand(np.zeros((3, 2)), v),
                               "n_features", 1),
@@ -186,8 +188,9 @@ def test_rejects_data_of_the_wrong_shape(case):
 # takes a non-negative number (_nonnegative) or a value from a fixed set
 # (_one_of)
 CHOICES = {
-    "SyntheticSpec-noise_sd": (lambda v: SyntheticSpec(4, 4, 0.5, v, 0),
-                               "noise level", (-1.0, np.inf, np.nan), 0.0),
+    "synthetic_regression-noise_sd": (
+        lambda v: synthetic_regression(4, 4, 0.5, v, 0),
+        "noise level", (-1.0, np.inf, np.nan), 0.0),
     "SweepConfig-noise_sd": (lambda v: SweepConfig(noise_sd=v),
                              "noise_sd", (-1.0, np.inf, np.nan), 0.0),
     "finalize-mode": (lambda v: StreamingSketch(2, 4).finalize(v), "mode",
