@@ -1,7 +1,7 @@
 """Command-line entry point.
 
-    fdridge sweep --config sweep.cfg [--out table.csv] [--raw]
-    fdridge iterate --config iter.cfg --t 10 [--out table.csv]
+    fdridge sweep --config sweep.cfg [--out table.csv] [--raw] [--jobs 1]
+    fdridge iterate --config iter.cfg --t 10 [--out table.csv] [--jobs 1]
     fdridge sketch-acc --config acc.cfg [--out table.csv]
 
 Any config key can be overridden with repeated --set key=value flags.

@@ -17,13 +17,11 @@ from .sketch import _count, _matrix, _nonnegative, _positive, _vector
 
 
 class LibsvmParseError(ValueError):
-    """Malformed sparse-text input, pinned to a line and column."""
+    """Malformed sparse-text input, pinned to a line and column: the
+    message reads ``line L, column C: reason``, both 1-based."""
 
     def __init__(self, line: int, column: int, reason: str):
         super().__init__(f"line {line}, column {column}: {reason}")
-        self.line = line
-        self.column = column
-        self.reason = reason
 
 
 def _effective_rank(d: int, r: float) -> int:
@@ -170,7 +168,8 @@ def parse_libsvm(source, n_features: int | None = None
     unless ``n_features`` overrides it (useful when trailing features are
     absent from the file).  ``source`` may be a path or any iterable of
     lines.  Malformed input, a NaN or infinite label or value included,
-    raises :class:`LibsvmParseError` carrying the 1-based line and column.
+    raises :class:`LibsvmParseError`, whose message gives the 1-based line
+    and column.
     """
     if isinstance(source, (str, os.PathLike)):
         with open(source, "r", encoding="utf-8") as fh:

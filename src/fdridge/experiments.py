@@ -16,8 +16,8 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .datasets import (SparseRowMatrix, _effective_rank, parse_libsvm,
-                       rff_expand, synthetic_regression)
+from .datasets import (LibsvmParseError, SparseRowMatrix, _effective_rank,
+                       parse_libsvm, rff_expand, synthetic_regression)
 from .diagnostics import (LinearModelSpec, classical_sketch_diagnostics,
                           hessian_sketch_diagnostics, optimal_diagnostics,
                           sketched_diagnostics)
@@ -164,7 +164,8 @@ def load_config(path=None, overrides: dict | None = None) -> SweepConfig:
     Lines are ``key = value``; ``#`` starts a comment.  Each value parses
     as its key's type (:func:`_coerce`): list values are comma separated
     and grid entries may use the 2^-8 power form.  A key set twice in the
-    file is refused, naming both lines.
+    file is refused, naming both lines, and a file value that does not
+    parse is refused naming its line.
     Overrides (e.g. from command-line flags) take precedence over the
     file, which takes precedence over defaults.
     """
@@ -188,7 +189,10 @@ def load_config(path=None, overrides: dict | None = None) -> SweepConfig:
                     raise ConfigError(f"{path}:{lineno}: {key!r} is already "
                                       f"set on line {set_on[key]}")
                 set_on[key] = lineno
-                settings[key] = _coerce(key, value)
+                try:
+                    settings[key] = _coerce(key, value)
+                except ConfigError as err:
+                    raise ConfigError(f"{path}:{lineno}: {err}") from None
     for key, value in (overrides or {}).items():
         if key not in known:
             raise ConfigError(f"unknown config key {key!r}")
@@ -215,7 +219,8 @@ def load_instance(config: SweepConfig):
 
     A libsvm instance densifies only the rows it keeps, so A owns its
     data and holds none of the rows past the first n.  A libsvm file with
-    no samples or no features raises ConfigError naming the path.
+    no samples or no features, or a malformed line, raises ConfigError
+    naming the path (and the line and column).
     """
     if config.dataset == "synthetic":
         A, y, truth = synthetic_regression(config.n, config.d, config.r,
@@ -229,7 +234,10 @@ def load_instance(config: SweepConfig):
         truth /= np.linalg.norm(truth)
         y = A @ truth + config.noise_sd * rng.standard_normal(config.n)
     else:
-        matrix, labels = parse_libsvm(config.libsvm_path)
+        try:
+            matrix, labels = parse_libsvm(config.libsvm_path)
+        except LibsvmParseError as err:
+            raise ConfigError(f"{config.libsvm_path}: {err}") from None
         kept = matrix.rows[:config.n or None]
         if not kept or not matrix.d:
             what = "samples" if not kept else "features"
@@ -421,8 +429,8 @@ def run_iterative_experiment(config: SweepConfig, t: int, out=None) -> list:
     _check_methods(config, ITERATIVE_METHODS,
                    "iteration study handles iterative solvers")
     A, y, _ = load_instance(config)
-    problems = [RidgeProblem(A, y, g) for g in config.gammas]
-    if not problems[0].rhs.any():
+    base = RidgeProblem(A, y, config.gammas[0])
+    if not base.rhs.any():
         raise ConfigError("the relative error is undefined: A^T y = 0, so "
                           "the exact solution is zero at every gamma")
     exact = InverseOperator(A, config.gammas[0])
@@ -460,7 +468,8 @@ def run_iterative_experiment(config: SweepConfig, t: int, out=None) -> list:
         return errors, flag
 
     rows = []
-    for gi, problem in enumerate(problems):
+    for gi, g in enumerate(config.gammas):
+        problem = base._retarget(g)
         x_star = exact.retarget(problem.gamma).apply(problem.rhs)
         for meth in config.methods:
             per_trial = [run_one(meth, gi, problem, x_star, trial)

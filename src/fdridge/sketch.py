@@ -156,19 +156,14 @@ def _count(name: str, value, least: int = 1) -> int:
     return int(value)
 
 
-def _matrix(name: str, value, rows: int | None = None,
-            cols: int | None = None) -> np.ndarray:
+def _matrix(name: str, value, cols: int | None = None) -> np.ndarray:
     """``value`` as a float array; raises ValueError naming ``name``
-    unless it is 2-d, of ``rows`` rows and ``cols`` columns when they are
-    given, and finite, the rule for every data array.  A NaN or infinite
-    entry is reported by its first row."""
+    unless it is 2-d, of ``cols`` columns when that is given, and
+    finite, the rule for every data array.  A NaN or infinite entry is
+    reported by its first row."""
     array = np.asarray(value, dtype=float)
-    if (array.ndim != 2 or rows not in (None, array.shape[0])
-            or cols not in (None, array.shape[1])):
-        want = (f" of shape ({rows}, {cols})"
-                if rows is not None and cols is not None
-                else f" with {rows} rows" if rows is not None
-                else f" with {cols} columns" if cols is not None else "")
+    if array.ndim != 2 or cols not in (None, array.shape[1]):
+        want = "" if cols is None else f" with {cols} columns"
         raise ValueError(
             f"{name} must be a 2-d array{want}, got shape {array.shape}")
     bad = _first_nonfinite_row(array)

@@ -44,7 +44,8 @@ class RidgeProblem:
 
     Construction checks A and y once and forms ``rhs`` = A^T y, the
     right-hand side every solver of the instance reads, so neither is
-    read again for it.  A and y are held, not copied: change neither in
+    read again for it, nor for the same instance at another regularizer
+    (``_retarget``).  A and y are held, not copied: change neither in
     place once the problem is built.
     """
 
@@ -59,6 +60,14 @@ class RidgeProblem:
         object.__setattr__(self, "y", _vector("y", self.y, A.shape[0]))
         object.__setattr__(self, "gamma", _positive("regularizer", self.gamma))
         object.__setattr__(self, "rhs", A.T @ self.y)
+
+    def _retarget(self, gamma: float) -> "RidgeProblem":
+        """The same instance under another regularizer, checked by the
+        regularizer rule; it holds the same A, y and ``rhs``, so neither
+        data array is read for it."""
+        problem = object.__new__(RidgeProblem)
+        problem.__dict__.update(vars(self), gamma=_positive("regularizer", gamma))
+        return problem
 
 
 class InverseOperator:

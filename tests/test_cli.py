@@ -274,6 +274,23 @@ def test_missing_out_directory_fails_before_the_run(config_path, tmp_path,
     assert not missing.exists() and list(folder.iterdir()) == []
 
 
+def test_malformed_libsvm_file_is_named(tmp_path, capsys):
+    # a parse error's line and column are the data file's, so the error
+    # names that file, not the config
+    data = tmp_path / "data.txt"
+    data.write_text("1 1:2.0\n1 0:3.0\n")
+    config = tmp_path / "libsvm.cfg"
+    config.write_text(f"dataset = libsvm\nlibsvm_path = {data}\n"
+                      "methods = ifdrr:fd\nm = 2\n")
+    code = main(["iterate", "--config", str(config), "--t", "2",
+                 "--out", str(tmp_path / "table.csv")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"fdridge: error: {data}: line 2, column 3: index 0 is not positive "
+        "(indices are 1-based)\n")
+    assert not (tmp_path / "table.csv").exists()
+
+
 def test_missing_config_file(tmp_path, capsys):
     code = main(["sweep", "--config", str(tmp_path / "nope.cfg")])
     assert code == 2

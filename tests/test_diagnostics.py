@@ -101,6 +101,9 @@ def test_diagnostics_reject_bad_gamma():
         optimal_diagnostics(A, model, [1.0, 0.0])
     with pytest.raises(ValueError, match="regularizer"):
         optimal_diagnostics(A, model, [1.0, math.inf])
+    with pytest.raises(ValueError, match="^regularizer must be a scalar or a "
+                                         "sequence"):
+        optimal_diagnostics(A, model, [[1.0, 2.0]])
     # gamma itself is checked, not gamma + shift, so a negative gamma
     # stays an error although the total regularizer would be positive
     X = np.random.default_rng(4).standard_normal((40, 6))

@@ -30,6 +30,7 @@ from fdridge.experiments import (ACC_COLUMNS, ConfigError, ITER_COLUMNS,
                                  run_sketch_accuracy, write_csv)
 from fdridge.random_sketch import realize_gaussian
 from fdridge.sketch import StreamingSketch, tail_masses
+from fdridge.solvers import RidgeProblem
 
 
 def small_config(**kw):
@@ -70,6 +71,8 @@ def test_config_override_precedence(tmp_path):
     config = load_config(path, overrides={"seed": "7"})
     assert config.seed == 7
     assert config.n == 32
+    # an override that is not text is passed through as it is
+    assert load_config(None, overrides={"m": 8}).m == 8
     assert SweepConfig(seed=np.int64(3)).seed == 3  # a numpy integer counts
 
 
@@ -91,7 +94,12 @@ def test_load_config_error_positions(tmp_path):
     with pytest.raises(ConfigError,
                        match="bad.cfg:1: unknown config key 'out'"):
         load_config(path)
-    with pytest.raises(ConfigError, match="could not parse"):
+    # a file value that does not parse is named by its line; --set's is not
+    path.write_text("n = 32\nm = x\n")
+    with pytest.raises(ConfigError,
+                       match="^.*bad.cfg:2: could not parse m = 'x'$"):
+        load_config(path)
+    with pytest.raises(ConfigError, match="^could not parse trials = 'many'$"):
         load_config(None, overrides={"trials": "many"})
     with pytest.raises(ConfigError, match="unknown config key"):
         load_config(None, overrides={"zorp": "1"})
@@ -526,6 +534,26 @@ def test_iterate_checks_the_instance_a_fixed_number_of_times(monkeypatch):
         lambda: run_iterative_experiment(
             small_config(methods=methods, trials=3), t=4)])
     assert few == many > 0
+
+
+def test_iterate_builds_one_problem_for_its_grid(monkeypatch):
+    # one RidgeProblem serves every gamma: A is checked and A^T y formed
+    # once for the grid, not once per gamma
+    built = []
+    post_init = RidgeProblem.__post_init__
+
+    def counting(self):
+        built.append(self.gamma)
+        return post_init(self)
+
+    monkeypatch.setattr(RidgeProblem, "__post_init__", counting)
+    config = small_config(methods=("ifdrr:fd",), gammas=(0.5, 2.0, 8.0))
+    scans = _instance_scans(monkeypatch, config,
+                            [lambda: run_iterative_experiment(config, t=2)])
+    assert built == [0.5]
+    # the problem, the reference operator, and sketch_matrix's A and the
+    # rows it streams through extend
+    assert scans == [4]
 
 
 def test_sketch_accuracy_checks_the_instance_a_fixed_number_of_times(

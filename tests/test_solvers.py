@@ -55,6 +55,22 @@ def test_problem_forms_its_right_hand_side_once():
                t=1)
 
 
+def test_retargeted_problem_shares_its_arrays():
+    # another regularizer reuses A, y and rhs as they are, and the result
+    # equals the problem built afresh at that regularizer
+    problem = make_problem(3)
+    other = problem._retarget(np.float64(4.0))
+    assert other.A is problem.A and other.y is problem.y
+    assert other.rhs is problem.rhs
+    assert type(other.gamma) is float and other.gamma == 4.0
+    assert problem.gamma == 0.7
+    assert np.array_equal(
+        solve_exact(other), solve_exact(RidgeProblem(problem.A, problem.y, 4.0)))
+    for bad in (0.0, -1.0, math.inf):
+        with pytest.raises(ValueError, match="^regularizer must be positive"):
+            problem._retarget(bad)
+
+
 def test_problem_validation():
     with pytest.raises(ValueError):
         RidgeProblem(np.eye(3), np.zeros(3), 0.0)
