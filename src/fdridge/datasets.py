@@ -20,8 +20,10 @@ class LibsvmParseError(ValueError):
     """Malformed sparse-text input, pinned to a line and column: the
     message reads ``line L, column C: reason``, both 1-based."""
 
-    def __init__(self, line: int, column: int, reason: str):
-        super().__init__(f"line {line}, column {column}: {reason}")
+
+def _parse_error(line: int, column: int, reason: str) -> LibsvmParseError:
+    """The :class:`LibsvmParseError` for ``reason`` at ``line``, ``column``."""
+    return LibsvmParseError(f"line {line}, column {column}: {reason}")
 
 
 def _effective_rank(d: int, r: float) -> int:
@@ -187,11 +189,11 @@ def parse_libsvm(source, n_features: int | None = None
         try:
             label = float(head.group())
         except ValueError:
-            raise LibsvmParseError(lineno, head.start() + 1,
-                                   f"label {head.group()!r} is not a number") from None
+            raise _parse_error(lineno, head.start() + 1,
+                               f"label {head.group()!r} is not a number") from None
         if not math.isfinite(label):
-            raise LibsvmParseError(lineno, head.start() + 1,
-                                   f"label {head.group()!r} is not finite")
+            raise _parse_error(lineno, head.start() + 1,
+                               f"label {head.group()!r} is not finite")
         idx = []
         vals = []
         prev = 0
@@ -200,27 +202,27 @@ def parse_libsvm(source, n_features: int | None = None
             text = tok.group()
             part = text.split(":")
             if len(part) != 2:
-                raise LibsvmParseError(lineno, col,
-                                       f"expected index:value, got {text!r}")
+                raise _parse_error(lineno, col,
+                                   f"expected index:value, got {text!r}")
             try:
                 index = int(part[0])
             except ValueError:
-                raise LibsvmParseError(lineno, col,
-                                       f"index {part[0]!r} is not an integer") from None
+                raise _parse_error(lineno, col,
+                                   f"index {part[0]!r} is not an integer") from None
             if index < 1:
-                raise LibsvmParseError(lineno, col,
-                                       f"index {index} is not positive (indices are 1-based)")
+                raise _parse_error(lineno, col,
+                                   f"index {index} is not positive (indices are 1-based)")
             if index <= prev:
-                raise LibsvmParseError(lineno, col,
-                                       f"index {index} does not increase (previous was {prev})")
+                raise _parse_error(lineno, col,
+                                   f"index {index} does not increase (previous was {prev})")
             try:
                 value = float(part[1])
             except ValueError:
-                raise LibsvmParseError(lineno, col,
-                                       f"value {part[1]!r} is not a number") from None
+                raise _parse_error(lineno, col,
+                                   f"value {part[1]!r} is not a number") from None
             if not math.isfinite(value):
-                raise LibsvmParseError(lineno, col,
-                                       f"value {part[1]!r} is not finite")
+                raise _parse_error(lineno, col,
+                                   f"value {part[1]!r} is not finite")
             idx.append(index - 1)
             vals.append(value)
             prev = index

@@ -456,16 +456,14 @@ def run_iterative_experiment(config: SweepConfig, t: int, out=None) -> list:
             preconditioner = lambda _i: op
         try:
             _, trace = refine(problem, preconditioner, t, x_star=x_star)
-            norms = trace.residual_norms
-            flag = 0
         except DivergenceError as err:
-            norms = err.trace.residual_norms
-            flag = 1
+            trace = err.trace
         errors = np.full(t, np.nan)
-        # norms[0] belongs to the zero start; iterations begin at 1
-        got = np.asarray(norms[1:], dtype=float) / np.linalg.norm(x_star)
+        # residual_norms[0] belongs to the zero start; iterations begin at
+        # 1, and a trace the divergence guard cut short holds fewer than t
+        got = np.asarray(trace.residual_norms[1:]) / np.linalg.norm(x_star)
         errors[:got.size] = got
-        return errors, flag
+        return errors, int(got.size < t)
 
     rows = []
     for gi, g in enumerate(config.gammas):

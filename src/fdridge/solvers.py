@@ -23,13 +23,25 @@ DIVERGENCE_FACTOR = 1e8
 
 
 class DivergenceError(RuntimeError):
-    """Raised when an iterative solve blows past the divergence guard."""
+    """Raised when an iterative solve blows past the divergence guard.
 
-    def __init__(self, iteration: int, trace: "IterativeTrace"):
-        super().__init__(
-            f"iterate norm exceeded the divergence guard at iteration {iteration}")
-        self.iteration = iteration
-        self.trace = trace
+    It carries ``iteration``, the 1-based iteration that tripped the
+    guard, and ``trace``, the partial :class:`IterativeTrace`; both ride
+    along through ``pickle`` with the message.
+    """
+
+
+def _diverged(iteration: int, trace: IterativeTrace) -> DivergenceError:
+    """The :class:`DivergenceError` for a guard tripped at ``iteration``.
+
+    Built here, not in :func:`refine`: as a local of the frame that its
+    traceback holds, the error would form a cycle that keeps the frames,
+    and the preconditioner in them, alive until a garbage collection.
+    """
+    err = DivergenceError("iterate norm exceeded the divergence guard at "
+                          f"iteration {iteration}")
+    err.iteration, err.trace = iteration, trace
+    return err
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,7 +222,7 @@ def refine(problem: RidgeProblem,
         grad = A.T @ (A @ x - y) + gamma * x
         x = x - preconditioner(i).apply(grad)
         if not np.isfinite(x).all() or np.linalg.norm(x) > guard:
-            raise DivergenceError(iteration=i + 1, trace=trace)
+            raise _diverged(i + 1, trace)
         if track:
             trace.residual_norms.append(float(np.linalg.norm(x - x_star)))
     return x, trace

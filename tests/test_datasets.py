@@ -6,6 +6,7 @@ Carlo targets computed from the defining formulas, not against the
 generator's own output.
 """
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -215,6 +216,16 @@ def test_parse_rejects_malformed_features(line, fragment):
     position, _, reason = str(info.value).partition(": ")
     assert position.startswith("line 1, column ")
     assert fragment in reason
+
+
+def test_parse_error_survives_pickle():
+    # a worker process hands a malformed-input error back as itself
+    with pytest.raises(LibsvmParseError) as info:
+        parse_libsvm(["1 0:3"])
+    back = pickle.loads(pickle.dumps(info.value))
+    assert type(back) is LibsvmParseError
+    assert str(back) == str(info.value) == (
+        "line 1, column 3: index 0 is not positive (indices are 1-based)")
 
 
 def test_parse_reports_position_of_non_finite_entries():

@@ -482,6 +482,38 @@ def test_iterate_records_divergence():
     assert any(math.isnan(row["log10_error"]) for row in rows)
 
 
+def test_iterate_flags_divergence_at_the_last_iteration():
+    # the gamma = 1e-3 cell trips the guard at iteration 4: a run of
+    # t = 4 keeps 3 finite values, a NaN last and the flag, while a run
+    # one iteration shorter never reaches the guard
+    config = small_config(n=64, d=16, m=4, gammas=(1e-3, 10.0),
+                          methods=("ifdrr:fd",), trials=1)
+    for t, flag in ((4, 1), (3, 0)):
+        rows = run_iterative_experiment(config, t=t)
+        tripped = [r for r in rows if r["gamma"] == 1e-3]
+        assert [r["diverged"] for r in tripped] == [flag] * t
+        errors = [r["log10_error"] for r in tripped]
+        assert all(math.isfinite(e) for e in errors[:3])
+        assert math.isnan(errors[-1]) == bool(flag)
+        assert all(r["diverged"] == 0 and math.isfinite(r["log10_error"])
+                   for r in rows if r["gamma"] == 10.0)
+
+
+def test_iterate_units_do_not_depend_on_method_order(tmp_path):
+    # each (method, gamma index, trial) unit seeds from its key alone, so
+    # listing the methods in reverse moves no value; only the settings
+    # line, which names the methods as given, differs
+    methods = ("ifdrr:fd", "ihs:gauss", "ihs:sjlt", "single:gauss")
+    written = []
+    for order in (methods, methods[::-1]):
+        out = tmp_path / f"{order[0]}.csv"
+        rows = run_iterative_experiment(
+            small_config(methods=order, trials=2, m=12), t=3, out=out)
+        lines = out.read_bytes().splitlines(keepends=True)
+        written.append((rows, lines[:1] + lines[2:]))
+    assert written[0] == written[1]
+
+
 def test_iterate_streams_each_instance_once(monkeypatch):
     # One sketch serves every ifdrr cell, whatever the mode and gamma;
     # randomized methods never build one.

@@ -4,7 +4,9 @@ The oracle for everything here is the explicit d x d linear algebra:
 inv(A^T A + gamma I) and friends, formed densely with numpy.  Sketch-based
 solvers must agree with the same formulas evaluated on their own sketch.
 """
+import gc
 import math
+import pickle
 import re
 
 import numpy as np
@@ -487,6 +489,43 @@ def test_divergence_guard_trips():
     assert err.iteration >= 1
     assert len(err.trace.residual_norms) == err.iteration
     assert np.isfinite(err.trace.residual_norms).all()
+
+
+def diverging_problem():
+    # FD at m = 4 misses most of the spread-out spectrum, far above gamma
+    rng = np.random.default_rng(0)
+    A = rng.standard_normal((400, 40)) * np.linspace(3.0, 0.1, 40)
+    return RidgeProblem(A, rng.standard_normal(400), 1e-3)
+
+
+def test_divergence_error_survives_pickle():
+    # a worker process hands a diverged solve back to its parent whole:
+    # the message, the tripping iteration and the partial trace
+    problem = diverging_problem()
+    with pytest.raises(DivergenceError) as info:
+        ifdrr_solve(problem, 4, t=10, x_star=solve_exact(problem))
+    err = info.value
+    assert err.iteration == 3
+    back = pickle.loads(pickle.dumps(err))
+    assert type(back) is DivergenceError
+    assert str(back) == str(err) == (
+        "iterate norm exceeded the divergence guard at iteration 3")
+    assert back.iteration == 3
+    assert back.trace.residual_norms == err.trace.residual_norms
+
+
+def test_divergence_leaves_no_reference_cycle():
+    # a caught divergence frees refine's frame, and the preconditioner it
+    # holds, at once rather than at the next garbage collection
+    problem = diverging_problem()
+    gc.collect()
+    gc.disable()
+    try:
+        with pytest.raises(DivergenceError):
+            ifdrr_solve(problem, 4, t=10)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_solve_exact_forms_one_gram_matrix(traced_peak):
