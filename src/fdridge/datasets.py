@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 import os
 import re
-from dataclasses import dataclass
+from array import array
 
 import numpy as np
 
@@ -21,8 +21,14 @@ class LibsvmParseError(ValueError):
     message reads ``line L, column C: reason``, both 1-based."""
 
 
-def _parse_error(line: int, column: int, reason: str) -> LibsvmParseError:
-    """The :class:`LibsvmParseError` for ``reason`` at ``line``, ``column``."""
+_TOKEN = re.compile(r"\S+")
+
+
+def _parse_error(line: int, body: str, token: int, reason: str) -> LibsvmParseError:
+    """The :class:`LibsvmParseError` for ``reason`` at line ``line``,
+    whose text is ``body``, in the column where its ``token``-th
+    whitespace-separated token (0 is the label) starts."""
+    column = [tok.start() for tok in _TOKEN.finditer(body)][token] + 1
     return LibsvmParseError(f"line {line}, column {column}: {reason}")
 
 
@@ -110,55 +116,91 @@ def rff_expand(X: np.ndarray, n_features: int, gamma_rbf: float = 1.0,
     return out
 
 
-@dataclass
 class SparseRowMatrix:
-    """Row-major sparse matrix: ``rows`` holds n pairs (indices, values),
-    the indices integers strictly increasing within [0, d), one value
-    each.  :meth:`toarray` and :func:`dump_libsvm` refuse rows that break
-    this (:func:`_check_rows`)."""
+    """Row-major sparse matrix held as one read-only CSR triple: row i's
+    0-based column indices are ``indices[indptr[i]:indptr[i + 1]]``,
+    integers strictly increasing within [0, d), and its values the same
+    slice of ``data``, all finite.
 
-    n: int
-    d: int
-    rows: list
+    Built from n pairs (indices, values), each two 1-d arrays of one
+    length with integer indices (an empty row's may be of any type).
+    ValueError names the first pair that is not, then the first row whose
+    indices do not increase within [0, d), then the first non-finite value
+    by its row and 0-based feature.  :func:`parse_libsvm` builds through
+    the same check.  Nothing checks the rows again: the three arrays
+    refuse in-place writes.
+    """
+
+    def __init__(self, n: int, d: int, rows):
+        if len(rows) != n:
+            raise ValueError(f"matrix has {len(rows)} rows, but n is {n}")
+        pairs = [(np.asarray(i), np.asarray(v, dtype=float)) for i, v in rows]
+        for i, (idx, vals) in enumerate(pairs):  # what the triple cannot show
+            if idx.ndim != 1 or vals.shape != idx.shape:
+                raise ValueError(f"row {i}: indices and values must be 1-d of one "
+                                 f"length, got shapes {idx.shape} and {vals.shape}")
+            if idx.size and idx.dtype.kind not in "iu":
+                raise ValueError(f"row {i} has indices of type {idx.dtype}, "
+                                 "not integers")
+        indptr = np.cumsum([0] + [idx.size for idx, _ in pairs])
+        indices = np.concatenate([np.empty(0, np.int64)] + [idx for idx, _ in pairs],
+                                 dtype=np.int64, casting="unsafe")
+        data = np.concatenate([np.empty(0)] + [vals for _, vals in pairs])
+        self._adopt(n, d, indptr, indices, data)
+
+    def _adopt(self, n: int, d: int, indptr: np.ndarray, indices: np.ndarray,
+               data: np.ndarray) -> None:
+        """Check the triple's order, range and finiteness, naming the
+        first row that breaks the contract, and take it, read-only."""
+        row = _entry_rows(indptr)
+        down = np.flatnonzero((indices[1:] <= indices[:-1]) & (row[1:] == row[:-1]))
+        out = np.flatnonzero((indices < 0) | (indices >= d))
+        if down.size and (not out.size or row[down[0]] <= row[out[0]]):
+            j = down[0]
+            raise ValueError(f"row {row[j]}: index {indices[j + 1]} does not "
+                             f"increase (previous was {indices[j]})")
+        if out.size:
+            # rows before the first order error increase, so a negative
+            # index is the row's first and one past d its last
+            j = out[0]
+            bad = indices[j] if indices[j] < 0 else indices[indptr[row[j] + 1] - 1]
+            raise ValueError(f"row {row[j]}: index {bad} lies outside [0, {d})")
+        bad = np.flatnonzero(~np.isfinite(data))
+        if bad.size:
+            raise ValueError(f"value at row {row[bad[0]]}, feature "
+                             f"{indices[bad[0]]} is not finite")
+        for part in (indptr, indices, data):
+            part.setflags(write=False)
+        self.n, self.d, self.indptr, self.indices, self.data = n, d, indptr, indices, data
 
     def toarray(self) -> np.ndarray:
-        """The dense n x d matrix; raises ValueError naming the first row
-        that breaks the contract, before any row is filled."""
-        _check_rows(self)
-        dense = np.zeros((self.n, self.d))
-        for i, (idx, vals) in enumerate(self.rows):
-            dense[i, idx] = vals
+        """The dense n x d matrix."""
+        return self._head(self.n)
+
+    def _head(self, k: int) -> np.ndarray:
+        """The first ``k`` rows, dense: one fill from an ``indptr`` slice."""
+        stop = self.indptr[k]
+        dense = np.zeros((k, self.d))
+        dense[_entry_rows(self.indptr[:k + 1]), self.indices[:stop]] = self.data[:stop]
         return dense
 
 
-def _check_rows(matrix: SparseRowMatrix) -> None:
-    """Raise ValueError unless ``matrix.rows`` holds n rows whose indices
-    are integers, strictly increasing within [0, d), with one value per
-    index; the message names the first row that does not."""
-    if len(matrix.rows) != matrix.n:
-        raise ValueError(f"matrix has {len(matrix.rows)} rows, but n is {matrix.n}")
-    for i, (idx, vals) in enumerate(matrix.rows):
-        idx = np.asarray(idx)
-        if idx.ndim != 1 or np.shape(vals) != idx.shape:
-            raise ValueError(f"row {i}: indices and values must be 1-d of one "
-                             f"length, got shapes {idx.shape} and {np.shape(vals)}")
-        if not idx.size:
-            continue
-        if idx.dtype.kind not in "iu":
-            raise ValueError(f"row {i} has indices of type {idx.dtype}, "
-                             "not integers")
-        down = np.flatnonzero(idx[1:] <= idx[:-1])
-        if down.size:
-            j = down[0]
-            raise ValueError(f"row {i}: index {idx[j + 1]} does not increase "
-                             f"(previous was {idx[j]})")
-        if idx[0] < 0 or idx[-1] >= matrix.d:
-            bad = idx[0] if idx[0] < 0 else idx[-1]
-            raise ValueError(f"row {i}: index {bad} lies outside "
-                             f"[0, {matrix.d})")
+def _entry_rows(indptr: np.ndarray) -> np.ndarray:
+    """The row of each stored entry of the rows that ``indptr`` spans."""
+    return np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
 
 
-_TOKEN = re.compile(r"\S+")
+def _number(kind: type, what: str, text: str, line: int, body: str, token: int):
+    """``text`` as an int, or as a finite float; otherwise the
+    :class:`LibsvmParseError` for the ``what`` at ``token`` of ``line``."""
+    try:
+        number = kind(text)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise _parse_error(line, body, token, f"{what} {text!r} is not {noun}") from None
+    if kind is float and not math.isfinite(number):
+        raise _parse_error(line, body, token, f"{what} {text!r} is not finite")
+    return number
 
 
 def parse_libsvm(source, n_features: int | None = None
@@ -169,96 +211,70 @@ def parse_libsvm(source, n_features: int | None = None
     ``#`` starts a comment.  The column count is the largest index seen
     unless ``n_features`` overrides it (useful when trailing features are
     absent from the file).  ``source`` may be a path or any iterable of
-    lines.  Malformed input, a NaN or infinite label or value included,
-    raises :class:`LibsvmParseError`, whose message gives the 1-based line
-    and column.
+    lines.  One pass over the lines fills the matrix's CSR triple, which
+    is then built through :class:`SparseRowMatrix`'s check.  Malformed
+    input, a NaN or infinite label or value and an index above 2^63 - 1
+    included, raises :class:`LibsvmParseError`, whose message gives the
+    1-based line and column.
     """
     if isinstance(source, (str, os.PathLike)):
         with open(source, "r", encoding="utf-8") as fh:
             return parse_libsvm(fh, n_features=n_features)
 
-    labels = []
-    rows = []
+    labels = array("d")
+    indptr, indices, data = array("q", [0]), array("q"), array("d")
     widest = 0
     for lineno, raw in enumerate(source, start=1):
         body = raw.split("#", 1)[0]
-        tokens = list(_TOKEN.finditer(body))
+        tokens = body.split()  # a column is found only for an error
         if not tokens:
             continue
-        head = tokens[0]
-        try:
-            label = float(head.group())
-        except ValueError:
-            raise _parse_error(lineno, head.start() + 1,
-                               f"label {head.group()!r} is not a number") from None
-        if not math.isfinite(label):
-            raise _parse_error(lineno, head.start() + 1,
-                               f"label {head.group()!r} is not finite")
-        idx = []
-        vals = []
+        label = _number(float, "label", tokens[0], lineno, body, 0)
         prev = 0
-        for tok in tokens[1:]:
-            col = tok.start() + 1
-            text = tok.group()
+        for k, text in enumerate(tokens[1:], start=1):
             part = text.split(":")
             if len(part) != 2:
-                raise _parse_error(lineno, col,
+                raise _parse_error(lineno, body, k,
                                    f"expected index:value, got {text!r}")
-            try:
-                index = int(part[0])
-            except ValueError:
-                raise _parse_error(lineno, col,
-                                   f"index {part[0]!r} is not an integer") from None
-            if index < 1:
-                raise _parse_error(lineno, col,
-                                   f"index {index} is not positive (indices are 1-based)")
+            index = _number(int, "index", part[0], lineno, body, k)
+            if not 0 < index < 2**63:
+                why = ("is not positive (indices are 1-based)" if index < 1
+                       else "is above 2^63 - 1")
+                raise _parse_error(lineno, body, k, f"index {index} {why}")
             if index <= prev:
-                raise _parse_error(lineno, col,
+                raise _parse_error(lineno, body, k,
                                    f"index {index} does not increase (previous was {prev})")
-            try:
-                value = float(part[1])
-            except ValueError:
-                raise _parse_error(lineno, col,
-                                   f"value {part[1]!r} is not a number") from None
-            if not math.isfinite(value):
-                raise _parse_error(lineno, col,
-                                   f"value {part[1]!r} is not finite")
-            idx.append(index - 1)
-            vals.append(value)
+            data.append(_number(float, "value", part[1], lineno, body, k))
+            indices.append(index - 1)
             prev = index
         labels.append(label)
-        rows.append((np.asarray(idx, dtype=np.int64), np.asarray(vals, dtype=float)))
-        if idx:
-            widest = max(widest, idx[-1] + 1)
+        indptr.append(len(indices))
+        widest = max(widest, prev)
 
     d = widest if n_features is None else _count("n_features", n_features, 0)
     if n_features is not None and d < widest:
         raise ValueError(
             f"feature override {n_features} is below the largest index {widest} in the data")
-    matrix = SparseRowMatrix(n=len(rows), d=d, rows=rows)
-    return matrix, np.asarray(labels, dtype=float)
+    matrix = object.__new__(SparseRowMatrix)  # from the triple, by the same check
+    matrix._adopt(len(labels), d, np.frombuffer(indptr, np.int64),
+                  np.frombuffer(indices, np.int64), np.frombuffer(data))
+    return matrix, np.frombuffer(labels, dtype=float)
 
 
 def dump_libsvm(matrix: SparseRowMatrix, labels: np.ndarray, path) -> None:
     """Write the sparse-text format back out, losslessly for float64.
 
     ``labels`` must be a finite vector of length n (:func:`sketch._vector`),
-    the rows must keep :class:`SparseRowMatrix`'s contract
-    (:func:`_check_rows`), and every stored value must be finite, as
-    :func:`parse_libsvm` requires.  Otherwise ValueError names the
-    label's index, the row, or the value's row and 0-based feature,
-    before ``path`` is opened.
+    or ValueError names the bad label's index before ``path`` is opened.
+    The rows need no check: :class:`SparseRowMatrix` refused any that
+    :func:`parse_libsvm` would not read back when it was built.
     """
     labels = _vector("labels", labels, matrix.n)
-    _check_rows(matrix)
-    for i, (idx, vals) in enumerate(matrix.rows):
-        bad = np.flatnonzero(~np.isfinite(vals))
-        if bad.size:
-            raise ValueError(f"value at row {i}, feature {int(idx[bad[0]])} "
-                             "is not finite")
+    entries = np.array([f" {i + 1}:{v:.17g}" for i, v in
+                        zip(matrix.indices.tolist(), matrix.data.tolist())], dtype=object)
+    # line r is its label, inserted before entry indptr[r], then its
+    # entries; its last piece, at indptr[r + 1] + r, ends it
+    pieces = np.insert(entries, matrix.indptr[:-1], np.char.mod("%.17g", labels))
+    pieces[matrix.indptr[1:] + np.arange(matrix.n)] += "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        for label, (idx, vals) in zip(labels, matrix.rows):
-            parts = [format(label, ".17g")]
-            parts.extend(f"{int(i) + 1}:{format(v, '.17g')}"
-                         for i, v in zip(idx, vals))
-            fh.write(" ".join(parts) + "\n")
+        fh.write("".join(pieces))

@@ -16,8 +16,8 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .datasets import (LibsvmParseError, SparseRowMatrix, _effective_rank,
-                       parse_libsvm, rff_expand, synthetic_regression)
+from .datasets import (LibsvmParseError, _effective_rank, parse_libsvm,
+                       rff_expand, synthetic_regression)
 from .diagnostics import (LinearModelSpec, classical_sketch_diagnostics,
                           hessian_sketch_diagnostics, optimal_diagnostics,
                           sketched_diagnostics)
@@ -217,10 +217,12 @@ def load_instance(config: SweepConfig):
     """Materialize (A, y, model); model is None without known weights
     (:func:`_known_weights`).
 
-    A libsvm instance densifies only the rows it keeps, so A owns its
-    data and holds none of the rows past the first n.  A libsvm file with
-    no samples or no features, or a malformed line, raises ConfigError
-    naming the path (and the line and column).
+    A libsvm instance keeps the first n rows (every row when n is 0 or
+    above the file's count): it densifies only the ``indptr`` slice that
+    spans them, so A owns its data and holds none of the rows past the
+    first n, and it checks nothing that :func:`parse_libsvm` checked.  A
+    libsvm file with no samples or no features, or a malformed line,
+    raises ConfigError naming the path (and the line and column).
     """
     if config.dataset == "synthetic":
         A, y, truth = synthetic_regression(config.n, config.d, config.r,
@@ -238,12 +240,12 @@ def load_instance(config: SweepConfig):
             matrix, labels = parse_libsvm(config.libsvm_path)
         except LibsvmParseError as err:
             raise ConfigError(f"{config.libsvm_path}: {err}") from None
-        kept = matrix.rows[:config.n or None]
+        kept = min(config.n or matrix.n, matrix.n)
         if not kept or not matrix.d:
             what = "samples" if not kept else "features"
             raise ConfigError(f"{config.libsvm_path} has no {what}")
-        A = SparseRowMatrix(len(kept), matrix.d, kept).toarray()
-        y = labels[:len(kept)].copy()
+        A = matrix._head(kept)
+        y = labels[:kept].copy()
         if config.rff_features:
             A = rff_expand(A, config.rff_features, config.rff_gamma,
                            seed=child_seed(config.seed, _DATA_TAG, 1))

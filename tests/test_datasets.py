@@ -7,7 +7,10 @@ generator's own output.
 """
 import math
 import pickle
+import re
+from functools import partial
 
+import hypothesis
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -209,6 +212,7 @@ def test_parse_reports_position_of_bad_label():
     ("1 1:nan", "not finite"),
     ("1 1:inf", "not finite"),
     ("-inf 1:2.0", "not finite"),
+    ("1 99999999999999999999:1", "above 2^63 - 1"),
 ])
 def test_parse_rejects_malformed_features(line, fragment):
     with pytest.raises(LibsvmParseError) as info:
@@ -289,25 +293,27 @@ def _second_row(idx, values=None, n=2):
                                   (np.asarray(idx), values)])
 
 
-# matrices (d = 3) that break SparseRowMatrix's contract, each with the
+# row lists (d = 3) that break SparseRowMatrix's contract, each with the
 # error that names where
 BROKEN = [
-    (_second_row([2, 0]), r"^row 1: index 0 does not increase \(previous was 2\)"),
-    (_second_row([1, 1]), r"^row 1: index 1 does not increase \(previous was 1\)"),
-    (_second_row([-1]), r"^row 1: index -1 lies outside \[0, 3\)"),
-    (_second_row([5]), r"^row 1: index 5 lies outside \[0, 3\)"),
-    (_second_row(np.array([0.0])),
+    (partial(_second_row, [2, 0]),
+     r"^row 1: index 0 does not increase \(previous was 2\)"),
+    (partial(_second_row, [1, 1]),
+     r"^row 1: index 1 does not increase \(previous was 1\)"),
+    (partial(_second_row, [-1]), r"^row 1: index -1 lies outside \[0, 3\)"),
+    (partial(_second_row, [5]), r"^row 1: index 5 lies outside \[0, 3\)"),
+    (partial(_second_row, np.array([0.0])),
      "^row 1 has indices of type float64, not integers"),
-    (_second_row([1], np.ones(2)),
+    (partial(_second_row, [1], np.ones(2)),
      r"^row 1: indices and values must be 1-d of one length, "
      r"got shapes \(1,\) and \(2,\)"),
-    (_second_row([1], n=3), "^matrix has 2 rows, but n is 3"),
+    (partial(_second_row, [1], n=3), "^matrix has 2 rows, but n is 3"),
 ]
 
 
 def test_dump_refuses_what_parse_would_refuse(tmp_path):
-    # a NaN label or an infinite value would write a line parse_libsvm
-    # rejects; both are named before the file is opened
+    # a NaN label would write a line parse_libsvm rejects; it is named
+    # before the file is opened
     matrix = SparseRowMatrix(3, 4, [(np.array([0]), np.array([1.0])),
                                     (np.array([1, 3]), np.array([2.0, 3.0])),
                                     (np.array([], dtype=np.int64),
@@ -315,30 +321,136 @@ def test_dump_refuses_what_parse_would_refuse(tmp_path):
     path = tmp_path / "bad.txt"
     with pytest.raises(ValueError, match="^labels entry 1 is not finite"):
         dump_libsvm(matrix, np.array([1.0, math.nan, 0.0]), path)
-    matrix.rows[1][1][1] = math.inf
-    with pytest.raises(ValueError,
-                       match="^value at row 1, feature 3 is not finite"):
-        dump_libsvm(matrix, np.zeros(3), path)
     assert not path.exists()
-    matrix.rows[1][1][1] = 3.0
     dump_libsvm(matrix, np.zeros(3), path)
     back, _ = parse_libsvm(path, n_features=4)
     assert np.array_equal(back.toarray(), matrix.toarray())
-    # so is a row that breaks SparseRowMatrix's contract, which would
-    # write a line parse_libsvm refuses or drop a label
-    path = tmp_path / "broken.txt"
-    for broken, message in BROKEN:
-        with pytest.raises(ValueError, match=message):
-            dump_libsvm(broken, np.zeros(broken.n), path)
-    assert not path.exists()
 
 
-def test_toarray_refuses_rows_that_break_the_contract():
-    # index -1 would fill the last column, 5 raise a bare IndexError, and
-    # a short row list leave a zero row
-    for broken, message in BROKEN:
+def test_construction_refuses_rows_that_break_the_contract():
+    # index -1 would fill the last column, 5 raise a bare IndexError, a
+    # short row list leave a zero row, and an infinite value write a line
+    # parse_libsvm refuses; so no matrix that breaks the contract exists
+    # for toarray or dump_libsvm to meet
+    for build, message in BROKEN:
         with pytest.raises(ValueError, match=message):
-            broken.toarray()
+            build()
+    with pytest.raises(ValueError,
+                       match="^value at row 1, feature 3 is not finite"):
+        SparseRowMatrix(3, 4, [(np.array([0]), np.array([1.0])),
+                               (np.array([1, 3]), np.array([2.0, math.inf])),
+                               (np.array([], dtype=np.int64), np.array([]))])
     assert np.array_equal(_second_row([0, 2]).toarray(),
                           [[1.0, 0.0, 0.0], [1.0, 0.0, 1.0]])
 
+
+def test_matrix_arrays_refuse_in_place_writes():
+    # the check at construction holds for the matrix's life: a write
+    # such as data[2] = inf or indices[2] = 7, which would break it, is
+    # refused
+    built = _second_row([0, 2])
+    parsed, _ = parse_libsvm(["1 1:1.0", "1 1:1.0 3:1.0"])
+    for matrix in (built, parsed):
+        np.testing.assert_array_equal(matrix.indptr, [0, 1, 3])
+        np.testing.assert_array_equal(matrix.indices, [0, 0, 2])
+        np.testing.assert_array_equal(matrix.data, [1.0, 1.0, 1.0])
+        for part in (matrix.indptr, matrix.indices, matrix.data):
+            assert type(part) is np.ndarray
+            with pytest.raises(ValueError, match="read-only"):
+                part[-1] = 7
+        with pytest.raises(ValueError, match="read-only"):
+            matrix.data[2] = math.inf
+
+
+def _per_row_fault(n, d, rows):
+    """The refusal the per-row rules give, or None: the row count, then
+    each row's shape, index type (unless empty), order and range, first
+    bad row first; then the first non-finite value."""
+    if len(rows) != n:
+        return f"matrix has {len(rows)} rows, but n is {n}"
+    for i, (idx, vals) in enumerate(rows):
+        idx = np.asarray(idx)
+        if idx.ndim != 1 or np.shape(vals) != idx.shape:
+            return (f"row {i}: indices and values must be 1-d of one length, "
+                    f"got shapes {idx.shape} and {np.shape(vals)}")
+        if not idx.size:
+            continue
+        if idx.dtype.kind not in "iu":
+            return f"row {i} has indices of type {idx.dtype}, not integers"
+        down = np.flatnonzero(idx[1:] <= idx[:-1])
+        if down.size:
+            j = down[0]
+            return (f"row {i}: index {idx[j + 1]} does not increase "
+                    f"(previous was {idx[j]})")
+        if idx[0] < 0 or idx[-1] >= d:
+            bad = idx[0] if idx[0] < 0 else idx[-1]
+            return f"row {i}: index {bad} lies outside [0, {d})"
+    for i, (idx, vals) in enumerate(rows):
+        bad = np.flatnonzero(~np.isfinite(vals))
+        if bad.size:
+            return f"value at row {i}, feature {int(idx[bad[0]])} is not finite"
+    return None
+
+
+# each defect turns a valid row of at least `least` entries into one the
+# per-row rules refuse, given the row's indices, values, d and a draw
+DEFECTS = {
+    "decreasing": (2, lambda idx, vals, d, j: (
+        np.concatenate([idx[:j], idx[j + 1:j + 2], idx[j:j + 1], idx[j + 2:]]),
+        vals)),
+    "repeated": (2, lambda idx, vals, d, j: (
+        np.concatenate([idx[:j + 1], idx[j:j + 1], idx[j + 2:]]), vals)),
+    "below": (1, lambda idx, vals, d, j: (
+        np.concatenate([[-1 - j], idx[1:]]).astype(np.int64), vals)),
+    "above": (1, lambda idx, vals, d, j: (
+        np.concatenate([idx[:-1], [d + j]]).astype(np.int64), vals)),
+    "twice above": (2, lambda idx, vals, d, j: (
+        np.concatenate([idx[:-2], [d + j, d + j + 1]]).astype(np.int64), vals)),
+    "above and decreasing": (2, lambda idx, vals, d, j: (
+        np.concatenate([[d + j], idx[1:]]).astype(np.int64), vals)),
+    "float indices": (1, lambda idx, vals, d, j: (idx.astype(float), vals)),
+    "ragged": (0, lambda idx, vals, d, j: (idx, np.append(vals, 1.0))),
+    "2-d": (0, lambda idx, vals, d, j: (idx[None, :], vals[None, :])),
+    "not finite": (1, lambda idx, vals, d, j: (
+        idx, np.where(np.arange(idx.size) == j % idx.size,
+                      [math.inf, -math.inf, math.nan][j % 3], vals))),
+}
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_construction_follows_the_per_row_rules(data):
+    # a valid row list gives the per-row dense fill; one planted defect is
+    # refused by the planted row, with the message the per-row rules give
+    d = data.draw(st.integers(1, 6), label="d")
+    n = data.draw(st.integers(1, 6), label="n")
+    rows = []
+    for _ in range(n):
+        idx = np.array(sorted(data.draw(st.sets(st.integers(0, d - 1)))),
+                       dtype=np.int64)
+        vals = np.array(data.draw(st.lists(st.floats(-1e3, 1e3),
+                                           min_size=idx.size,
+                                           max_size=idx.size)))
+        rows.append((idx, vals))
+    if data.draw(st.booleans(), label="empty float row"):
+        # an empty row's index type is not checked
+        rows[data.draw(st.integers(0, n - 1))] = (np.array([]), np.array([]))
+    defect = data.draw(st.sampled_from([None, *DEFECTS]), label="defect")
+    if defect is None:
+        dense = np.zeros((n, d))
+        for i, (idx, vals) in enumerate(rows):
+            dense[i, idx.astype(np.int64)] = vals
+        assert _per_row_fault(n, d, rows) is None
+        assert np.array_equal(SparseRowMatrix(n, d, rows).toarray(), dense)
+        return
+    least, plant = DEFECTS[defect]
+    fits = [i for i, (idx, _) in enumerate(rows) if idx.size >= least]
+    hypothesis.assume(fits)
+    r = data.draw(st.sampled_from(fits), label="planted row")
+    idx, vals = rows[r]
+    j = data.draw(st.integers(0, max(idx.size - 2, 0)), label="position")
+    rows[r] = plant(idx.astype(np.int64), vals, d, j)
+    expected = _per_row_fault(n, d, rows)
+    assert expected is not None and f"row {r}" in expected
+    with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+        SparseRowMatrix(n, d, rows)

@@ -261,6 +261,11 @@ def test_load_instance_libsvm(tmp_path):
     every, _, _ = load_instance(small_config(dataset="libsvm",
                                              libsvm_path=str(path), n=0))
     assert every.shape == (3, 3)
+    # an n above the file's row count keeps every row
+    above, y_above, _ = load_instance(small_config(
+        dataset="libsvm", libsvm_path=str(path), n=7))
+    assert np.array_equal(above, every)
+    np.testing.assert_array_equal(y_above, [1.0, -1.0, 1.0])
     expanded = small_config(dataset="libsvm", libsvm_path=str(path), n=2,
                             rff_features=10)
     A2, _, _ = load_instance(expanded)

@@ -1,10 +1,10 @@
 """Which calls load scipy.
 
-The streaming sketch, every solver, both synthetic and random-features
-instances and the Gaussian sketch need only numpy; scipy is imported by
-the one function that uses it, ``realize_sjlt`` (scipy.sparse).  Each
-case runs in a fresh interpreter so that modules loaded by other tests
-do not leak in.
+The streaming sketch, every solver, the synthetic, random-features and
+libsvm instances, the libsvm reader and writer and the Gaussian sketch
+need only numpy; scipy is imported by the one function that uses it,
+``realize_sjlt`` (scipy.sparse).  Each case runs in a fresh interpreter
+so that modules loaded by other tests do not leak in.
 """
 import os
 import subprocess
@@ -27,17 +27,32 @@ def run_fresh(code):
     return done.stdout
 
 
-def test_numpy_only_paths_load_no_scipy():
-    out = run_fresh("""
+def test_numpy_only_paths_load_no_scipy(tmp_path):
+    out = run_fresh(f"""
         import sys
+        import numpy as np
         import fdridge
-        from fdridge import (RidgeProblem, StreamingSketch, SweepConfig,
-                             apply_gaussian, fdrr_solve, ifdrr_solve,
-                             load_instance)
+        from fdridge import (RidgeProblem, SparseRowMatrix, StreamingSketch,
+                             SweepConfig, apply_gaussian, dump_libsvm,
+                             fdrr_solve, ifdrr_solve, load_instance,
+                             parse_libsvm)
 
         load_instance(SweepConfig(dataset="synthetic", n=64, d=16, m=8))
         A, y, _ = load_instance(SweepConfig(dataset="gaussian-rff", n=200,
                                             d=32, m=8))
+        path = {str(tmp_path / "data.txt")!r}
+        dump_libsvm(SparseRowMatrix(3, 4, [(np.array([0, 2]), np.ones(2)),
+                                           (np.array([1]), np.ones(1)),
+                                           (np.array([0, 3]), np.ones(2))]),
+                    np.ones(3), path)
+        matrix, _ = parse_libsvm(path)
+        # the CSR triple is three numpy arrays, never a scipy.sparse matrix
+        assert all(type(part) is np.ndarray
+                   for part in (matrix.indptr, matrix.indices, matrix.data))
+        load_instance(SweepConfig(dataset="libsvm", libsvm_path=path, n=2,
+                                  m=2))
+        load_instance(SweepConfig(dataset="libsvm", libsvm_path=path, n=0,
+                                  m=2, rff_features=8))
         sk = StreamingSketch(8, 32)
         sk.extend(A)
         sk.finalize("rfd")
