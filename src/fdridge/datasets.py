@@ -13,7 +13,8 @@ from array import array
 
 import numpy as np
 
-from .sketch import _count, _matrix, _nonnegative, _positive, _vector
+from .sketch import (_count, _matrix, _nonnegative, _positive, _real,
+                     _vector)
 
 
 class LibsvmParseError(ValueError):
@@ -35,7 +36,7 @@ def _parse_error(line: int, body: str, token: int, reason: str) -> LibsvmParseEr
 def _effective_rank(d: int, r: float) -> int:
     """R = floor(r * d + 0.5) for a rank fraction r in (0, 1]; ValueError
     when r lies outside it or R rounds to 0."""
-    if not 0.0 < r <= 1.0:
+    if not 0.0 < _real(r) <= 1.0:
         raise ValueError(f"rank fraction must lie in (0, 1], got {r}")
     R = int(math.floor(r * d + 0.5))
     if R < 1:

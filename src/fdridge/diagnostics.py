@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sketch import (MODE_RFD, MODES, SketchOutput, _count, _light_rows,
-                     _matrix, _one_of, _positive, _row_masses, _vector)
+                     _matrix, _one_of, _positive, _real, _row_masses,
+                     _vector)
 from .solvers import InverseOperator
 
 # Bytes of A that one block of the diagnostics pass over N = A holds: a
@@ -62,14 +63,14 @@ class DiagnosticsReport:
 
 
 def _grid(A: np.ndarray, curvature: np.ndarray, op: InverseOperator,
-          model: LinearModelSpec, gamma, shift=0.0, gram=None):
-    """Reports for x = (X^T X + (g + shift) I)^{-1} N^T y at each gamma.
+          model: LinearModelSpec, gamma, gram=None):
+    """Reports for x = (X^T X + (gamma + shift) I)^{-1} N^T y at each gamma.
 
-    ``op`` (at any regularizer) holds the eigenpairs (lam_i, v_i) of X^T X
-    for X = ``curvature``; the estimator sees y through the noise map N,
-    which is A, or S^T X for the classical estimator, whose X is S A and
+    ``op`` holds the eigenpairs (lam_i, v_i) of X^T X for X = ``curvature``
+    and the shift; the estimator sees y through the noise map N, which is
+    A, or S^T X for the classical estimator, whose X is S A and
     whose S enters only through ``gram`` = K = S S^T.  With g the total
-    regularizer and H = X^T X + g I the moments are
+    regularizer gamma + shift and H = X^T X + g I the moments are
 
         bias = H^{-1} (N^T A - X^T X - g I) x0,
         var  = sigma^2 |N H^{-1}|_F^2 = sigma^2 (sum_i |N v_i|^2 / (lam_i + g)^2
@@ -107,8 +108,8 @@ def _grid(A: np.ndarray, curvature: np.ndarray, op: InverseOperator,
              if gram is None else 0.0)
     reports = []
     for g in gammas:
-        total = g + shift
-        bias = op.retarget(total).apply(resid - total * truth)
+        total = g + op.shift
+        bias = op.apply(resid - total * truth, g)
         var = weights @ (1.0 / (op.spectrum + total) ** 2) + outside / total ** 2
         reports.append(DiagnosticsReport(float(bias @ bias),
                                          float(model.noise_sd ** 2 * var)))
@@ -171,7 +172,7 @@ def optimal_diagnostics(A: np.ndarray, model: LinearModelSpec,
     sigma^2 |A (A^T A + gamma I)^{-1}|_F^2.
     """
     A = _matrix("A", A)
-    return _grid(A, A, InverseOperator(A, 1.0), model, gamma)
+    return _grid(A, A, InverseOperator(A), model, gamma)
 
 
 def sketched_diagnostics(A: np.ndarray, output: SketchOutput,
@@ -183,8 +184,8 @@ def sketched_diagnostics(A: np.ndarray, output: SketchOutput,
     sigma^2 |A H_hat^{-1}|_F^2.
     """
     A = _matrix("A", A)
-    op = InverseOperator.from_sketch(output, 1.0)
-    return _grid(A, output.matrix, op, model, gamma, shift=output.shift)
+    return _grid(A, output.matrix, InverseOperator.from_sketch(output),
+                 model, gamma)
 
 
 def classical_sketch_diagnostics(A: np.ndarray, S, model: LinearModelSpec,
@@ -219,7 +220,7 @@ def classical_sketch_diagnostics(A: np.ndarray, S, model: LinearModelSpec,
     SA = np.asarray(S @ A, dtype=float)
     gram = S @ S.T
     K = gram.toarray() if hasattr(gram, "toarray") else gram
-    return _grid(A, SA, InverseOperator(SA, 1.0), model, gamma, gram=K)
+    return _grid(A, SA, InverseOperator(SA), model, gamma, gram=K)
 
 
 def hessian_sketch_diagnostics(A: np.ndarray, SA: np.ndarray,
@@ -232,7 +233,7 @@ def hessian_sketch_diagnostics(A: np.ndarray, SA: np.ndarray,
     """
     A = _matrix("A", A)
     SA = _matrix("SA", SA)
-    return _grid(A, SA, InverseOperator(SA, 1.0), model, gamma)
+    return _grid(A, SA, InverseOperator(SA), model, gamma)
 
 
 def theta_interval(bound: float, gamma: float) -> tuple[float, float]:
@@ -252,7 +253,7 @@ def theta_interval(bound: float, gamma: float) -> tuple[float, float]:
     raised; a bound at or above gamma raises :class:`BudgetError`.
     """
     gamma = _positive("regularizer", gamma)
-    if not bound >= 0:
+    if not _real(bound) >= 0:
         raise ValueError(
             f"covariance-error bound must be non-negative, got {bound}")
     if bound >= gamma:
@@ -275,7 +276,7 @@ def budget_for_theta(theta: float, k: int, mass: float, gamma: float,
     integer, gamma and mass are positive and finite, and mode is one of
     "fd" and "rfd".
     """
-    if not 0 < theta < 1:
+    if not 0 < _real(theta) < 1:
         raise ValueError(f"theta must lie in (0, 1), got {theta}")
     k = _count("k", k, least=0)
     gamma = _positive("regularizer", gamma)

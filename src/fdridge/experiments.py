@@ -221,8 +221,10 @@ def load_instance(config: SweepConfig):
     above the file's count): it densifies only the ``indptr`` slice that
     spans them, so A owns its data and holds none of the rows past the
     first n, and it checks nothing that :func:`parse_libsvm` checked.  A
-    libsvm file with no samples or no features, or a malformed line,
-    raises ConfigError naming the path (and the line and column).
+    libsvm file with no samples or no features, a malformed line, or
+    kept rows too wide to hold dense (an index as large as 10^12) raise
+    ConfigError naming the path (and the line and column, or the dense
+    n x d shape).
     """
     if config.dataset == "synthetic":
         A, y, truth = synthetic_regression(config.n, config.d, config.r,
@@ -244,7 +246,11 @@ def load_instance(config: SweepConfig):
         if not kept or not matrix.d:
             what = "samples" if not kept else "features"
             raise ConfigError(f"{config.libsvm_path} has no {what}")
-        A = matrix._head(kept)
+        try:
+            A = matrix._head(kept)
+        except (MemoryError, ValueError):  # numpy's "array is too big"
+            raise ConfigError(f"{config.libsvm_path}: a dense {kept} x "
+                              f"{matrix.d} array does not fit in memory") from None
         y = labels[:kept].copy()
         if config.rff_features:
             A = rff_expand(A, config.rff_features, config.rff_gamma,
@@ -435,26 +441,26 @@ def run_iterative_experiment(config: SweepConfig, t: int, out=None) -> list:
     if not base.rhs.any():
         raise ConfigError("the relative error is undefined: A^T y = 0, so "
                           "the exact solution is zero at every gamma")
-    exact = InverseOperator(A, config.gammas[0])
-    # One sketch serves every ifdrr cell: it depends on neither mode nor gamma.
-    sketches = (_sketch_both(A, config.m)
-                if any(meth.startswith("ifdrr") for meth in config.methods)
-                else {})
+    exact = InverseOperator(A)
+    # One sketch serves every ifdrr cell, and one operator each mode's
+    # cells: neither depends on gamma.
+    fixed = ({mode: InverseOperator.from_sketch(output)
+              for mode, output in _sketch_both(A, config.m).items()}
+             if any(meth.startswith("ifdrr") for meth in config.methods)
+             else {})
 
     def run_one(meth, gi, problem, x_star, trial):
         kind, _, flavor = meth.partition(":")
-        g = problem.gamma
 
         def draw(i):
             seed = child_seed(config.seed, _ITER_TAG, _METHOD_INDEX[meth],
                               gi, trial, i)
-            return InverseOperator(_product(flavor, config.m, A, seed), g)
+            return InverseOperator(_product(flavor, config.m, A, seed))
 
         if kind == "ihs":  # a fresh draw every iteration
             preconditioner = draw
-        else:  # one fixed operator: the FD sketch or a single draw
-            op = (InverseOperator.from_sketch(sketches[flavor], g)
-                  if kind == "ifdrr" else draw(0))
+        else:  # one fixed operator: the FD sketch's or a single draw's
+            op = fixed[flavor] if kind == "ifdrr" else draw(0)
             preconditioner = lambda _i: op
         try:
             _, trace = refine(problem, preconditioner, t, x_star=x_star)
@@ -470,7 +476,7 @@ def run_iterative_experiment(config: SweepConfig, t: int, out=None) -> list:
     rows = []
     for gi, g in enumerate(config.gammas):
         problem = base._retarget(g)
-        x_star = exact.retarget(problem.gamma).apply(problem.rhs)
+        x_star = exact.apply(problem.rhs, problem.gamma)
         for meth in config.methods:
             per_trial = [run_one(meth, gi, problem, x_star, trial)
                          for trial in _trials(config, meth.partition(":")[2])]

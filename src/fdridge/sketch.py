@@ -117,10 +117,21 @@ def _row_masses(rows: np.ndarray) -> np.ndarray:
     return mass
 
 
+def _real(value):
+    """``value`` when it compares with numbers, NaN otherwise, so that a
+    range rule refuses None or a string by its own message rather than by
+    a bare TypeError from the comparison."""
+    try:
+        value < 0
+    except TypeError:
+        return np.nan
+    return value
+
+
 def _positive(name: str, value) -> float:
     """``value`` as a float; raises ValueError naming ``name`` unless it
     is positive and finite, the rule for every scale parameter."""
-    if not 0 < value < np.inf:
+    if not 0 < _real(value) < np.inf:
         raise ValueError(f"{name} must be positive and finite, got {value}")
     return float(value)
 
@@ -129,7 +140,7 @@ def _nonnegative(name: str, value) -> float:
     """``value`` as a float; raises ValueError naming ``name`` unless it
     is at least 0 and finite, the rule for a noise level that may
     vanish."""
-    if not 0 <= value < np.inf:
+    if not 0 <= _real(value) < np.inf:
         raise ValueError(
             f"{name} must be non-negative and finite, got {value}")
     return float(value)

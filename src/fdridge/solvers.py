@@ -83,58 +83,53 @@ class RidgeProblem:
 
 
 class InverseOperator:
-    """Fast application of (X^T X + g I)^{-1} for any factor X.
+    """Fast application of (X^T X + (gamma + shift) I)^{-1} for any factor
+    X, at any regularizer gamma.
 
-    The operator holds the gamma-free pair (``spectrum``, ``basis``): the
-    eigenvalues of X^T X above the roundoff floor, largest first, and
-    their orthonormal eigenvectors, from the same eigendecomposition of
-    the smaller Gram matrix that the sketch shrinks with (X X^T, in
-    Woodbury form, for a short-and-fat factor).  As in a shrink, the rows
-    of X too light for that decomposition to resolve are left out of it
-    first.  Each apply is
+    The operator holds no regularizer, only the triple (``spectrum``,
+    ``basis``, ``shift``): the eigenvalues of X^T X above the roundoff
+    floor, largest first, their orthonormal eigenvectors, and the shift
+    that every regularizer is raised by, 0 for a factor and the sketch's
+    own for :meth:`from_sketch`.  A factor's pair comes from the same
+    eigendecomposition of the smaller Gram matrix that the sketch shrinks
+    with (X X^T, in Woodbury form, for a short-and-fat factor).  As in a
+    shrink, the rows of X too light for that decomposition to resolve are
+    left out of it first.  ``apply(v, gamma)`` is, with g = gamma + shift,
 
         v / g + V diag(1 / (spectrum + g) - 1 / g) V^T v,
 
-    O(r d) per vector for r kept directions; ``retarget`` reuses the pair
-    under another regularizer.  The total regularizer g (gamma plus any
-    sketch shift) must be positive and finite, or ValueError is raised.
-    Instances are immutable and thread-safe.
+    O(r d) per vector for r kept directions, so one factorization serves
+    every regularizer.  The total regularizer g must be positive and
+    finite, or ``apply`` raises ValueError.  Instances are immutable and
+    thread-safe.
     """
 
-    def __init__(self, matrix: np.ndarray, gamma_total: float):
+    def __init__(self, matrix: np.ndarray):
         matrix = _resolved_rows(_matrix("matrix", matrix))
-        spectrum, vecs = _gram_eigh(matrix)
-        self._set((spectrum, _right_vectors(matrix, vecs)), gamma_total)
+        self.spectrum, vecs = _gram_eigh(matrix)
+        self.basis, self.shift = _right_vectors(matrix, vecs), 0.0
 
     @classmethod
-    def from_sketch(cls, output: SketchOutput, gamma: float) -> "InverseOperator":
-        """Operator for a finalized sketch; the shift adds to gamma.  The
+    def from_sketch(cls, output: SketchOutput) -> "InverseOperator":
+        """Operator for a finalized sketch, shifted by its shift.  The
         sketch rows are orthogonal, so they give the eigenpairs directly."""
         norms = np.linalg.norm(output.matrix, axis=1)
         kept = norms > 0.0
-        basis = (output.matrix[kept] / norms[kept, None]).T
-        return cls.__new__(cls)._set((norms[kept] ** 2, basis),
-                                     gamma + output.shift)
+        op = cls.__new__(cls)
+        op.spectrum, op.shift = norms[kept] ** 2, output.shift
+        op.basis = (output.matrix[kept] / norms[kept, None]).T
+        return op
 
-    def _set(self, factors: tuple, gamma_total: float) -> "InverseOperator":
-        self.gamma_total = _positive("total regularizer", gamma_total)
-        self.spectrum, self.basis = factors
-        return self
-
-    def retarget(self, gamma_total: float) -> "InverseOperator":
-        """The same factorization under another total regularizer."""
-        return InverseOperator.__new__(InverseOperator)._set(
-            (self.spectrum, self.basis), gamma_total)
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        """Apply to a vector of length d or to each column of a matrix of
-        d rows; anything else raises ValueError naming its shape."""
+    def apply(self, v: np.ndarray, gamma: float) -> np.ndarray:
+        """Apply at regularizer ``gamma`` to a vector of length d or to
+        each column of a matrix of d rows; anything else raises ValueError
+        naming its shape."""
         v = np.asarray(v, dtype=float)
         d = self.basis.shape[0]
         if v.ndim not in (1, 2) or v.shape[0] != d:
             raise ValueError(f"operator acts on a vector or matrix of "
                              f"dimension {d}, got shape {v.shape}")
-        g = self.gamma_total
+        g = _positive("total regularizer", gamma + self.shift)
         coeff = 1.0 / (self.spectrum + g) - 1.0 / g
         coeff = coeff.reshape((-1,) + (1,) * (v.ndim - 1))  # per row of V^T v
         return v / g + self.basis @ (coeff * (self.basis.T @ v))
@@ -167,9 +162,8 @@ def fdrr_solve(problem: RidgeProblem, m: int, mode: str = MODE_FD) -> np.ndarray
     One streaming pass builds the sketch; the solve itself costs O(m d)
     on the sketch's orthogonal rows.
     """
-    op = InverseOperator.from_sketch(sketch_matrix(problem.A, m, mode),
-                                     problem.gamma)
-    return op.apply(problem.rhs)
+    op = InverseOperator.from_sketch(sketch_matrix(problem.A, m, mode))
+    return op.apply(problem.rhs, problem.gamma)
 
 
 def classical_sketch_solve(SA: np.ndarray, Sy: np.ndarray,
@@ -178,7 +172,7 @@ def classical_sketch_solve(SA: np.ndarray, Sy: np.ndarray,
     (A^T S^T S A + gamma I)^{-1} A^T S^T S y."""
     SA = _matrix("SA", SA)
     Sy = _vector("Sy", Sy, SA.shape[0])
-    return InverseOperator(SA, gamma).apply(SA.T @ Sy)
+    return InverseOperator(SA).apply(SA.T @ Sy, gamma)
 
 
 def hessian_sketch_solve(SA: np.ndarray, cross: np.ndarray,
@@ -187,7 +181,7 @@ def hessian_sketch_solve(SA: np.ndarray, cross: np.ndarray,
     (A^T S^T S A + gamma I)^{-1} A^T y."""
     SA = _matrix("SA", SA)
     cross = _vector("cross", cross, SA.shape[1])
-    return InverseOperator(SA, gamma).apply(cross)
+    return InverseOperator(SA).apply(cross, gamma)
 
 
 def refine(problem: RidgeProblem,
@@ -199,7 +193,8 @@ def refine(problem: RidgeProblem,
 
     ``preconditioner(i)`` returns the inverse operator for iteration i:
     the same one every time for a fixed sketch, a new
-    ``InverseOperator(S_i A, gamma)`` for iterative Hessian sketching.  The
+    ``InverseOperator(S_i A)`` for iterative Hessian sketching; it is
+    applied at the problem's regularizer.  The
     ridge gradient A^T (A x - y) + gamma x is evaluated as two streaming
     matrix-vector products; the d x d Gram matrix is never formed, and
     the guard reads the problem's ``rhs`` rather than forming A^T y again.
@@ -220,7 +215,7 @@ def refine(problem: RidgeProblem,
     guard = DIVERGENCE_FACTOR * np.linalg.norm(problem.rhs) / gamma
     for i in range(t):
         grad = A.T @ (A @ x - y) + gamma * x
-        x = x - preconditioner(i).apply(grad)
+        x = x - preconditioner(i).apply(grad, gamma)
         if not np.isfinite(x).all() or np.linalg.norm(x) > guard:
             raise _diverged(i + 1, trace)
         if track:
@@ -237,6 +232,5 @@ def ifdrr_solve(problem: RidgeProblem, m: int, t: int, mode: str = MODE_FD,
     iteration, so the first iterate coincides with :func:`fdrr_solve` and
     later iterates sharpen it at O(nd) per step.
     """
-    op = InverseOperator.from_sketch(sketch_matrix(problem.A, m, mode),
-                                     problem.gamma)
+    op = InverseOperator.from_sketch(sketch_matrix(problem.A, m, mode))
     return refine(problem, lambda _i: op, t, x_star)

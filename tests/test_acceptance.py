@@ -249,10 +249,10 @@ def test_criterion_7_solver_oracles():
     for _ in range(5):
         B = rng.standard_normal((6, 16))
         g = float(rng.uniform(0.1, 2.0))
-        op = InverseOperator(B, g)
+        op = InverseOperator(B)
         dense = np.linalg.inv(B.T @ B + g * np.eye(16))
         v = rng.standard_normal(16)
-        assert np.linalg.norm(op.apply(v) - dense @ v) <= \
+        assert np.linalg.norm(op.apply(v, g) - dense @ v) <= \
             1e-10 * np.linalg.norm(dense @ v)
 
     A = rng.standard_normal((40, 8))

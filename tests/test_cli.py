@@ -1,5 +1,5 @@
 """End-to-end command-line tests: in-process, plus subprocess runs of the
-module and of three reproduce.sh commands."""
+module and of the reproduce.sh commands."""
 import os
 import shlex
 import subprocess
@@ -208,27 +208,57 @@ def _first_difference(path, ref):
     return None
 
 
+def _run_reproduce_command(config, out, extra=()) -> list:
+    """Run the reproduce.sh command for ``config`` in a subprocess at one
+    BLAS thread, writing into the directory ``out``; return its tables."""
+    argv = next(argv for argv in _reproduce_commands()
+                if Path(argv[argv.index("--config") + 1]).name == config)
+    tables = _tables(argv)
+    argv[argv.index("--out") + 1] = str(out / tables[0])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [
+                   str(REPO / "src"), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable] + argv[1:] + list(extra),
+                          cwd=REPO, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert sorted(p.name for p in out.iterdir()) == sorted(tables)
+    return tables
+
+
 @pytest.mark.parametrize("config", ["sweep_lowrank.cfg", "sweep_midrank.cfg",
                                     "sketch_accuracy.cfg"])
 def test_reproduce_command_rewrites_results_byte_for_byte(config, tmp_path):
     """The reproduce.sh command for ``config``, run in a subprocess at one
     BLAS thread, writes tables byte-identical to those in results/: the
     ``#`` lines, the header and every body line."""
-    argv = next(argv for argv in _reproduce_commands()
-                if Path(argv[argv.index("--config") + 1]).name == config)
-    tables = _tables(argv)
-    argv[argv.index("--out") + 1] = str(tmp_path / tables[0])
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               MKL_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(filter(None, [
-                   str(REPO / "src"), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable] + argv[1:],
-                          cwd=REPO, env=env, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(tables)
+    tables = _run_reproduce_command(config, tmp_path)
     for table in tables:
         line = _first_difference(tmp_path / table, REPO / "results" / table)
         assert line is None, f"{table} differs from results/ at line {line}"
+
+
+def test_iterate_command_rewrites_its_methods_rows_byte_for_byte(tmp_path):
+    """The iterate reproduce.sh command cut to three of its methods (the
+    two fixed FD sketches and one fixed SJLT draw) writes, byte for byte,
+    those methods' body rows of results/iterate-rff.csv, 3 x 3 gammas x
+    10 iterations of them: each cell's seeds follow from the method's
+    name, not from the list it runs in.  The full command takes about a
+    minute; this cut runs in a few seconds."""
+    methods = ("ifdrr:fd", "ifdrr:rfd", "single:sjlt")
+    [table] = _run_reproduce_command(
+        "iterate_rff.cfg", tmp_path, ["--set", "methods=" + ",".join(methods)])
+
+    def body(path):
+        lines = path.read_bytes().splitlines(keepends=True)
+        start = lines.index(b"method,gamma,iteration,log10_error,diverged\n")
+        return lines[start + 1:]
+
+    ours = body(tmp_path / table)
+    theirs = [line for line in body(REPO / "results" / table)
+              if line.split(b",")[0].decode() in methods]
+    assert len(theirs) == 90
+    assert ours == theirs
 
 
 @pytest.mark.parametrize("command", [
@@ -288,6 +318,24 @@ def test_malformed_libsvm_file_is_named(tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"fdridge: error: {data}: line 2, column 3: index 0 is not positive "
         "(indices are 1-based)\n")
+    assert not (tmp_path / "table.csv").exists()
+
+
+@pytest.mark.parametrize("index", [10 ** 12, 2 ** 61])
+def test_libsvm_file_too_wide_to_hold_dense_exits_2(tmp_path, capsys, index):
+    # the file parses, but its width makes the dense instance too large:
+    # a configuration error, not a numpy traceback
+    data = tmp_path / "data.txt"
+    data.write_text(f"1 1:2.0\n1 {index}:3.0\n")
+    config = tmp_path / "libsvm.cfg"
+    config.write_text(f"dataset = libsvm\nlibsvm_path = {data}\n"
+                      "methods = ifdrr:fd\nm = 2\n")
+    code = main(["iterate", "--config", str(config), "--t", "2",
+                 "--out", str(tmp_path / "table.csv")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"fdridge: error: {data}: a dense 2 x {index} array does not fit "
+        "in memory\n")
     assert not (tmp_path / "table.csv").exists()
 
 

@@ -298,6 +298,19 @@ def test_load_instance_libsvm_densifies_only_kept_rows(tmp_path, traced_peak):
     assert peak < n_file * d * 8
 
 
+@pytest.mark.parametrize("index", [10 ** 12, 2 ** 61])
+def test_load_instance_libsvm_refuses_a_dense_array_too_large(tmp_path, index):
+    # index 10^12 asks numpy for 14.6 TiB (MemoryError), and 2^61 for
+    # more than an array can hold ("array is too big", a ValueError); the
+    # refusal names the file and the dense shape either way
+    path = tmp_path / "wide.txt"
+    path.write_text(f"1 1:1\n-1 {index}:1\n", encoding="utf-8")
+    config = small_config(dataset="libsvm", libsvm_path=str(path), n=0)
+    with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}: a dense "
+                       rf"2 x {index} array does not fit in memory$"):
+        load_instance(config)
+
+
 @pytest.mark.parametrize("text,missing", [
     ("", "samples"),
     ("1\n-1\n1\n", "features"),  # labels only: d = 0

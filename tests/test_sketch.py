@@ -5,6 +5,7 @@ test itself: tail masses from the full spectrum, spectral norms from
 eigvalsh of the symmetric difference.
 """
 import dataclasses
+import re
 from pathlib import Path
 
 import numpy as np
@@ -17,8 +18,10 @@ from fdridge.datasets import (dct_rotation, parse_libsvm, rff_expand,
 from fdridge.diagnostics import (LinearModelSpec, budget_for_theta,
                                  classical_sketch_diagnostics,
                                  hessian_sketch_diagnostics,
-                                 optimal_diagnostics, sketched_diagnostics)
-from fdridge.experiments import SweepConfig, load_config, load_instance
+                                 optimal_diagnostics, sketched_diagnostics,
+                                 theta_interval)
+from fdridge.experiments import (ConfigError, SweepConfig, load_config,
+                                 load_instance)
 from fdridge.random_sketch import (apply_gaussian, realize_gaussian,
                                    realize_sjlt)
 from fdridge.sketch import (MODE_FD, MODE_RFD, SketchOutput, StreamingSketch,
@@ -71,7 +74,7 @@ SIZES = {
     "sketch_matrix-m": (lambda v: sketch_matrix(np.eye(3), v), "m", 1),
     "fdrr_solve-m": (lambda v: fdrr_solve(_problem(), v), "m", 1),
     "refine-t": (lambda v: refine(_problem(), lambda _i: InverseOperator(
-        np.eye(3), 1.0), v), "t", 1),
+        np.eye(3)), v), "t", 1),
     "realize_gaussian-m": (lambda v: realize_gaussian(v, 4, 0), "m", 1),
     "realize_gaussian-n": (lambda v: realize_gaussian(4, v, 0), "n", 1),
     "realize_gaussian-seed": (lambda v: realize_gaussian(4, 4, v), "seed", 0),
@@ -122,7 +125,7 @@ MATRICES = {
     "sketch_matrix-A": (lambda X: sketch_matrix(X, 2), "A"),
     "tail_masses-A": (tail_masses, "A"),
     "RidgeProblem-A": (lambda X: RidgeProblem(X, np.ones(4), 1.0), "A"),
-    "InverseOperator-matrix": (lambda X: InverseOperator(X, 1.0), "matrix"),
+    "InverseOperator-matrix": (lambda X: InverseOperator(X), "matrix"),
     "classical_sketch_solve-SA": (
         lambda X: classical_sketch_solve(X, np.ones(4), 1.0), "SA"),
     "hessian_sketch_solve-SA": (
@@ -190,9 +193,9 @@ def test_rejects_data_of_the_wrong_shape(case):
 CHOICES = {
     "synthetic_regression-noise_sd": (
         lambda v: synthetic_regression(4, 4, 0.5, v, 0),
-        "noise level", (-1.0, np.inf, np.nan), 0.0),
+        "noise level", (-1.0, np.inf, np.nan, None), 0.0),
     "SweepConfig-noise_sd": (lambda v: SweepConfig(noise_sd=v),
-                             "noise_sd", (-1.0, np.inf, np.nan), 0.0),
+                             "noise_sd", (-1.0, np.inf, np.nan, None), 0.0),
     "finalize-mode": (lambda v: StreamingSketch(2, 4).finalize(v), "mode",
                       ("xfd",), MODE_RFD),
     "budget_for_theta-mode": (lambda v: budget_for_theta(0.5, 1, 1.0, 1.0, v),
@@ -210,6 +213,44 @@ def test_rejects_values_out_of_range_or_set(case):
         rule = (rf"one of \(.*\), got {bad!r}" if isinstance(bad, str)
                 else "non-negative and finite, got")
         with pytest.raises(ValueError, match=rf"^{name} must be {rule}"):
+            call(bad)
+    call(good)
+
+
+# (call, message, bad values, a good value): one argument of each call
+# that takes a positive number (_positive) or a number in a range that
+# the call states itself
+RANGES = {
+    "RidgeProblem-gamma": (lambda v: RidgeProblem(np.eye(4), np.ones(4), v),
+                           "regularizer must be positive and finite",
+                           (0.0, -1.0, np.inf, np.nan), 1.0),
+    "SweepConfig-gammas": (lambda v: SweepConfig(gammas=(v,)),
+                           "gammas must be positive and finite",
+                           (0.0, np.inf), 2.0),
+    "LinearModelSpec-noise_sd": (lambda v: LinearModelSpec(np.ones(4), v),
+                                 "noise level must be positive and finite",
+                                 (0.0, np.nan), 1.0),
+    "theta_interval-bound": (lambda v: theta_interval(v, 1.0),
+                             "covariance-error bound must be non-negative",
+                             (-1.0, np.nan), 0.5),
+    "budget_for_theta-theta": (lambda v: budget_for_theta(v, 0, 1.0, 1.0),
+                               r"theta must lie in \(0, 1\)",
+                               (0.0, 1.0, np.nan), 0.5),
+    "SweepConfig-r": (lambda v: SweepConfig(r=v),
+                      r"rank fraction must lie in \(0, 1\]", (0.0, 1.5), 0.5),
+}
+
+
+@pytest.mark.parametrize("case", list(RANGES))
+def test_rejects_numbers_out_of_range(case):
+    # None or a string is refused by the rule's own message, not by a
+    # bare TypeError from comparing it with a number; a config key's
+    # refusal is a ConfigError
+    call, message, bad_values, good = RANGES[case]
+    error = ConfigError if case.startswith("SweepConfig") else ValueError
+    for bad in bad_values + (None, "a"):
+        with pytest.raises(error, match=rf"^{message}, got "
+                           rf"{re.escape(str(bad))}$"):
             call(bad)
     call(good)
 
@@ -672,7 +713,7 @@ def test_overflowing_spectrum_raises():
     with pytest.raises(ValueError, match="not finite"):
         sk.extend(np.full((4, 3), 1e200))
     with pytest.raises(ValueError, match="not finite"):
-        InverseOperator(np.full((4, 3), 1e200), 1.0)
+        InverseOperator(np.full((4, 3), 1e200))
 
 
 def test_finite_data_whose_sum_overflows_is_not_called_non_finite():

@@ -49,12 +49,11 @@ def test_problem_forms_its_right_hand_side_once():
     assert np.allclose(solve_exact(problem),
                        2.0 * dense_ridge(problem.A, problem.y, problem.gamma))
     lossless = InverseOperator.from_sketch(
-        sketch_matrix(problem.A, 8), problem.gamma).apply(problem.rhs)
+        sketch_matrix(problem.A, 8)).apply(problem.rhs, problem.gamma)
     assert np.array_equal(fdrr_solve(problem, 8), lossless)
     object.__setattr__(problem, "rhs", np.zeros_like(problem.rhs))
     with pytest.raises(DivergenceError):
-        refine(problem, lambda _i: InverseOperator(problem.A, problem.gamma),
-               t=1)
+        refine(problem, lambda _i: InverseOperator(problem.A), t=1)
 
 
 def test_retargeted_problem_shares_its_arrays():
@@ -86,7 +85,7 @@ def test_problem_validation():
     solve_exact,
     lambda problem: fdrr_solve(problem, 4),
     lambda problem: refine(problem, lambda _i: InverseOperator(
-        np.zeros((1, problem.A.shape[1])), problem.gamma), t=2),
+        np.zeros((1, problem.A.shape[1]))), t=2),
 ], ids=["solve_exact", "fdrr_solve", "refine"])
 @pytest.mark.parametrize("where,bad,message", [
     ("target", np.nan, "^y entry 7 is not finite"),
@@ -144,22 +143,23 @@ def test_exact_matches_dense_inverse():
 
 
 def test_operator_zero_sketch():
-    op = InverseOperator(np.zeros((4, 6)), 2.5)
+    op = InverseOperator(np.zeros((4, 6)))
     v = np.arange(6.0)
-    np.testing.assert_allclose(op.apply(v), v / 2.5)
+    np.testing.assert_allclose(op.apply(v, 2.5), v / 2.5)
 
 
 def test_operator_matches_dense_inverse():
     rng = np.random.default_rng(2)
     B = rng.standard_normal((8, 8))
     g = 0.3
-    op = InverseOperator(B, g)
+    op = InverseOperator(B)
     dense = np.linalg.inv(B.T @ B + g * np.eye(8))
     v = rng.standard_normal(8)
-    assert rel_err(op.apply(v), dense @ v) < 1e-10
+    assert rel_err(op.apply(v, g), dense @ v) < 1e-10
     # matrix application goes column by column
     V = rng.standard_normal((8, 3))
-    np.testing.assert_allclose(op.apply(V), dense @ V, rtol=1e-10, atol=1e-12)
+    np.testing.assert_allclose(op.apply(V, g), dense @ V, rtol=1e-10,
+                               atol=1e-12)
 
 
 def test_operator_tall_factor_matches_dense_inverse():
@@ -169,12 +169,12 @@ def test_operator_tall_factor_matches_dense_inverse():
     g = 0.7
     for X in (rng.standard_normal((20, 6)),
               rng.standard_normal((20, 2)) @ rng.standard_normal((2, 6))):
-        op = InverseOperator(X, g)
+        op = InverseOperator(X)
         np.testing.assert_allclose(op.basis.T @ op.basis,
                                    np.eye(op.basis.shape[1]), atol=1e-12)
         dense = np.linalg.inv(X.T @ X + g * np.eye(6))
         V = rng.standard_normal((6, 3))
-        np.testing.assert_allclose(op.apply(V), dense @ V, rtol=1e-10,
+        np.testing.assert_allclose(op.apply(V, g), dense @ V, rtol=1e-10,
                                    atol=1e-12)
 
 
@@ -196,38 +196,56 @@ def test_operator_leaves_sub_resolution_rows_out(monkeypatch):
         X = rng.standard_normal((n, 9))
         light = rng.standard_normal((5, 9))
         rows = rng.permutation(n + 5)
-        op = InverseOperator(np.vstack([X, 1e-20 * light])[rows], 0.5)
+        op = InverseOperator(np.vstack([X, 1e-20 * light])[rows])
         assert shapes[-1] == (n, 9)
-        assert rel_err(op.apply(V), InverseOperator(X, 0.5).apply(V)) < 1e-12
-        InverseOperator(np.vstack([X, 1e-3 * light]), 0.5)
+        assert rel_err(op.apply(V, 0.5),
+                       InverseOperator(X).apply(V, 0.5)) < 1e-12
+        InverseOperator(np.vstack([X, 1e-3 * light]))
         assert shapes[-1] == (n + 5, 9)
 
 
-def test_operator_retarget_shares_the_factorization():
+@pytest.mark.parametrize("source", ["factor", "rfd-sketch"])
+def test_one_operator_serves_every_regularizer(source):
+    # one factorization, applied at several gammas, matches the dense
+    # (X^T X + (gamma + shift) I)^{-1} at each; the shift is 0 for a
+    # factor and the sketch's for a sketch, and a total regularizer that
+    # is not positive and finite is refused when applied
     rng = np.random.default_rng(20)
-    B = rng.standard_normal((4, 9))
-    op = InverseOperator(B, 0.5).retarget(3.0)
-    assert op.gamma_total == 3.0
-    v = rng.standard_normal(9)
-    np.testing.assert_allclose(op.apply(v), InverseOperator(B, 3.0).apply(v),
-                               rtol=1e-12)
-    with pytest.raises(ValueError):
-        op.retarget(0.0)
+    A = rng.standard_normal((40, 9)) * np.linspace(2.0, 0.1, 9)
+    if source == "factor":
+        X, shift = A[:4], 0.0
+        op = InverseOperator(X)
+    else:
+        out = sketch_matrix(A, 4, MODE_RFD)
+        X, shift = out.matrix, out.shift
+        op = InverseOperator.from_sketch(out)
+        assert shift > 0
+    assert op.shift == shift
+    V = rng.standard_normal((9, 2))
+    for gamma in (0.05, 0.5, 3.0, 40.0):
+        dense = np.linalg.inv(X.T @ X + (gamma + shift) * np.eye(9))
+        np.testing.assert_allclose(op.apply(V, gamma), dense @ V,
+                                   rtol=1e-10, atol=1e-12)
+    for total in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="^total regularizer must be "
+                           "positive and finite"):
+            op.apply(V, total - shift)
 
 
 def test_operator_eigenvector_action():
     rng = np.random.default_rng(3)
-    op = InverseOperator(rng.standard_normal((5, 7)), 1.2)
+    op = InverseOperator(rng.standard_normal((5, 7)))
     v1 = op.basis[:, 0]
-    expected = v1 / (op.spectrum[0] + op.gamma_total)
-    np.testing.assert_allclose(op.apply(v1), expected, rtol=1e-10, atol=1e-14)
+    expected = v1 / (op.spectrum[0] + 1.2)
+    np.testing.assert_allclose(op.apply(v1, 1.2), expected, rtol=1e-10,
+                               atol=1e-14)
 
 
 def test_operator_rejects_bad_regularizer():
     SA = np.random.default_rng(8).standard_normal((8, 5))
     for gamma in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="total regularizer"):
-            InverseOperator(np.eye(3), gamma)
+            InverseOperator(np.eye(3)).apply(np.ones(3), gamma)
         with pytest.raises(ValueError, match="total regularizer"):
             classical_sketch_solve(SA, np.ones(8), gamma)
         with pytest.raises(ValueError, match="total regularizer"):
@@ -237,34 +255,34 @@ def test_operator_rejects_bad_regularizer():
         for X in (SA.copy(), SA[:3].copy()):
             X[1, 2] = bad
             with pytest.raises(ValueError, match="row 1 has a non-finite"):
-                InverseOperator(X, 1.0)
+                InverseOperator(X)
 
 
 @pytest.mark.parametrize("v", [np.ones((6, 6, 6)), np.ones((6, 2, 6)),
                                np.float64(1.0)], ids=["cube", "stack", "scalar"])
 def test_operator_refuses_a_non_vector_non_matrix(v):
-    op = InverseOperator(np.random.default_rng(9).standard_normal((4, 6)), 1.0)
+    op = InverseOperator(np.random.default_rng(9).standard_normal((4, 6)))
     with pytest.raises(ValueError, match=rf"got shape {re.escape(str(v.shape))}"):
-        op.apply(v)
+        op.apply(v, 1.0)
 
 
 def test_operator_from_sketch_adds_shift():
     rng = np.random.default_rng(4)
     out = sketch_matrix(rng.standard_normal((40, 6)), 3, MODE_RFD)
     assert out.shift > 0
-    op = InverseOperator.from_sketch(out, 0.5)
-    assert op.gamma_total == pytest.approx(0.5 + out.shift)
+    op = InverseOperator.from_sketch(out)
+    assert op.shift == out.shift
 
 
 @given(st.integers(0, 100), st.floats(-5, 5), st.floats(-5, 5))
 @settings(max_examples=25)
 def test_operator_linearity(seed, a, b):
     rng = np.random.default_rng(seed)
-    op = InverseOperator(rng.standard_normal((4, 6)), 0.9)
+    op = InverseOperator(rng.standard_normal((4, 6)))
     u = rng.standard_normal(6)
     v = rng.standard_normal(6)
-    np.testing.assert_allclose(op.apply(a * u + b * v),
-                               a * op.apply(u) + b * op.apply(v),
+    np.testing.assert_allclose(op.apply(a * u + b * v, 0.9),
+                               a * op.apply(u, 0.9) + b * op.apply(v, 0.9),
                                rtol=1e-12, atol=1e-12)
 
 
@@ -388,7 +406,7 @@ def test_zero_targets_fix_the_origin():
 @pytest.mark.parametrize("solve", [
     lambda problem, x_star: ifdrr_solve(problem, 8, t=3, x_star=x_star),
     lambda problem, x_star: refine(problem, lambda _i: InverseOperator(
-        problem.A, problem.gamma), 3, x_star),
+        problem.A), 3, x_star),
 ], ids=["ifdrr_solve", "refine"])
 def test_reference_solution_is_checked(solve, bad, message):
     problem = make_problem(16, n=40, d=6, gamma=1.0)
@@ -450,7 +468,7 @@ def test_preconditioner_contracts_when_budget_is_safe():
 def test_single_identity_sketch_solves_in_one_step():
     problem = make_problem(17)
     x_star = solve_exact(problem)
-    op = InverseOperator(problem.A, problem.gamma)
+    op = InverseOperator(problem.A)
     x, trace = refine(problem, lambda _i: op, t=3, x_star=x_star)
     assert trace.residual_norms[1] < 1e-10 * np.linalg.norm(x_star)
     assert rel_err(x, x_star) < 1e-10
@@ -468,7 +486,7 @@ def test_refreshed_sketch_error_decreases():
     for seed in range(10):
         def draw(i, seed=seed):
             S = realize_gaussian(40, 80, 1000 * seed + i)
-            return InverseOperator(S @ A, problem.gamma)
+            return InverseOperator(S @ A)
         _, trace = refine(problem, draw, t=10, x_star=x_star)
         diffs = np.diff(trace.residual_norms[1:])
         monotone += int(np.all(diffs < 0))
@@ -482,7 +500,7 @@ def test_divergence_guard_trips():
     problem = RidgeProblem(A, y, 1e-3)
     # A zero sketch leaves only the ridge term in the surrogate Hessian,
     # so each step multiplies the residual by roughly |A^T A| / gamma.
-    op = InverseOperator(np.zeros((4, 6)), problem.gamma)
+    op = InverseOperator(np.zeros((4, 6)))
     with pytest.raises(DivergenceError) as info:
         refine(problem, lambda _i: op, t=10, x_star=solve_exact(problem))
     err = info.value
