@@ -3,9 +3,10 @@
 Under y = A x0 + eps with eps ~ N(0, sigma^2 I), every estimator treated
 here is an affine function of y, so its bias and covariance have closed
 forms.  These routines evaluate them exactly (up to floating point) given
-the data matrix, rather than by Monte Carlo.  Each takes one regularizer
-or a sequence of them; a sequence gives one report per entry, all from a
-single factorization of the estimator's curvature.
+the model (:class:`LinearModelSpec`, which holds the data matrix), rather
+than by Monte Carlo.  Each takes one regularizer or a sequence of them;
+a sequence gives one report per entry, all from a single factorization
+of the estimator's curvature.
 
 :func:`theta_interval` states the sketched estimator's guarantee: any
 bound on the sketch's covariance error below gamma confines its moments
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -35,19 +37,49 @@ class BudgetError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class LinearModelSpec:
-    """Ground truth for diagnostics: true weights and noise level.
+    """The linear model y = A x0 + eps, eps ~ N(0, noise_sd^2 I): the
+    design matrix ``A``, the true weights x0 = ``truth`` and the noise
+    level, which every diagnostics call reads.
 
     Raises ValueError unless ``truth`` is a finite vector
     (:func:`sketch._vector`, which names its first NaN or infinite entry)
-    and ``noise_sd`` is positive and finite.
+    and ``noise_sd`` is positive and finite.  ``A`` is taken as given:
+    the first diagnostics call on the model derives what every estimator
+    reads from it (:attr:`_derived`), and later calls reuse that, so
+    building a model costs no pass over A and a grid of calls checks A
+    once.  A must therefore not change in place after that call.
     """
 
+    A: np.ndarray
     truth: np.ndarray
     noise_sd: float
 
     def __post_init__(self):
         object.__setattr__(self, "truth", _vector("truth", self.truth))
         object.__setattr__(self, "noise_sd", _positive("noise level", self.noise_sd))
+
+    @cached_property
+    def _derived(self) -> tuple:
+        """(A, keep, A^T (A x0)), formed on first use and kept: A checked
+        (:func:`sketch._matrix`: 2-d, finite) against the truth's length,
+        the mask of the rows :func:`_data_terms` passes over, and the first
+        half of every residual.  The row masses come before the product:
+        they refuse rows too large to square (:func:`sketch._row_masses`)
+        before it multiplies by them.  Raises ValueError naming the rule
+        that A breaks, and derives again on the next call after one.
+
+        The mask leaves out the lightest rows whose combined squared norm
+        is at most eps^2 |A|_F^2 (:func:`sketch._light_rows`): a row moves
+        each data term by at most its squared norm, and each term already
+        rounds at about eps^2 |A|_F^2.
+        """
+        A = _matrix("A", self.A)
+        if self.truth.shape[0] != A.shape[1]:
+            raise ValueError(f"model truth has length {self.truth.shape[0]}, "
+                             f"but A has {A.shape[1]} columns")
+        mass = _row_masses(A)
+        return (A, _light_rows(mass, np.finfo(float).eps ** 2 * mass.sum()),
+                A.T @ (A @ self.truth))
 
 
 @dataclass(frozen=True)
@@ -62,13 +94,13 @@ class DiagnosticsReport:
         return self.bias_sq + self.var_trace
 
 
-def _grid(A: np.ndarray, curvature: np.ndarray, op: InverseOperator,
-          model: LinearModelSpec, gamma, gram=None):
+def _grid(model: LinearModelSpec, curvature: np.ndarray, op: InverseOperator,
+          gamma, gram=None):
     """Reports for x = (X^T X + (gamma + shift) I)^{-1} N^T y at each gamma.
 
     ``op`` holds the eigenpairs (lam_i, v_i) of X^T X for X = ``curvature``
     and the shift; the estimator sees y through the noise map N, which is
-    A, or S^T X for the classical estimator, whose X is S A and
+    the model's A, or S^T X for the classical estimator, whose X is S A and
     whose S enters only through ``gram`` = K = S S^T.  With g the total
     regularizer gamma + shift and H = X^T X + g I the moments are
 
@@ -80,60 +112,51 @@ def _grid(A: np.ndarray, curvature: np.ndarray, op: InverseOperator,
     grid, and each gamma costs an O(d r) apply.  For N = A the pass is
     :func:`_data_terms`, for N = S^T X :func:`_sketch_terms`; N itself is
     never formed.  For N = A the residual A^T (A x0) - X^T (X x0) is
-    formed whatever X is; for the exact estimator (X = A) both products
-    run the same arithmetic on the same values, so it is exactly zero.
-    For the classical estimator N^T A = A^T S^T S A = X^T X, so the
-    residual is the scalar 0 and the bias is -g H^{-1} x0.  A scalar
-    ``gamma`` gives one report, a sequence a list.  Raises
-    ValueError naming the argument when the truth's length or X's column
-    count is not A's column count.
+    formed whatever X is, its first half once per model
+    (:attr:`LinearModelSpec._derived`); for the exact estimator (X = A)
+    both products run the same arithmetic on the same values, so it is
+    exactly zero.  For the classical estimator N^T A = A^T S^T S A =
+    X^T X, so the residual is the scalar 0 and the bias is -g H^{-1} x0.
+    A scalar ``gamma`` gives one report, a sequence a list; each entry
+    is checked as given, before any conversion (:func:`sketch._positive`,
+    so None or a string is refused by name).  Raises ValueError naming
+    the argument when X's column count is not A's column count or
+    ``gamma`` has more than one dimension.
     """
-    d = A.shape[1]
-    if model.truth.shape[0] != d:
-        raise ValueError(f"model truth has length {model.truth.shape[0]}, "
-                         f"but A has {d} columns")
-    if curvature.shape[1] != d:
+    A, keep, gram_truth = model._derived
+    if curvature.shape[1] != A.shape[1]:
         raise ValueError(f"sketch has {curvature.shape[1]} columns, "
-                         f"but A has {d}")
-    grid = np.asarray(gamma, dtype=float)
+                         f"but A has {A.shape[1]}")
+    grid = np.asarray(gamma, dtype=object)  # the entries as given
     if grid.ndim > 1:
         raise ValueError(f"regularizer must be a scalar or a sequence, got {gamma}")
     gammas = [_positive("regularizer", g) for g in np.atleast_1d(grid)]
-    # the data terms come first: their row masses refuse rows too large
-    # to square before the residual multiplies by them
-    weights, outside = (_data_terms(A, op.basis) if gram is None
+    weights, outside = (_data_terms(A, keep, op.basis) if gram is None
                         else _sketch_terms(curvature, op.basis, gram))
-    truth = model.truth
-    resid = (A.T @ (A @ truth) - curvature.T @ (curvature @ truth)
+    resid = (gram_truth - curvature.T @ (curvature @ model.truth)
              if gram is None else 0.0)
     reports = []
     for g in gammas:
         total = g + op.shift
-        bias = op.apply(resid - total * truth, g)
+        bias = op.apply(resid - total * model.truth, g)
         var = weights @ (1.0 / (op.spectrum + total) ** 2) + outside / total ** 2
         reports.append(DiagnosticsReport(float(bias @ bias),
                                          float(model.noise_sd ** 2 * var)))
     return reports if grid.ndim else reports[0]
 
 
-def _data_terms(A: np.ndarray, basis: np.ndarray) -> tuple:
+def _data_terms(A: np.ndarray, keep: np.ndarray, basis: np.ndarray) -> tuple:
     """The weights |A v_i|^2 and the outside mass |A (I - V V^T)|_F^2 for
     the columns v_i of ``basis``, summed over row blocks of about
-    :data:`DIAGNOSTICS_BLOCK_BYTES` of A.
+    :data:`DIAGNOSTICS_BLOCK_BYTES` of the checked A.
 
-    The lightest rows whose combined squared norm is at most
-    eps^2 |A|_F^2 are left out (:func:`sketch._light_rows`): a row moves
-    each term by at most its squared norm, and each term already rounds
-    at about eps^2 |A|_F^2.  A block keeps a view of A when all its rows
-    stay and gathers the rows that stay otherwise; a block that keeps
-    none gathers zero rows and adds exact zeros.  So A is never copied
-    whole.  A must be finite
-    (:func:`sketch._matrix`); rows too large to square raise ValueError
-    (:func:`sketch._row_masses`).
+    Only the rows in ``keep``, the model's mask of the rows heavy enough
+    to move a term (:attr:`LinearModelSpec._derived`), enter.  A block
+    keeps a view of A when all its rows stay and gathers the rows that
+    stay otherwise; a block that keeps none gathers zero rows and adds
+    exact zeros.  So A is never copied whole.
     """
     n, d = A.shape
-    mass = _row_masses(A)
-    keep = _light_rows(mass, np.finfo(float).eps ** 2 * mass.sum())
     weights = np.zeros(basis.shape[1])
     outside = 0.0
     step = max(DIAGNOSTICS_BLOCK_BYTES // (8 * d), 1)
@@ -164,33 +187,32 @@ def _sketch_terms(X: np.ndarray, basis: np.ndarray, K: np.ndarray) -> tuple:
     return weights, float(np.vdot(beyond, K @ beyond))
 
 
-def optimal_diagnostics(A: np.ndarray, model: LinearModelSpec,
+def optimal_diagnostics(model: LinearModelSpec,
                         gamma) -> DiagnosticsReport | list:
-    """Diagnostics of the exact ridge estimator.
+    """Diagnostics of the exact ridge estimator on the model's A.
 
     bias = -gamma (A^T A + gamma I)^{-1} x0 and the variance trace is
     sigma^2 |A (A^T A + gamma I)^{-1}|_F^2.
     """
-    A = _matrix("A", A)
-    return _grid(A, A, InverseOperator(A), model, gamma)
+    return _grid(model, model._derived[0], InverseOperator(model._derived[0]), gamma)
 
 
-def sketched_diagnostics(A: np.ndarray, output: SketchOutput,
-                         model: LinearModelSpec, gamma) -> DiagnosticsReport | list:
-    """Diagnostics of the sketched one-shot estimator built from ``output``.
+def sketched_diagnostics(model: LinearModelSpec, output: SketchOutput,
+                         gamma) -> DiagnosticsReport | list:
+    """Diagnostics of the sketched one-shot estimator built from ``output``,
+    a sketch of the model's A.
 
     H_hat = B^T B + (gamma + shift) I replaces the exact Gram matrix; the
     noise still enters through A, so the variance trace is
     sigma^2 |A H_hat^{-1}|_F^2.
     """
-    A = _matrix("A", A)
-    return _grid(A, output.matrix, InverseOperator.from_sketch(output),
-                 model, gamma)
+    return _grid(model, output.matrix, InverseOperator.from_sketch(output), gamma)
 
 
-def classical_sketch_diagnostics(A: np.ndarray, S, model: LinearModelSpec,
+def classical_sketch_diagnostics(model: LinearModelSpec, S,
                                  gamma) -> DiagnosticsReport | list:
-    """Diagnostics of the fully sketched estimator for a realized S.
+    """Diagnostics of the fully sketched estimator for a realized S applied
+    to the model's A.
 
     The bias is the exact estimator's on the sketched data S A, since the
     estimator's residual A^T S^T S A - (S A)^T S A is zero.  The variance
@@ -205,7 +227,7 @@ def classical_sketch_diagnostics(A: np.ndarray, S, model: LinearModelSpec,
     row count; a sparse S is checked on its stored entries, never
     densified.
     """
-    A = _matrix("A", A)
+    A = model._derived[0]
     if not hasattr(S, "toarray"):
         S = _matrix("S", S)
     elif S.ndim != 2:
@@ -220,20 +242,19 @@ def classical_sketch_diagnostics(A: np.ndarray, S, model: LinearModelSpec,
     SA = np.asarray(S @ A, dtype=float)
     gram = S @ S.T
     K = gram.toarray() if hasattr(gram, "toarray") else gram
-    return _grid(A, SA, InverseOperator(SA), model, gamma, gram=K)
+    return _grid(model, SA, InverseOperator(SA), gamma, gram=K)
 
 
-def hessian_sketch_diagnostics(A: np.ndarray, SA: np.ndarray,
-                               model: LinearModelSpec, gamma
-                               ) -> DiagnosticsReport | list:
-    """Diagnostics of the partially sketched estimator (full right-hand side).
+def hessian_sketch_diagnostics(model: LinearModelSpec, SA: np.ndarray,
+                               gamma) -> DiagnosticsReport | list:
+    """Diagnostics of the partially sketched estimator (full right-hand side)
+    for S A, a sketch of the model's A.
 
     Only the curvature is sketched, so the noise enters through A and the
     formulas match the one-shot sketched case with H_hat built from S A.
     """
-    A = _matrix("A", A)
     SA = _matrix("SA", SA)
-    return _grid(A, SA, InverseOperator(SA), model, gamma)
+    return _grid(model, SA, InverseOperator(SA), gamma)
 
 
 def theta_interval(bound: float, gamma: float) -> tuple[float, float]:

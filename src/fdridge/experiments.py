@@ -215,7 +215,9 @@ def _known_weights(config: SweepConfig) -> bool:
 
 def load_instance(config: SweepConfig):
     """Materialize (A, y, model); model is None without known weights
-    (:func:`_known_weights`).
+    (:func:`_known_weights`), and otherwise the :class:`LinearModelSpec`
+    over this A, which checks A and derives its terms only when a
+    diagnostics call first needs them, so loading scans A not at all.
 
     A libsvm instance keeps the first n rows (every row when n is 0 or
     above the file's count): it densifies only the ``indptr`` slice that
@@ -255,7 +257,7 @@ def load_instance(config: SweepConfig):
         if config.rff_features:
             A = rff_expand(A, config.rff_features, config.rff_gamma,
                            seed=child_seed(config.seed, _DATA_TAG, 1))
-    model = (LinearModelSpec(truth, config.noise_sd)
+    model = (LinearModelSpec(A, truth, config.noise_sd)
              if _known_weights(config) else None)
     return A, y, model
 
@@ -365,14 +367,14 @@ def run_bias_variance_sweep(config: SweepConfig, raw: bool = False,
             "(synthetic or gaussian-rff with noise_sd > 0)")
     A, y, model = load_instance(config)
     gammas = config.gammas
-    baseline = optimal_diagnostics(A, model, gammas)
+    baseline = optimal_diagnostics(model, gammas)
     sketched = {}
     if {"fdrr", "rfdrr"} & set(config.methods):
         # The RFD estimator at gamma is the FD one at gamma + shift, so one
         # pass over the FD sketch serves both grids.
         sketches = _sketch_both(A, config.m)
         shift = sketches[MODE_RFD].shift
-        both = sketched_diagnostics(A, sketches[MODE_FD], model,
+        both = sketched_diagnostics(model, sketches[MODE_FD],
                                     gammas + tuple(g + shift for g in gammas))
         sketched = {"fdrr": both[:len(gammas)], "rfdrr": both[len(gammas):]}
 
@@ -385,9 +387,9 @@ def run_bias_variance_sweep(config: SweepConfig, raw: bool = False,
         seed = child_seed(config.seed, _SWEEP_TAG, _METHOD_INDEX[meth], trial)
         if kind == "classical":
             S = _realize(flavor, config.m, A.shape[0], seed)
-            return classical_sketch_diagnostics(A, S, model, gammas)
+            return classical_sketch_diagnostics(model, S, gammas)
         SA = _product(flavor, config.m, A, seed)
-        return hessian_sketch_diagnostics(A, SA, model, gammas)
+        return hessian_sketch_diagnostics(model, SA, gammas)
 
     rows = []
     raw_rows = []

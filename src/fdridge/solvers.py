@@ -14,7 +14,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .sketch import (MODE_FD, SketchOutput, _count, _gram_eigh, _matrix,
-                     _positive, _resolved_rows, _right_vectors, _vector,
+                     _positive, _real, _resolved_rows, _right_vectors, _vector,
                      sketch_matrix)
 
 # An iterate whose norm exceeds this multiple of |A^T y| / gamma has left
@@ -123,13 +123,16 @@ class InverseOperator:
     def apply(self, v: np.ndarray, gamma: float) -> np.ndarray:
         """Apply at regularizer ``gamma`` to a vector of length d or to
         each column of a matrix of d rows; anything else raises ValueError
-        naming its shape."""
+        naming its shape.  A total regularizer that is not positive and
+        finite raises ValueError naming it, and a ``gamma`` that is not a
+        number (None, a string) one naming ``gamma`` as given."""
         v = np.asarray(v, dtype=float)
         d = self.basis.shape[0]
         if v.ndim not in (1, 2) or v.shape[0] != d:
             raise ValueError(f"operator acts on a vector or matrix of "
                              f"dimension {d}, got shape {v.shape}")
-        g = _positive("total regularizer", gamma + self.shift)
+        total = _real(gamma) + self.shift  # NaN unless gamma is a real number
+        g = _positive("total regularizer", gamma if np.isnan(total) else total)
         coeff = 1.0 / (self.spectrum + g) - 1.0 / g
         coeff = coeff.reshape((-1,) + (1,) * (v.ndim - 1))  # per row of V^T v
         return v / g + self.basis @ (coeff * (self.basis.T @ v))

@@ -95,9 +95,9 @@ def test_criterion_3_theta_budget_intervals():
     budgets = []
     for seed in range(3):
         A, _, truth = synthetic_regression(1024, 512, 0.15, 2.0, seed)
-        model = LinearModelSpec(truth, 2.0)
+        model = LinearModelSpec(A, truth, 2.0)
         tails = tail_masses(A)
-        base = optimal_diagnostics(A, model, gamma)
+        base = optimal_diagnostics(model, gamma)
         for theta in (0.3, 0.5, 0.7):
             k, m = next(
                 (k, math.ceil(budget_for_theta(theta, k, float(tails[k]),
@@ -111,8 +111,8 @@ def test_criterion_3_theta_budget_intervals():
             intervals = {MODE_FD: (1.0 - theta, 1.0 / (1.0 - theta)),
                          MODE_RFD: (robust_floor, 1.0 / robust_floor)}
             for mode, (lo, hi) in intervals.items():
-                report = sketched_diagnostics(A, sketch_matrix(A, m, mode),
-                                              model, gamma)
+                report = sketched_diagnostics(model, sketch_matrix(A, m, mode),
+                                              gamma)
                 for value, ref in ((report.bias_sq, base.bias_sq),
                                    (report.var_trace, base.var_trace),
                                    (report.mse, base.mse)):

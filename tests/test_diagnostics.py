@@ -27,16 +27,16 @@ from fdridge.sketch import (MODE_FD, MODE_RFD, StreamingSketch, _light_rows,
 
 def test_model_spec_validation():
     with pytest.raises(ValueError):
-        LinearModelSpec(np.eye(2), 1.0)
+        LinearModelSpec(np.eye(2), np.eye(2), 1.0)
     for noise_sd in (0.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="noise level"):
-            LinearModelSpec(np.ones(3), noise_sd)
+            LinearModelSpec(np.eye(3), np.ones(3), noise_sd)
     # a non-finite truth would give a NaN bias beside a finite variance
     for bad in (math.nan, math.inf):
         truth = np.ones(3)
         truth[[1, 2]] = bad
         with pytest.raises(ValueError, match="^truth entry 1 is not finite"):
-            LinearModelSpec(truth, 1.0)
+            LinearModelSpec(np.eye(3), truth, 1.0)
 
 
 def test_identity_design_closed_form():
@@ -44,7 +44,7 @@ def test_identity_design_closed_form():
     # is -x0/2 and each coordinate contributes sd^2/4 of variance.
     d = 4
     x0 = np.ones(d) / 2.0
-    report = optimal_diagnostics(np.eye(d), LinearModelSpec(x0, 1.0), 1.0)
+    report = optimal_diagnostics(LinearModelSpec(np.eye(d), x0, 1.0), 1.0)
     assert report.bias_sq == pytest.approx(float(x0 @ x0) / 4, rel=1e-12)
     assert report.var_trace == pytest.approx(d / 4, rel=1e-12)
     assert report.mse == pytest.approx(report.bias_sq + report.var_trace)
@@ -53,19 +53,19 @@ def test_identity_design_closed_form():
 def test_bias_vanishes_as_regularization_fades():
     rng = np.random.default_rng(0)
     A = rng.standard_normal((30, 5))
-    model = LinearModelSpec(rng.standard_normal(5), 1.0)
-    report = optimal_diagnostics(A, model, 1e-10)
+    model = LinearModelSpec(A, rng.standard_normal(5), 1.0)
+    report = optimal_diagnostics(model, 1e-10)
     assert report.bias_sq < 1e-18
 
 
 def test_lossless_sketch_matches_optimal():
     rng = np.random.default_rng(1)
     A = rng.standard_normal((20, 8))
-    model = LinearModelSpec(rng.standard_normal(8), 1.5)
-    base = optimal_diagnostics(A, model, 0.7)
+    model = LinearModelSpec(A, rng.standard_normal(8), 1.5)
+    base = optimal_diagnostics(model, 0.7)
     for mode in (MODE_FD, MODE_RFD):
         out = sketch_matrix(A, 32, mode)
-        report = sketched_diagnostics(A, out, model, 0.7)
+        report = sketched_diagnostics(model, out, 0.7)
         assert report.bias_sq == pytest.approx(base.bias_sq, rel=1e-10)
         assert report.var_trace == pytest.approx(base.var_trace, rel=1e-10)
 
@@ -78,7 +78,7 @@ def test_empty_sketch_degenerate_moments():
     x0 = rng.standard_normal(6)
     sd, gamma = 1.3, 2.0
     out = StreamingSketch(4, 6).finalize(MODE_FD)
-    report = sketched_diagnostics(A, out, LinearModelSpec(x0, sd), gamma)
+    report = sketched_diagnostics(LinearModelSpec(A, x0, sd), out, gamma)
     bias = A.T @ (A @ x0) / gamma - x0
     assert report.bias_sq == pytest.approx(float(bias @ bias), rel=1e-12)
     expected_var = sd ** 2 * np.linalg.norm(A, "fro") ** 2 / gamma ** 2
@@ -87,60 +87,69 @@ def test_empty_sketch_degenerate_moments():
 
 def test_diagnostics_reject_bad_gamma():
     A = np.eye(3)
-    model = LinearModelSpec(np.ones(3), 1.0)
+    model = LinearModelSpec(A, np.ones(3), 1.0)
     out = sketch_matrix(A, 2, MODE_FD)
     with pytest.raises(ValueError):
-        optimal_diagnostics(A, model, 0.0)
+        optimal_diagnostics(model, 0.0)
     with pytest.raises(ValueError):
-        sketched_diagnostics(A, out, model, -1.0)
+        sketched_diagnostics(model, out, -1.0)
     with pytest.raises(ValueError):
-        classical_sketch_diagnostics(A, np.eye(3), model, 0.0)
+        classical_sketch_diagnostics(model, np.eye(3), 0.0)
     with pytest.raises(ValueError):
-        hessian_sketch_diagnostics(A, A, model, 0.0)
+        hessian_sketch_diagnostics(model, A, 0.0)
     with pytest.raises(ValueError):
-        optimal_diagnostics(A, model, [1.0, 0.0])
+        optimal_diagnostics(model, [1.0, 0.0])
     with pytest.raises(ValueError, match="regularizer"):
-        optimal_diagnostics(A, model, [1.0, math.inf])
+        optimal_diagnostics(model, [1.0, math.inf])
     with pytest.raises(ValueError, match="^regularizer must be a scalar or a "
                                          "sequence"):
-        optimal_diagnostics(A, model, [[1.0, 2.0]])
+        optimal_diagnostics(model, [[1.0, 2.0]])
+    # each entry is checked as given, before any conversion: a string is
+    # refused as RidgeProblem refuses it, and None by name
+    for gamma, shown in (("0.5", "0.5"), ([1.0, "0.5", 2.0], "0.5"),
+                         (None, "None"), ([1.0, None], "None")):
+        with pytest.raises(ValueError, match=f"^regularizer must be positive "
+                                             f"and finite, got {shown}$"):
+            optimal_diagnostics(model, gamma)
+        with pytest.raises(ValueError, match=f"got {shown}$"):
+            sketched_diagnostics(model, out, gamma)
     # gamma itself is checked, not gamma + shift, so a negative gamma
     # stays an error although the total regularizer would be positive
     X = np.random.default_rng(4).standard_normal((40, 6))
     rfd = sketch_matrix(X, 3, MODE_RFD)
     assert rfd.shift > 0.01
     with pytest.raises(ValueError, match="regularizer"):
-        sketched_diagnostics(X, rfd, LinearModelSpec(np.ones(6), 1.0), -0.01)
+        sketched_diagnostics(LinearModelSpec(X, np.ones(6), 1.0), rfd, -0.01)
     # shape mismatches and a non-finite sketch name the argument at fault
     with pytest.raises(ValueError, match="truth has length 3, but A has 6"):
-        optimal_diagnostics(X, model, 1.0)
+        optimal_diagnostics(LinearModelSpec(X, np.ones(3), 1.0), 1.0)
     for S in _draws(39, 4).values():
         with pytest.raises(ValueError, match="S has 39 columns, but A has 40"):
-            classical_sketch_diagnostics(X, S, LinearModelSpec(np.ones(6), 1.0),
+            classical_sketch_diagnostics(LinearModelSpec(X, np.ones(6), 1.0), S,
                                          1.0)
     with pytest.raises(ValueError, match="sketch has 3 columns, but A has 6"):
-        hessian_sketch_diagnostics(X, A, LinearModelSpec(np.ones(6), 1.0), 1.0)
+        hessian_sketch_diagnostics(LinearModelSpec(X, np.ones(6), 1.0), A, 1.0)
     with pytest.raises(ValueError, match="sketch has 3 columns, but A has 6"):
-        sketched_diagnostics(X, out, LinearModelSpec(np.ones(6), 1.0), 1.0)
+        sketched_diagnostics(LinearModelSpec(X, np.ones(6), 1.0), out, 1.0)
     with pytest.raises(ValueError, match="row 0 has a non-finite entry"):
-        hessian_sketch_diagnostics(np.ones((4, 5)), np.full((3, 5), np.nan),
-                                   LinearModelSpec(np.ones(5), 1.0), 1.0)
+        hessian_sketch_diagnostics(LinearModelSpec(np.ones((4, 5)), np.ones(5), 1.0),
+                                   np.full((3, 5), np.nan), 1.0)
     # a NaN in A itself is named by its row of A, not returned as NaN
     # moments nor blamed on the row of S A it spoils; rows too large to
     # square are refused as well
     bad = X.copy()
     bad[[7, 9], 3] = np.nan
     huge = np.full_like(X, 1e200)
-    six = LinearModelSpec(np.ones(6), 1.0)
     for data, message in ((bad, "^A row 7 has a non-finite entry"),
                           (huge, "too large to square")):
+        six = LinearModelSpec(data, np.ones(6), 1.0)
         with pytest.raises(ValueError, match=message):
-            sketched_diagnostics(data, rfd, six, 1.0)
+            sketched_diagnostics(six, rfd, 1.0)
         with pytest.raises(ValueError, match=message):
-            hessian_sketch_diagnostics(data, X[:8], six, 1.0)
+            hessian_sketch_diagnostics(six, X[:8], 1.0)
         for S in _draws(40, 6).values():
             with pytest.raises(ValueError, match=message):
-                classical_sketch_diagnostics(data, S, six, 1.0)
+                classical_sketch_diagnostics(six, S, 1.0)
 
 
 def _mc_moments(solve_batch, A, model, draws=200_000, seed=99):
@@ -161,7 +170,7 @@ def _mc_moments(solve_batch, A, model, draws=200_000, seed=99):
 def mc_instance():
     rng = np.random.default_rng(7)
     A = rng.standard_normal((40, 6))
-    model = LinearModelSpec(rng.standard_normal(6), 1.5)
+    model = LinearModelSpec(A, rng.standard_normal(6), 1.5)
     gamma = 0.5
     return A, model, gamma
 
@@ -171,7 +180,7 @@ def test_optimal_diagnostics_against_monte_carlo(mc_instance):
     H = A.T @ A + gamma * np.eye(6)
     bias_sq, var = _mc_moments(lambda ys: np.linalg.solve(H, A.T @ ys),
                                A, model)
-    report = optimal_diagnostics(A, model, gamma)
+    report = optimal_diagnostics(model, gamma)
     assert report.bias_sq == pytest.approx(bias_sq, rel=0.02, abs=1e-4)
     assert report.var_trace == pytest.approx(var, rel=0.02)
 
@@ -182,7 +191,7 @@ def test_sketched_diagnostics_against_monte_carlo(mc_instance):
     H = out.covariance() + gamma * np.eye(6)
     bias_sq, var = _mc_moments(lambda ys: np.linalg.solve(H, A.T @ ys),
                                A, model)
-    report = sketched_diagnostics(A, out, model, gamma)
+    report = sketched_diagnostics(model, out, gamma)
     assert report.bias_sq == pytest.approx(bias_sq, rel=0.02)
     assert report.var_trace == pytest.approx(var, rel=0.02)
 
@@ -194,7 +203,7 @@ def test_classical_diagnostics_against_monte_carlo(mc_instance):
     H = SA.T @ SA + gamma * np.eye(6)
     bias_sq, var = _mc_moments(
         lambda ys: np.linalg.solve(H, SA.T @ (S @ ys)), A, model)
-    report = classical_sketch_diagnostics(A, S, model, gamma)
+    report = classical_sketch_diagnostics(model, S, gamma)
     # the squared bias is ~4e-3 here, close to the simulation's own
     # resolution, so allow an absolute slack of a few standard errors
     assert report.bias_sq == pytest.approx(bias_sq, rel=0.02, abs=2e-3)
@@ -208,7 +217,7 @@ def test_hessian_diagnostics_against_monte_carlo(mc_instance):
     H = SA.T @ SA + gamma * np.eye(6)
     bias_sq, var = _mc_moments(lambda ys: np.linalg.solve(H, A.T @ ys),
                                A, model)
-    report = hessian_sketch_diagnostics(A, SA, model, gamma)
+    report = hessian_sketch_diagnostics(model, SA, gamma)
     assert report.bias_sq == pytest.approx(bias_sq, rel=0.02)
     assert report.var_trace == pytest.approx(var, rel=0.02)
 
@@ -253,7 +262,7 @@ GRID = [2.0 ** k for k in range(-8, 7)]
 def grid_instance():
     rng = np.random.default_rng(21)
     A = rng.standard_normal((60, 16)) * np.linspace(3.0, 0.1, 16)
-    model = LinearModelSpec(rng.standard_normal(16), 1.3)
+    model = LinearModelSpec(A, rng.standard_normal(16), 1.3)
     return A, model
 
 
@@ -268,10 +277,10 @@ def assert_grid_matches(reports, oracle):
 
 def test_grid_exact_matches_dense(grid_instance):
     A, model = grid_instance
-    reports = optimal_diagnostics(A, model, GRID)
+    reports = optimal_diagnostics(model, GRID)
     assert_grid_matches(reports, lambda g: dense_optimal(A, model, g))
     # a scalar gamma is the one-entry grid
-    assert optimal_diagnostics(A, model, GRID[3]) == reports[3]
+    assert optimal_diagnostics(model, GRID[3]) == reports[3]
 
 
 @pytest.mark.parametrize("synthetic", [False, True])
@@ -282,13 +291,13 @@ def test_factor_equal_to_A_leaves_no_residual(grid_instance, synthetic):
     # exact one to the bit, light rows dropped from the data terms or not
     if synthetic:
         A, _, truth = synthetic_regression(300, 64, 0.1, 1.0, 3)
-        model = LinearModelSpec(truth, 1.0)
+        model = LinearModelSpec(A, truth, 1.0)
         assert not _light_rows(np.einsum("ij,ij->i", A, A),
                                np.finfo(float).eps ** 2 * np.vdot(A, A)).all()
     else:
         A, model = grid_instance
-    assert (hessian_sketch_diagnostics(A, A.copy(), model, GRID)
-            == optimal_diagnostics(A, model, GRID))
+    assert (hessian_sketch_diagnostics(model, A.copy(), GRID)
+            == optimal_diagnostics(model, GRID))
 
 
 @pytest.mark.parametrize("mode", [MODE_FD, MODE_RFD])
@@ -296,7 +305,7 @@ def test_grid_sketched_matches_dense(grid_instance, mode):
     A, model = grid_instance
     out = sketch_matrix(A, 6, mode)
     assert (out.shift > 0) == (mode == MODE_RFD)
-    reports = sketched_diagnostics(A, out, model, GRID)
+    reports = sketched_diagnostics(model, out, GRID)
     assert_grid_matches(
         reports, lambda g: dense_sketched(A, out.matrix, model, g + out.shift))
 
@@ -309,9 +318,9 @@ def test_rfd_diagnostics_are_fd_diagnostics_at_the_shifted_gamma(
     rfd = sketch_matrix(A, 6, MODE_RFD)
     fd = dataclasses.replace(rfd, shift=0.0)
     assert rfd.shift > 0
-    shifted = sketched_diagnostics(A, fd, model, [g + rfd.shift for g in GRID])
-    assert sketched_diagnostics(A, rfd, model, GRID) == shifted
-    assert sketched_diagnostics(A, rfd, model, GRID[4]) == shifted[4]
+    shifted = sketched_diagnostics(model, fd, [g + rfd.shift for g in GRID])
+    assert sketched_diagnostics(model, rfd, GRID) == shifted
+    assert sketched_diagnostics(model, rfd, GRID[4]) == shifted[4]
 
 
 def _draws(n, m):
@@ -325,27 +334,28 @@ def test_grid_random_sketches_match_dense(grid_instance, flavor):
     for m in (10, 24):  # short-and-fat and tall S A
         S = _draws(A.shape[0], m)[flavor]
         SA = np.asarray(S @ A)
-        assert_grid_matches(hessian_sketch_diagnostics(A, SA, model, GRID),
+        assert_grid_matches(hessian_sketch_diagnostics(model, SA, GRID),
                             lambda g: dense_sketched(A, SA, model, g))
-        classical = classical_sketch_diagnostics(A, S, model, GRID)
+        classical = classical_sketch_diagnostics(model, S, GRID)
         assert_grid_matches(classical, lambda g: dense_classical(A, S, model, g))
         # the classical residual is zero, so its bias is the exact
         # estimator's on S A, bit for bit
         assert ([r.bias_sq for r in classical]
-                == [r.bias_sq for r in optimal_diagnostics(SA, model, GRID)])
+                == [r.bias_sq for r in optimal_diagnostics(
+                    dataclasses.replace(model, A=SA), GRID)])
 
 
 def _every_grid(A, model):
     """Each estimator's diagnostics grid on A: optimal, sketched (FD and
     RFD), and Hessian and classical for a Gaussian and an SJLT draw."""
-    reports = [optimal_diagnostics(A, model, GRID)]
+    reports = [optimal_diagnostics(model, GRID)]
     for mode in (MODE_FD, MODE_RFD):
-        reports.append(sketched_diagnostics(A, sketch_matrix(A, 6, mode),
-                                            model, GRID))
+        reports.append(sketched_diagnostics(model, sketch_matrix(A, 6, mode),
+                                            GRID))
     for S in _draws(A.shape[0], 10).values():
-        reports.append(hessian_sketch_diagnostics(A, np.asarray(S @ A), model,
+        reports.append(hessian_sketch_diagnostics(model, np.asarray(S @ A),
                                                   GRID))
-        reports.append(classical_sketch_diagnostics(A, S, model, GRID))
+        reports.append(classical_sketch_diagnostics(model, S, GRID))
     return np.array([[(r.bias_sq, r.var_trace) for r in grid]
                      for grid in reports])
 
@@ -396,17 +406,19 @@ def test_rows_below_rounding_change_no_report(grid_instance, monkeypatch,
     sketches = [sketch_matrix(A, 6, mode) for mode in (MODE_FD, MODE_RFD)]
 
     def grids(data):
-        reports = [optimal_diagnostics(data, model, GRID),
-                   hessian_sketch_diagnostics(data, SA, model, GRID)]
-        reports += [sketched_diagnostics(data, out, model, GRID)
+        on_data = dataclasses.replace(model, A=data)
+        reports = [optimal_diagnostics(on_data, GRID),
+                   hessian_sketch_diagnostics(on_data, SA, GRID)]
+        reports += [sketched_diagnostics(on_data, out, GRID)
                     for out in sketches]
         return np.array([[(r.bias_sq, r.var_trace) for r in grid]
                          for grid in reports])
 
     np.testing.assert_allclose(grids(padded), grids(A), rtol=1e-15)
-    assert len(masks) == 8
-    assert all(np.array_equal(keep, stays) for keep in masks[:4])
-    assert all(keep.all() for keep in masks[4:])
+    # one mask per model, derived on its first call and reused by the rest
+    assert len(masks) == 2
+    assert all(np.array_equal(keep, stays) for keep in masks[:1])
+    assert all(keep.all() for keep in masks[1:])
 
 
 def test_diagnostics_hold_no_copy_of_the_data(traced_peak):
@@ -415,14 +427,14 @@ def test_diagnostics_hold_no_copy_of_the_data(traced_peak):
     n, d, m = 20000, 64, 32
     rng = np.random.default_rng(23)
     A = rng.standard_normal((n, d)) * np.linspace(2.0, 0.2, d)
-    model = LinearModelSpec(rng.standard_normal(d), 1.0)
+    model = LinearModelSpec(A, rng.standard_normal(d), 1.0)
     gammas = [0.5, 5.0]
     output = sketch_matrix(A, m, MODE_RFD)
     SA = apply_gaussian(m, A, 1)
-    calls = [(optimal_diagnostics, A, model, gammas),
-             (sketched_diagnostics, A, output, model, gammas),
-             (hessian_sketch_diagnostics, A, SA, model, gammas)]
-    calls += [(classical_sketch_diagnostics, A, S, model, gammas)
+    calls = [(optimal_diagnostics, model, gammas),
+             (sketched_diagnostics, model, output, gammas),
+             (hessian_sketch_diagnostics, model, SA, gammas)]
+    calls += [(classical_sketch_diagnostics, model, S, gammas)
               for S in _draws(n, m).values()]
     for fn, *args in calls:
         _, peak = traced_peak(fn, *args)
@@ -432,21 +444,21 @@ def test_diagnostics_hold_no_copy_of_the_data(traced_peak):
 def test_grid_rank_deficient_factors():
     rng = np.random.default_rng(22)
     A = rng.standard_normal((60, 3)) @ rng.standard_normal((3, 16))
-    model = LinearModelSpec(rng.standard_normal(16), 0.8)
-    assert_grid_matches(optimal_diagnostics(A, model, GRID),
+    model = LinearModelSpec(A, rng.standard_normal(16), 0.8)
+    assert_grid_matches(optimal_diagnostics(model, GRID),
                         lambda g: dense_optimal(A, model, g))
     zero = StreamingSketch(4, 16).finalize(MODE_FD)
-    assert_grid_matches(sketched_diagnostics(A, zero, model, GRID),
+    assert_grid_matches(sketched_diagnostics(model, zero, GRID),
                         lambda g: dense_sketched(A, zero.matrix, model, g))
     assert_grid_matches(
-        hessian_sketch_diagnostics(A, np.zeros((4, 16)), model, GRID),
+        hessian_sketch_diagnostics(model, np.zeros((4, 16)), GRID),
         lambda g: dense_sketched(A, np.zeros((4, 16)), model, g))
     # m = 8 exceeds the rank 3 of A, so S A is rank deficient too
     for S in _draws(60, 8).values():
         SA = np.asarray(S @ A)
-        assert_grid_matches(hessian_sketch_diagnostics(A, SA, model, GRID),
+        assert_grid_matches(hessian_sketch_diagnostics(model, SA, GRID),
                             lambda g: dense_sketched(A, SA, model, g))
-        assert_grid_matches(classical_sketch_diagnostics(A, S, model, GRID),
+        assert_grid_matches(classical_sketch_diagnostics(model, S, GRID),
                             lambda g: dense_classical(A, S, model, g))
 
 
@@ -533,7 +545,7 @@ def test_interval_contains_measured_ratios():
     # bias/variance/MSE ratios land inside the promised intervals.
     A, _, truth = synthetic_regression(n=256, d=128, r=0.15, noise_sd=2.0,
                                        seed=0)
-    model = LinearModelSpec(truth, 2.0)
+    model = LinearModelSpec(A, truth, 2.0)
     gamma, theta = 1.0, 0.5
     best = None
     tails = tail_masses(A)
@@ -547,11 +559,11 @@ def test_interval_contains_measured_ratios():
     k, m, mass = best
     assert (k, m) == (22, 118)
 
-    base = optimal_diagnostics(A, model, gamma)
+    base = optimal_diagnostics(model, gamma)
     for mode in (MODE_FD, MODE_RFD):
         interval = theta_interval(a_priori_bound(m, k, mass, mode), gamma)
-        report = sketched_diagnostics(A, sketch_matrix(A, m, mode),
-                                      model, gamma)
+        report = sketched_diagnostics(model, sketch_matrix(A, m, mode),
+                                      gamma)
         for pair in ((report.bias_sq, base.bias_sq),
                      (report.var_trace, base.var_trace),
                      (report.mse, base.mse)):
@@ -570,16 +582,16 @@ def test_a_posteriori_interval_contains_measured_ratios(n, d, r, m, seed):
     # bound carries the roundoff of forming A^T A, n eps |A|_F^2, which
     # covers mass the shrink drops below its floor without counting it.
     A, _, truth = synthetic_regression(n=n, d=d, r=r, noise_sd=1.0, seed=seed)
-    model = LinearModelSpec(truth, 1.0)
+    model = LinearModelSpec(A, truth, 1.0)
     roundoff = n * np.finfo(float).eps * float(np.vdot(A, A))
     rfd = sketch_matrix(A, m, MODE_RFD)
     fd = sketch_matrix(A, m, MODE_FD)
     assert fd.shift == 0.0
     gammas = [1e-2, 1e-1, 1.0, 10.0]
-    base = optimal_diagnostics(A, model, gammas)
+    base = optimal_diagnostics(model, gammas)
     for output, bound in ((rfd, rfd.shift + roundoff),
                           (fd, 2.0 * rfd.shift + roundoff)):
-        reports = sketched_diagnostics(A, output, model, gammas)
+        reports = sketched_diagnostics(model, output, gammas)
         for g, report, exact in zip(gammas, reports, base):
             if bound >= g:
                 continue

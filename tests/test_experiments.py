@@ -381,13 +381,13 @@ def test_sweep_median_matches_hand_rebuild():
     # fan-out: children of (seed, sweep tag 1, method index 3, trial).
     config = small_config(methods=("classical:gauss",))
     rows = run_bias_variance_sweep(config)
-    A, _, model = load_instance(config)
+    _, _, model = load_instance(config)
     for g in config.gammas:
         per_trial = []
         for trial in range(config.trials):
             seed = child_seed(config.seed, 1, 3, trial)
             S = realize_gaussian(8, 48, seed)
-            per_trial.append(classical_sketch_diagnostics(A, S, model, g).mse)
+            per_trial.append(classical_sketch_diagnostics(model, S, g).mse)
         row = next(r for r in rows if r["gamma"] == g)
         assert row["mse"] == float(np.median(per_trial))
 
@@ -612,6 +612,39 @@ def test_sketch_accuracy_checks_the_instance_a_fixed_number_of_times(
         lambda: run_sketch_accuracy(small_config(trials=1)),
         lambda: run_sketch_accuracy(small_config(trials=3))])
     assert few == many > 0
+
+
+def test_sweep_checks_the_instance_a_fixed_number_of_times(monkeypatch):
+    # every diagnostics call reads the instance's one model, which checks
+    # A and forms its row masses on the first call only, so more draws
+    # add no scan of A and no second pass for the masses
+    config = small_config(methods=STATISTICAL_METHODS)
+    masses = []
+    row_masses = sketch._row_masses
+
+    def counting(rows):
+        masses.append(rows.shape)
+        return row_masses(rows)
+
+    monkeypatch.setattr("fdridge.diagnostics._row_masses", counting)
+    few, many = _instance_scans(monkeypatch, config, [
+        lambda: run_bias_variance_sweep(small_config(
+            methods=STATISTICAL_METHODS, trials=1)),
+        lambda: run_bias_variance_sweep(small_config(
+            methods=STATISTICAL_METHODS, trials=3))])
+    assert few == many > 0
+    assert masses == [(48, 16)] * 2
+
+
+@pytest.mark.parametrize("dataset", ["synthetic", "gaussian-rff"])
+def test_load_instance_scans_no_data(monkeypatch, dataset):
+    # the model takes A as given and checks it on its first diagnostics
+    # call, so loading an instance, for any runner, scans A not at all
+    config = small_config(dataset=dataset)
+    scans = _instance_scans(monkeypatch, config,
+                            [lambda: load_instance(config)])
+    assert scans == [0]
+    assert load_instance(config)[2] is not None
 
 
 def test_iterate_refuses_a_zero_exact_solution(tmp_path):

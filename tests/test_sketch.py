@@ -62,8 +62,8 @@ def _problem():
     return RidgeProblem(np.eye(3), np.ones(3), 1.0)
 
 
-def _model():
-    return LinearModelSpec(np.ones(4), 1.0)
+def _model(A):
+    return LinearModelSpec(A, np.ones(4), 1.0)
 
 
 # (call, name, least): one size argument of each public call that takes
@@ -133,20 +133,20 @@ MATRICES = {
     "apply_gaussian-X": (lambda X: apply_gaussian(2, X, 0), "X"),
     "rff_expand-X": (lambda X: rff_expand(X, 3), "X"),
     "optimal_diagnostics-A": (
-        lambda X: optimal_diagnostics(X, _model(), 1.0), "A"),
+        lambda X: optimal_diagnostics(_model(X), 1.0), "A"),
     "sketched_diagnostics-A": (lambda X: sketched_diagnostics(
-        X, sketch_matrix(np.eye(4), 2), _model(), 1.0), "A"),
+        _model(X), sketch_matrix(np.eye(4), 2), 1.0), "A"),
     "classical_sketch_diagnostics-A": (lambda X: classical_sketch_diagnostics(
-        X, np.eye(4), _model(), 1.0), "A"),
+        _model(X), np.eye(4), 1.0), "A"),
     "classical_sketch_diagnostics-S": (lambda X: classical_sketch_diagnostics(
-        np.eye(4), X, _model(), 1.0), "S"),
+        _model(np.eye(4)), X, 1.0), "S"),
     "classical_sketch_diagnostics-sparse-S": (
-        lambda X: classical_sketch_diagnostics(np.eye(4), _sparse(X),
-                                               _model(), 1.0), "S"),
+        lambda X: classical_sketch_diagnostics(_model(np.eye(4)), _sparse(X),
+                                               1.0), "S"),
     "hessian_sketch_diagnostics-A": (lambda X: hessian_sketch_diagnostics(
-        X, np.eye(4), _model(), 1.0), "A"),
+        _model(X), np.eye(4), 1.0), "A"),
     "hessian_sketch_diagnostics-SA": (lambda X: hessian_sketch_diagnostics(
-        np.eye(4), X, _model(), 1.0), "SA"),
+        _model(np.eye(4)), X, 1.0), "SA"),
 }
 
 # (bad shape, expected): for the MATRICES calls whose argument has an
@@ -227,9 +227,9 @@ RANGES = {
     "SweepConfig-gammas": (lambda v: SweepConfig(gammas=(v,)),
                            "gammas must be positive and finite",
                            (0.0, np.inf), 2.0),
-    "LinearModelSpec-noise_sd": (lambda v: LinearModelSpec(np.ones(4), v),
-                                 "noise level must be positive and finite",
-                                 (0.0, np.nan), 1.0),
+    "LinearModelSpec-noise_sd": (
+        lambda v: LinearModelSpec(np.eye(4), np.ones(4), v),
+        "noise level must be positive and finite", (0.0, np.nan), 1.0),
     "theta_interval-bound": (lambda v: theta_interval(v, 1.0),
                              "covariance-error bound must be non-negative",
                              (-1.0, np.nan), 0.5),
@@ -258,7 +258,8 @@ def test_rejects_numbers_out_of_range(case):
 # (call, name): one data vector of each public call that takes one
 VECTORS = {
     "RidgeProblem-y": (lambda v: RidgeProblem(np.eye(4), v, 1.0), "y"),
-    "LinearModelSpec-truth": (lambda v: LinearModelSpec(v, 1.0), "truth"),
+    "LinearModelSpec-truth": (lambda v: LinearModelSpec(np.eye(4), v, 1.0),
+                              "truth"),
     "classical_sketch_solve-Sy": (
         lambda v: classical_sketch_solve(np.eye(4), v, 1.0), "Sy"),
     "hessian_sketch_solve-cross": (

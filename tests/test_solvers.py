@@ -250,6 +250,15 @@ def test_operator_rejects_bad_regularizer():
             classical_sketch_solve(SA, np.ones(8), gamma)
         with pytest.raises(ValueError, match="total regularizer"):
             hessian_sketch_solve(SA, np.ones(5), gamma)
+    # a regularizer that is not a number is refused by name, not by a
+    # bare TypeError from adding the shift to it
+    for gamma in (None, "1"):
+        for call in (lambda: InverseOperator(np.eye(3)).apply(np.ones(3), gamma),
+                     lambda: classical_sketch_solve(SA, np.ones(8), gamma),
+                     lambda: hessian_sketch_solve(SA, np.ones(5), gamma)):
+            with pytest.raises(ValueError, match=f"^total regularizer must be "
+                                                 f"positive and finite, got {gamma}$"):
+                call()
     # a non-finite factor row is named, tall factor or short-and-fat
     for bad in (np.nan, np.inf, -np.inf):
         for X in (SA.copy(), SA[:3].copy()):
