@@ -1,14 +1,13 @@
 """Sketched ridge regression: streaming deterministic sketches, randomized
 baselines, exact bias/variance diagnostics, and an experiment harness."""
 
-from .datasets import (LibsvmParseError, SparseRowMatrix, dct_rotation,
-                       dump_libsvm, parse_libsvm, rff_expand,
-                       synthetic_regression)
+from .datasets import (SparseRowMatrix, dct_rotation, dump_libsvm,
+                       parse_libsvm, rff_expand, synthetic_regression)
 from .diagnostics import (BudgetError, DiagnosticsReport, LinearModelSpec,
                           budget_for_theta, classical_sketch_diagnostics,
                           hessian_sketch_diagnostics, optimal_diagnostics,
                           sketched_diagnostics, theta_interval)
-from .experiments import (ConfigError, SweepConfig, load_config, load_instance,
+from .experiments import (SweepConfig, load_config, load_instance,
                           run_bias_variance_sweep, run_iterative_experiment,
                           run_sketch_accuracy)
 from .random_sketch import apply_gaussian, realize_gaussian, realize_sjlt
@@ -19,10 +18,9 @@ from .solvers import (DivergenceError, InverseOperator, IterativeTrace,
                       hessian_sketch_solve, ifdrr_solve, refine, solve_exact)
 
 __all__ = [
-    "BudgetError", "ConfigError", "DiagnosticsReport", "DivergenceError",
-    "InverseOperator", "IterativeTrace", "LibsvmParseError",
-    "LinearModelSpec", "MODE_FD", "MODE_RFD", "RidgeProblem", "SketchOutput",
-    "SparseRowMatrix", "StreamingSketch", "SweepConfig",
+    "BudgetError", "DiagnosticsReport", "DivergenceError", "InverseOperator",
+    "IterativeTrace", "LinearModelSpec", "MODE_FD", "MODE_RFD", "RidgeProblem",
+    "SketchOutput", "SparseRowMatrix", "StreamingSketch", "SweepConfig",
     "apply_gaussian", "budget_for_theta", "classical_sketch_diagnostics",
     "classical_sketch_solve", "dct_rotation", "dump_libsvm", "fdrr_solve",
     "hessian_sketch_diagnostics", "hessian_sketch_solve", "ifdrr_solve",

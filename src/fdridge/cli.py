@@ -12,7 +12,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .experiments import (ConfigError, load_config, run_bias_variance_sweep,
+from .experiments import (load_config, run_bias_variance_sweep,
                           run_iterative_experiment, run_sketch_accuracy)
 
 
@@ -53,10 +53,10 @@ def _gather_overrides(args) -> dict:
     for item in args.overrides:
         key, eq, value = item.partition("=")
         if not eq:
-            raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
+            raise ValueError(f"--set expects KEY=VALUE, got {item!r}")
         key = key.strip()
         if key in overrides:
-            raise ConfigError(f"--set gives {key!r} twice")
+            raise ValueError(f"--set gives {key!r} twice")
         overrides[key] = value.strip()
     return overrides
 
@@ -66,17 +66,21 @@ def main(argv=None) -> int:
     try:
         config = load_config(args.config, _gather_overrides(args))
         out = args.out or f"fdridge-{args.command}.csv"
-        if out.endswith("/") or Path(out).is_dir():
-            raise OSError(f"--out {out!r} names a directory, not a file")
-        if not (folder := Path(out).parent).is_dir():
-            raise OSError(f"no directory {str(folder)!r} for --out {out}")
+        tables = {"--out": out}  # every table the command writes, by its flag
+        if args.command == "sweep" and args.raw:
+            tables["--raw"] = f"{out}.raw.csv"
+        for flag, table in tables.items():
+            if table.endswith("/") or Path(table).is_dir():
+                raise OSError(f"{flag} {table!r} names a directory, not a file")
+            if not (folder := Path(table).parent).is_dir():
+                raise OSError(f"no directory {str(folder)!r} for {flag} {table}")
         if args.command == "sweep":
             rows = run_bias_variance_sweep(config, raw=args.raw, out=out)
         elif args.command == "iterate":
             rows = run_iterative_experiment(config, args.t, out=out)
         else:
             rows = run_sketch_accuracy(config, out=out)
-    except (OSError, ValueError) as err:  # ConfigError is a ValueError
+    except (OSError, ValueError) as err:
         print(f"fdridge: error: {err}", file=sys.stderr)
         return 2
     print(f"wrote {out} ({len(rows)} rows)")

@@ -17,20 +17,30 @@ from .sketch import (_count, _matrix, _nonnegative, _positive, _real,
                      _vector)
 
 
-class LibsvmParseError(ValueError):
-    """Malformed sparse-text input, pinned to a line and column: the
-    message reads ``line L, column C: reason``, both 1-based."""
-
-
 _TOKEN = re.compile(r"\S+")
+_NOT_UTF8 = re.compile("[\udc80-\udcff]")  # a byte that surrogateescape kept
 
 
-def _parse_error(line: int, body: str, token: int, reason: str) -> LibsvmParseError:
-    """The :class:`LibsvmParseError` for ``reason`` at line ``line``,
-    whose text is ``body``, in the column where its ``token``-th
-    whitespace-separated token (0 is the label) starts."""
+def _text_lines(path, where):
+    """The lines of the UTF-8 text file at ``path``, split as ``open``
+    splits them.  A byte that is not UTF-8 raises ValueError, its place
+    given by ``where(line, column)``, both 1-based, before its line is
+    yielded."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if bad := _NOT_UTF8.search(line):
+                raise ValueError(f"{where(lineno, bad.start() + 1)}: byte "
+                                 f"{ord(bad[0]) - 0xdc00:#04x} is not UTF-8")
+            yield line
+
+
+def _parse_error(line: int, body: str, token: int, reason: str) -> ValueError:
+    """The malformed-input error for ``reason`` at line ``line``, whose
+    text is ``body``, in the column where its ``token``-th
+    whitespace-separated token (0 is the label) starts: its message reads
+    ``line L, column C: reason``, both 1-based."""
     column = [tok.start() for tok in _TOKEN.finditer(body)][token] + 1
-    return LibsvmParseError(f"line {line}, column {column}: {reason}")
+    return ValueError(f"line {line}, column {column}: {reason}")
 
 
 def _effective_rank(d: int, r: float) -> int:
@@ -124,15 +134,17 @@ class SparseRowMatrix:
     slice of ``data``, all finite.
 
     Built from n pairs (indices, values), each two 1-d arrays of one
-    length with integer indices (an empty row's may be of any type).
-    ValueError names the first pair that is not, then the first row whose
-    indices do not increase within [0, d), then the first non-finite value
-    by its row and 0-based feature.  :func:`parse_libsvm` builds through
-    the same check.  Nothing checks the rows again: the three arrays
-    refuse in-place writes.
+    length with integer indices (an empty row's may be of any type); n
+    and d are counts of at least 0 (:func:`sketch._count`).  ValueError
+    names a bad n or d, then the first pair that is not, then the first
+    row whose indices do not increase within [0, d), then the first
+    non-finite value by its row and 0-based feature.  :func:`parse_libsvm`
+    builds through the same check.  Nothing checks the rows again: the
+    three arrays refuse in-place writes.
     """
 
     def __init__(self, n: int, d: int, rows):
+        n, d = _count("n", n, 0), _count("d", d, 0)
         if len(rows) != n:
             raise ValueError(f"matrix has {len(rows)} rows, but n is {n}")
         pairs = [(np.asarray(i), np.asarray(v, dtype=float)) for i, v in rows]
@@ -193,7 +205,7 @@ def _entry_rows(indptr: np.ndarray) -> np.ndarray:
 
 def _number(kind: type, what: str, text: str, line: int, body: str, token: int):
     """``text`` as an int, or as a finite float; otherwise the
-    :class:`LibsvmParseError` for the ``what`` at ``token`` of ``line``."""
+    :func:`_parse_error` for the ``what`` at ``token`` of ``line``."""
     try:
         number = kind(text)
     except ValueError:
@@ -214,13 +226,13 @@ def parse_libsvm(source, n_features: int | None = None
     absent from the file).  ``source`` may be a path or any iterable of
     lines.  One pass over the lines fills the matrix's CSR triple, which
     is then built through :class:`SparseRowMatrix`'s check.  Malformed
-    input, a NaN or infinite label or value and an index above 2^63 - 1
-    included, raises :class:`LibsvmParseError`, whose message gives the
-    1-based line and column.
+    input, a NaN or infinite label or value, an index above 2^63 - 1 and
+    a byte of a file that is not UTF-8 included, raises ValueError, whose
+    message gives the 1-based line and column.
     """
     if isinstance(source, (str, os.PathLike)):
-        with open(source, "r", encoding="utf-8") as fh:
-            return parse_libsvm(fh, n_features=n_features)
+        where = lambda line, column: f"line {line}, column {column}"
+        return parse_libsvm(_text_lines(source, where), n_features=n_features)
 
     labels = array("d")
     indptr, indices, data = array("q", [0]), array("q"), array("d")

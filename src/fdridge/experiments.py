@@ -16,7 +16,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .datasets import (LibsvmParseError, _effective_rank, parse_libsvm,
+from .datasets import (_effective_rank, _text_lines, parse_libsvm,
                        rff_expand, synthetic_regression)
 from .diagnostics import (LinearModelSpec, classical_sketch_diagnostics,
                           hessian_sketch_diagnostics, optimal_diagnostics,
@@ -25,10 +25,6 @@ from .random_sketch import FLAVORS, _product, _realize
 from .sketch import (MODE_FD, MODE_RFD, _count, _nonnegative, _one_of,
                      _positive, sketch_matrix, tail_masses)
 from .solvers import DivergenceError, InverseOperator, RidgeProblem, refine
-
-
-class ConfigError(ValueError):
-    """Invalid experiment configuration."""
 
 
 STATISTICAL_METHODS = ("exact", "fdrr", "rfdrr",
@@ -67,7 +63,7 @@ class SweepConfig:
     n = 0 keeps every sample, rff_features = 0 keeps the raw features).
 
     Construction checks the keys through the argument rules of
-    :mod:`fdridge.sketch` and raises ConfigError naming the first bad
+    :mod:`fdridge.sketch` and raises ValueError naming the first bad
     key: dataset is one of the three kinds, noise_sd is non-negative and
     finite, the list keys gammas and methods are each a non-empty tuple
     or list, each gamma and, where random Fourier features are drawn,
@@ -96,37 +92,34 @@ class SweepConfig:
     seed: int = 0
 
     def __post_init__(self):
-        try:
-            _one_of("dataset", self.dataset, _DATASETS)
-            _nonnegative("noise_sd", self.noise_sd)  # 0: targets without noise
-            for key in ("gammas", "methods"):
-                value = getattr(self, key)
-                if not isinstance(value, (tuple, list)) or not value:
-                    raise ConfigError(f"{key} must be a non-empty tuple or "
-                                      f"list, got {value!r}")
-                object.__setattr__(self, key, tuple(value))
-            # the runners walk the grid in this order and seed by position
-            object.__setattr__(self, "gammas", tuple(sorted(
-                {_positive("gammas", g) for g in self.gammas})))
-            unknown = [meth for meth in self.methods if meth not in ALL_METHODS]
-            if unknown:
-                raise ConfigError(f"unknown methods {unknown}; "
-                                  f"valid names: {', '.join(ALL_METHODS)}")
-            repeated = sorted({meth for meth in self.methods
-                               if self.methods.count(meth) > 1})
-            if repeated:
-                raise ConfigError(f"methods listed more than once: {repeated}")
-            if self.dataset == "libsvm" and not self.libsvm_path:
-                raise ConfigError("dataset 'libsvm' needs libsvm_path")
-            for key, least in _LEAST.items():
-                libsvm_n = key == "n" and self.dataset == "libsvm"
-                _count(key, getattr(self, key), 0 if libsvm_n else least)
-            if self.dataset == "synthetic":
-                _effective_rank(self.d, self.r)
-            elif self.dataset == "gaussian-rff" or self.rff_features:
-                _positive("rff_gamma", self.rff_gamma)
-        except ValueError as err:
-            raise ConfigError(str(err)) from None
+        _one_of("dataset", self.dataset, _DATASETS)
+        _nonnegative("noise_sd", self.noise_sd)  # 0: targets without noise
+        for key in ("gammas", "methods"):
+            value = getattr(self, key)
+            if not isinstance(value, (tuple, list)) or not value:
+                raise ValueError(f"{key} must be a non-empty tuple or "
+                                 f"list, got {value!r}")
+            object.__setattr__(self, key, tuple(value))
+        # the runners walk the grid in this order and seed by position
+        object.__setattr__(self, "gammas", tuple(sorted(
+            {_positive("gammas", g) for g in self.gammas})))
+        unknown = [meth for meth in self.methods if meth not in ALL_METHODS]
+        if unknown:
+            raise ValueError(f"unknown methods {unknown}; "
+                             f"valid names: {', '.join(ALL_METHODS)}")
+        repeated = sorted({meth for meth in self.methods
+                           if self.methods.count(meth) > 1})
+        if repeated:
+            raise ValueError(f"methods listed more than once: {repeated}")
+        if self.dataset == "libsvm" and not self.libsvm_path:
+            raise ValueError("dataset 'libsvm' needs libsvm_path")
+        for key, least in _LEAST.items():
+            libsvm_n = key == "n" and self.dataset == "libsvm"
+            _count(key, getattr(self, key), 0 if libsvm_n else least)
+        if self.dataset == "synthetic":
+            _effective_rank(self.d, self.r)
+        elif self.dataset == "gaussian-rff" or self.rff_features:
+            _positive("rff_gamma", self.rff_gamma)
 
 
 def _parse_number(token: str) -> float:
@@ -143,7 +136,7 @@ def _coerce(key: str, value) -> object:
     :func:`_parse_number`; the text itself for a path whose default is
     None.  Text that does not parse, a power form that cannot be
     evaluated (``0^-1``, ``10^400``, ``-8^0.5``) included, raises
-    ConfigError; any other value is returned unchanged."""
+    ValueError; any other value is returned unchanged."""
     if not isinstance(value, str):
         return value
     text = value.strip()
@@ -155,7 +148,7 @@ def _coerce(key: str, value) -> object:
                          if tok.strip())
         return text if default is None else type(default)(text)
     except (ArithmeticError, ValueError):
-        raise ConfigError(f"could not parse {key} = {text!r}") from None
+        raise ValueError(f"could not parse {key} = {text!r}") from None
 
 
 def load_config(path=None, overrides: dict | None = None) -> SweepConfig:
@@ -165,7 +158,7 @@ def load_config(path=None, overrides: dict | None = None) -> SweepConfig:
     as its key's type (:func:`_coerce`): list values are comma separated
     and grid entries may use the 2^-8 power form.  A key set twice in the
     file is refused, naming both lines, and a file value that does not
-    parse is refused naming its line.
+    parse, or a byte that is not UTF-8, is refused naming its line.
     Overrides (e.g. from command-line flags) take precedence over the
     file, which takes precedence over defaults.
     """
@@ -173,29 +166,29 @@ def load_config(path=None, overrides: dict | None = None) -> SweepConfig:
     settings: dict = {}
     set_on: dict = {}  # key -> the file line that set it
     if path is not None:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                key, eq, value = line.partition("=")
-                key = key.strip()
-                if not eq or not key:
-                    raise ConfigError(
-                        f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
-                if key not in known:
-                    raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-                if key in set_on:
-                    raise ConfigError(f"{path}:{lineno}: {key!r} is already "
-                                      f"set on line {set_on[key]}")
-                set_on[key] = lineno
-                try:
-                    settings[key] = _coerce(key, value)
-                except ConfigError as err:
-                    raise ConfigError(f"{path}:{lineno}: {err}") from None
+        lines = _text_lines(path, lambda line, column: f"{path}:{line}:{column}")
+        for lineno, raw in enumerate(lines, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            key, eq, value = line.partition("=")
+            key = key.strip()
+            if not eq or not key:
+                raise ValueError(
+                    f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
+            if key not in known:
+                raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+            if key in set_on:
+                raise ValueError(f"{path}:{lineno}: {key!r} is already "
+                                 f"set on line {set_on[key]}")
+            set_on[key] = lineno
+            try:
+                settings[key] = _coerce(key, value)
+            except ValueError as err:
+                raise ValueError(f"{path}:{lineno}: {err}") from None
     for key, value in (overrides or {}).items():
         if key not in known:
-            raise ConfigError(f"unknown config key {key!r}")
+            raise ValueError(f"unknown config key {key!r}")
         settings[key] = _coerce(key, value)
     return SweepConfig(**settings)
 
@@ -223,10 +216,10 @@ def load_instance(config: SweepConfig):
     above the file's count): it densifies only the ``indptr`` slice that
     spans them, so A owns its data and holds none of the rows past the
     first n, and it checks nothing that :func:`parse_libsvm` checked.  A
-    libsvm file with no samples or no features, a malformed line, or
-    kept rows too wide to hold dense (an index as large as 10^12) raise
-    ConfigError naming the path (and the line and column, or the dense
-    n x d shape).
+    libsvm file with no samples or no features, a malformed line or a
+    byte that is not UTF-8, or kept rows too wide to hold dense (an index
+    as large as 10^12) raise ValueError naming the path (and the line and
+    column, or the dense n x d shape).
     """
     if config.dataset == "synthetic":
         A, y, truth = synthetic_regression(config.n, config.d, config.r,
@@ -242,17 +235,17 @@ def load_instance(config: SweepConfig):
     else:
         try:
             matrix, labels = parse_libsvm(config.libsvm_path)
-        except LibsvmParseError as err:
-            raise ConfigError(f"{config.libsvm_path}: {err}") from None
+        except ValueError as err:
+            raise ValueError(f"{config.libsvm_path}: {err}") from None
         kept = min(config.n or matrix.n, matrix.n)
         if not kept or not matrix.d:
             what = "samples" if not kept else "features"
-            raise ConfigError(f"{config.libsvm_path} has no {what}")
+            raise ValueError(f"{config.libsvm_path} has no {what}")
         try:
             A = matrix._head(kept)
         except (MemoryError, ValueError):  # numpy's "array is too big"
-            raise ConfigError(f"{config.libsvm_path}: a dense {kept} x "
-                              f"{matrix.d} array does not fit in memory") from None
+            raise ValueError(f"{config.libsvm_path}: a dense {kept} x "
+                             f"{matrix.d} array does not fit in memory") from None
         y = labels[:kept].copy()
         if config.rff_features:
             A = rff_expand(A, config.rff_features, config.rff_gamma,
@@ -326,7 +319,7 @@ def _check_methods(config: SweepConfig, allowed: tuple, protocol: str) -> None:
     ``protocol`` says which methods the runner handles."""
     bad = [meth for meth in config.methods if meth not in allowed]
     if bad:
-        raise ConfigError(f"{protocol} only; cannot run {bad}")
+        raise ValueError(f"{protocol} only; cannot run {bad}")
 
 
 def _sweep_values(per_trial, baseline) -> np.ndarray:
@@ -362,7 +355,7 @@ def run_bias_variance_sweep(config: SweepConfig, raw: bool = False,
     _check_methods(config, STATISTICAL_METHODS,
                    "bias/variance sweep handles one-shot estimators")
     if not _known_weights(config):
-        raise ConfigError(
+        raise ValueError(
             "bias/variance diagnostics need an instance with known weights "
             "(synthetic or gaussian-rff with noise_sd > 0)")
     A, y, model = load_instance(config)
@@ -430,19 +423,16 @@ def run_iterative_experiment(config: SweepConfig, t: int, out=None) -> list:
     prefix; later iterations are recorded as nan with the diverged flag
     set.  Randomized methods report the per-iteration median over trials.
     When A^T y = 0, x* is zero at every gamma and the relative error is
-    undefined, so ConfigError is raised before any cell runs.
+    undefined, so ValueError is raised before any cell runs.
     """
-    try:
-        _count("t", t)
-    except ValueError as err:
-        raise ConfigError(str(err)) from None
+    _count("t", t)
     _check_methods(config, ITERATIVE_METHODS,
                    "iteration study handles iterative solvers")
     A, y, _ = load_instance(config)
     base = RidgeProblem(A, y, config.gammas[0])
     if not base.rhs.any():
-        raise ConfigError("the relative error is undefined: A^T y = 0, so "
-                          "the exact solution is zero at every gamma")
+        raise ValueError("the relative error is undefined: A^T y = 0, so "
+                         "the exact solution is zero at every gamma")
     exact = InverseOperator(A)
     # One sketch serves every ifdrr cell, and one operator each mode's
     # cells: neither depends on gamma.

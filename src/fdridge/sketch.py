@@ -118,9 +118,11 @@ def _row_masses(rows: np.ndarray) -> np.ndarray:
 
 
 def _real(value):
-    """``value`` when it compares with numbers, NaN otherwise, so that a
-    range rule refuses None or a string by its own message rather than by
-    a bare TypeError from the comparison."""
+    """``value`` when it is a number, NaN otherwise, so that a range rule
+    refuses None, a string or a bool by its own message rather than by a
+    bare TypeError from the comparison or by reading True as 1."""
+    if isinstance(value, (bool, np.bool_)):
+        return np.nan
     try:
         value < 0
     except TypeError:

@@ -293,15 +293,21 @@ def test_missing_out_directory_fails_before_the_run(config_path, tmp_path,
     folder = tmp_path / "fd"
     folder.mkdir()
     # (--out, the path the error names): a file in a missing directory, an
-    # existing directory, and a missing one written as a directory
-    for out, named in ((missing / "table.csv", missing), (folder, folder),
-                       (f"{missing}/", f"{missing}/")):
+    # existing directory, and a missing one written as a directory; and
+    # for --raw, an --out whose per-trial table is a directory
+    cases = [(missing / "table.csv", missing), (folder, folder),
+             (f"{missing}/", f"{missing}/")]
+    if "--raw" in command:
+        (tmp_path / "x.csv.raw.csv").mkdir()
+        cases.append((tmp_path / "x.csv", tmp_path / "x.csv.raw.csv"))
+    for out, named in cases:
         code = main(command + ["--config", str(config_path),
                                "--out", str(out)])
         assert code == 2 and entered == []
         err = capsys.readouterr().err
         assert err.startswith("fdridge: error:") and repr(str(named)) in err
     assert not missing.exists() and list(folder.iterdir()) == []
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_malformed_libsvm_file_is_named(tmp_path, capsys):
@@ -318,6 +324,33 @@ def test_malformed_libsvm_file_is_named(tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"fdridge: error: {data}: line 2, column 3: index 0 is not positive "
         "(indices are 1-based)\n")
+    assert not (tmp_path / "table.csv").exists()
+
+
+def test_libsvm_file_not_utf8_is_named_by_line(tmp_path, capsys):
+    # a byte that is not UTF-8 is named by the data file, its line and
+    # column, not by an offset into a read buffer
+    data = tmp_path / "data.txt"
+    data.write_bytes(b"1 1:2.0\n\xff1 2:3.0\n")
+    config = tmp_path / "libsvm.cfg"
+    config.write_text(f"dataset = libsvm\nlibsvm_path = {data}\n"
+                      "methods = ifdrr:fd\nm = 2\n")
+    code = main(["iterate", "--config", str(config), "--t", "2",
+                 "--out", str(tmp_path / "table.csv")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"fdridge: error: {data}: line 2, column 1: byte 0xff is not UTF-8\n")
+    assert not (tmp_path / "table.csv").exists()
+
+
+def test_config_file_not_utf8_is_named_by_line(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_bytes(b"n = 48\n\xffm = 8\n")
+    code = main(["sweep", "--config", str(config),
+                 "--out", str(tmp_path / "table.csv")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"fdridge: error: {config}:2:1: byte 0xff is not UTF-8\n")
     assert not (tmp_path / "table.csv").exists()
 
 

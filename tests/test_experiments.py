@@ -20,7 +20,7 @@ from fdridge.datasets import dump_libsvm, SparseRowMatrix
 from fdridge.diagnostics import (DiagnosticsReport,
                                  classical_sketch_diagnostics,
                                  hessian_sketch_diagnostics)
-from fdridge.experiments import (ACC_COLUMNS, ConfigError, ITER_COLUMNS,
+from fdridge.experiments import (ACC_COLUMNS, ITER_COLUMNS,
                                  ITERATIVE_METHODS, STATISTICAL_METHODS,
                                  SWEEP_COLUMNS, SweepConfig, _config_comment,
                                  _fmt, _sweep_row, _sweep_values,
@@ -79,38 +79,38 @@ def test_config_override_precedence(tmp_path):
 def test_load_config_error_positions(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("n = 32\nbogus = 3\n")
-    with pytest.raises(ConfigError, match="bad.cfg:2.*bogus"):
+    with pytest.raises(ValueError, match="bad.cfg:2.*bogus"):
         load_config(path)
     path.write_text("just words\n")
-    with pytest.raises(ConfigError, match="key = value"):
+    with pytest.raises(ValueError, match="key = value"):
         load_config(path)
     # the SJLT's block count follows from m; it is no key
     path.write_text("sjlt_s = 8\n")
-    with pytest.raises(ConfigError,
+    with pytest.raises(ValueError,
                        match="bad.cfg:1: unknown config key 'sjlt_s'"):
         load_config(path)
     # a table's path is its command's --out; it is no key either
     path.write_text("out = x.csv\n")
-    with pytest.raises(ConfigError,
+    with pytest.raises(ValueError,
                        match="bad.cfg:1: unknown config key 'out'"):
         load_config(path)
     # a file value that does not parse is named by its line; --set's is not
     path.write_text("n = 32\nm = x\n")
-    with pytest.raises(ConfigError,
+    with pytest.raises(ValueError,
                        match="^.*bad.cfg:2: could not parse m = 'x'$"):
         load_config(path)
-    with pytest.raises(ConfigError, match="^could not parse trials = 'many'$"):
+    with pytest.raises(ValueError, match="^could not parse trials = 'many'$"):
         load_config(None, overrides={"trials": "many"})
-    with pytest.raises(ConfigError, match="unknown config key"):
+    with pytest.raises(ValueError, match="unknown config key"):
         load_config(None, overrides={"zorp": "1"})
-    with pytest.raises(ConfigError, match="more than once.*'ifdrr:rfd'"):
+    with pytest.raises(ValueError, match="more than once.*'ifdrr:rfd'"):
         load_config(None, overrides={"methods": "ifdrr:rfd, ifdrr:rfd"})
 
 
 def test_load_config_refuses_a_key_set_twice(tmp_path):
     path = tmp_path / "twice.cfg"
     path.write_text("m = 128\nn = 64\nm = 64\n")
-    with pytest.raises(ConfigError,
+    with pytest.raises(ValueError,
                        match="twice.cfg:3: 'm' is already set on line 1$"):
         load_config(path)
 
@@ -170,16 +170,16 @@ _INVALID_CONFIGS = [
 @pytest.mark.parametrize("kw,match", _INVALID_CONFIGS,
                          ids=[f"kw{i}" for i in range(len(_INVALID_CONFIGS))])
 def test_config_validation(kw, match):
-    with pytest.raises(ConfigError, match=match):
+    with pytest.raises(ValueError, match=match):
         SweepConfig(**kw)
 
 
 def test_config_refuses_an_empty_method_list():
     # refused when the config is built, not first by a runner
     empty = "^methods" + _NOT_A_LIST + r"\(\)$"
-    with pytest.raises(ConfigError, match=empty):
+    with pytest.raises(ValueError, match=empty):
         SweepConfig(methods=())
-    with pytest.raises(ConfigError, match=empty):
+    with pytest.raises(ValueError, match=empty):
         load_config(overrides={"methods": ""})
 
 
@@ -306,7 +306,7 @@ def test_load_instance_libsvm_refuses_a_dense_array_too_large(tmp_path, index):
     path = tmp_path / "wide.txt"
     path.write_text(f"1 1:1\n-1 {index}:1\n", encoding="utf-8")
     config = small_config(dataset="libsvm", libsvm_path=str(path), n=0)
-    with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}: a dense "
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: a dense "
                        rf"2 x {index} array does not fit in memory$"):
         load_instance(config)
 
@@ -323,11 +323,11 @@ def test_load_instance_libsvm_refuses_an_empty_instance(tmp_path, text,
     config = small_config(dataset="libsvm", libsvm_path=str(path), n=0,
                           methods=("single:gauss", "ifdrr:fd"), m=4)
     match = rf"^{re.escape(str(path))} has no {missing}$"
-    with pytest.raises(ConfigError, match=match):
+    with pytest.raises(ValueError, match=match):
         load_instance(config)
-    with pytest.raises(ConfigError, match=match):
+    with pytest.raises(ValueError, match=match):
         run_iterative_experiment(config, t=2)
-    with pytest.raises(ConfigError, match=match):
+    with pytest.raises(ValueError, match=match):
         run_sketch_accuracy(config)
 
 
@@ -393,19 +393,19 @@ def test_sweep_median_matches_hand_rebuild():
 
 
 def test_sweep_rejects_iterative_methods():
-    with pytest.raises(ConfigError, match="one-shot"):
+    with pytest.raises(ValueError, match="one-shot"):
         run_bias_variance_sweep(small_config(methods=("ifdrr:fd",)))
 
 
 def test_sweep_needs_known_weights():
-    with pytest.raises(ConfigError, match="known weights"):
+    with pytest.raises(ValueError, match="known weights"):
         run_bias_variance_sweep(small_config(noise_sd=0.0))
 
 
 def test_sweep_refuses_before_loading_the_instance(tmp_path):
     # a libsvm instance has no known weights, so its file is never read
     missing = tmp_path / "absent.txt"
-    with pytest.raises(ConfigError, match="known weights"):
+    with pytest.raises(ValueError, match="known weights"):
         run_bias_variance_sweep(small_config(dataset="libsvm",
                                              libsvm_path=str(missing)))
 
@@ -657,15 +657,15 @@ def test_iterate_refuses_a_zero_exact_solution(tmp_path):
                 np.zeros(3), path)
     config = small_config(dataset="libsvm", libsvm_path=str(path),
                           methods=("ifdrr:rfd", "single:gauss"), m=2)
-    with pytest.raises(ConfigError, match="relative error is undefined"):
+    with pytest.raises(ValueError, match="relative error is undefined"):
         run_iterative_experiment(config, t=2)
 
 
 def test_iterate_validation():
     for t in (0, 2.5, True):
-        with pytest.raises(ConfigError, match="^t must be a positive integer"):
+        with pytest.raises(ValueError, match="^t must be a positive integer"):
             run_iterative_experiment(small_config(methods=("ihs:gauss",)), t=t)
-    with pytest.raises(ConfigError, match="iterative"):
+    with pytest.raises(ValueError, match="iterative"):
         run_iterative_experiment(small_config(methods=("exact",)), t=2)
 
 

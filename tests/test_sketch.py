@@ -13,15 +13,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fdridge import sketch
-from fdridge.datasets import (dct_rotation, parse_libsvm, rff_expand,
-                              synthetic_regression)
+from fdridge.datasets import (SparseRowMatrix, dct_rotation, parse_libsvm,
+                              rff_expand, synthetic_regression)
 from fdridge.diagnostics import (LinearModelSpec, budget_for_theta,
                                  classical_sketch_diagnostics,
                                  hessian_sketch_diagnostics,
                                  optimal_diagnostics, sketched_diagnostics,
                                  theta_interval)
-from fdridge.experiments import (ConfigError, SweepConfig, load_config,
-                                 load_instance)
+from fdridge.experiments import SweepConfig, load_config, load_instance
 from fdridge.random_sketch import (apply_gaussian, realize_gaussian,
                                    realize_sjlt)
 from fdridge.sketch import (MODE_FD, MODE_RFD, SketchOutput, StreamingSketch,
@@ -98,6 +97,10 @@ SIZES = {
     "parse_libsvm-n_features": (lambda v: parse_libsvm(["1 1:2"],
                                                        n_features=v),
                                 "n_features", 0),
+    "SparseRowMatrix-n": (lambda v: SparseRowMatrix(v, 2, [([0], [1.0])]),
+                          "n", 0),
+    "SparseRowMatrix-d": (lambda v: SparseRowMatrix(1, v, [([0], [1.0])]),
+                          "d", 0),
 }
 
 
@@ -193,9 +196,9 @@ def test_rejects_data_of_the_wrong_shape(case):
 CHOICES = {
     "synthetic_regression-noise_sd": (
         lambda v: synthetic_regression(4, 4, 0.5, v, 0),
-        "noise level", (-1.0, np.inf, np.nan, None), 0.0),
-    "SweepConfig-noise_sd": (lambda v: SweepConfig(noise_sd=v),
-                             "noise_sd", (-1.0, np.inf, np.nan, None), 0.0),
+        "noise level", (-1.0, np.inf, np.nan, None, True), 0.0),
+    "SweepConfig-noise_sd": (lambda v: SweepConfig(noise_sd=v), "noise_sd",
+                             (-1.0, np.inf, np.nan, None, True), 0.0),
     "finalize-mode": (lambda v: StreamingSketch(2, 4).finalize(v), "mode",
                       ("xfd",), MODE_RFD),
     "budget_for_theta-mode": (lambda v: budget_for_theta(0.5, 1, 1.0, 1.0, v),
@@ -244,12 +247,11 @@ RANGES = {
 @pytest.mark.parametrize("case", list(RANGES))
 def test_rejects_numbers_out_of_range(case):
     # None or a string is refused by the rule's own message, not by a
-    # bare TypeError from comparing it with a number; a config key's
-    # refusal is a ConfigError
+    # bare TypeError from comparing it with a number, and a bool rather
+    # than read as 0 or 1
     call, message, bad_values, good = RANGES[case]
-    error = ConfigError if case.startswith("SweepConfig") else ValueError
-    for bad in bad_values + (None, "a"):
-        with pytest.raises(error, match=rf"^{message}, got "
+    for bad in bad_values + (None, "a", True):
+        with pytest.raises(ValueError, match=rf"^{message}, got "
                            rf"{re.escape(str(bad))}$"):
             call(bad)
     call(good)

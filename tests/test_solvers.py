@@ -13,7 +13,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fdridge
 from fdridge import solvers
+from fdridge.diagnostics import theta_interval
 from fdridge.random_sketch import realize_gaussian
 from fdridge.sketch import MODE_FD, MODE_RFD, sketch_matrix, tail_masses
 from fdridge.solvers import (DivergenceError, InverseOperator, RidgeProblem,
@@ -525,20 +527,39 @@ def diverging_problem():
     return RidgeProblem(A, rng.standard_normal(400), 1e-3)
 
 
-def test_divergence_error_survives_pickle():
-    # a worker process hands a diverged solve back to its parent whole:
-    # the message, the tripping iteration and the partial trace
+def _diverge():
     problem = diverging_problem()
-    with pytest.raises(DivergenceError) as info:
-        ifdrr_solve(problem, 4, t=10, x_star=solve_exact(problem))
+    ifdrr_solve(problem, 4, t=10, x_star=solve_exact(problem))
+
+
+# (a call that raises it, its message, its attributes): every exception
+# class that fdridge exports, by name
+EXPORTED_ERRORS = {
+    "BudgetError": (lambda: theta_interval(1.5, 1.0),
+                    "covariance-error bound 1.5 must stay below the "
+                    "regularizer 1", set()),
+    "DivergenceError": (_diverge, "iterate norm exceeded the divergence "
+                        "guard at iteration 3", {"iteration", "trace"}),
+}
+
+
+@pytest.mark.parametrize("name", [
+    name for name in fdridge.__all__
+    if isinstance(getattr(fdridge, name), type)
+    and issubclass(getattr(fdridge, name), BaseException)])
+def test_exported_error_survives_pickle(name):
+    # a worker process hands an error back to its parent whole: its type,
+    # its message and its attributes (a diverged solve's tripping
+    # iteration and partial trace)
+    call, message, attributes = EXPORTED_ERRORS[name]
+    with pytest.raises(getattr(fdridge, name)) as info:
+        call()
     err = info.value
-    assert err.iteration == 3
     back = pickle.loads(pickle.dumps(err))
-    assert type(back) is DivergenceError
-    assert str(back) == str(err) == (
-        "iterate norm exceeded the divergence guard at iteration 3")
-    assert back.iteration == 3
-    assert back.trace.residual_norms == err.trace.residual_norms
+    assert type(back) is type(err)
+    assert str(back) == str(err) == message
+    assert set(vars(err)) == attributes
+    assert vars(back) == vars(err)
 
 
 def test_divergence_leaves_no_reference_cycle():
