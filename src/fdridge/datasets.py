@@ -133,21 +133,25 @@ class SparseRowMatrix:
     integers strictly increasing within [0, d), and its values the same
     slice of ``data``, all finite.
 
-    Built from n pairs (indices, values), each two 1-d arrays of one
-    length with integer indices (an empty row's may be of any type); n
-    and d are counts of at least 0 (:func:`sketch._count`).  ValueError
-    names a bad n or d, then the first pair that is not, then the first
-    row whose indices do not increase within [0, d), then the first
-    non-finite value by its row and 0-based feature.  :func:`parse_libsvm`
-    builds through the same check.  Nothing checks the rows again: the
-    three arrays refuse in-place writes.
+    Built from n pairs (indices, values), read once from any iterable of
+    them, each two 1-d arrays of one length with integer indices (an
+    empty row's may be of any type); n and d are counts of at least 0
+    (:func:`sketch._count`).  ValueError names a bad n or d, then
+    ``rows`` that are not iterable, then a count of pairs other than n,
+    then the first pair that is not, then the first row whose indices do
+    not increase within [0, d), then the first non-finite value by its
+    row and 0-based feature.  :func:`parse_libsvm` builds through the
+    same check.  Nothing checks the rows again: the three arrays refuse
+    in-place writes.
     """
 
     def __init__(self, n: int, d: int, rows):
         n, d = _count("n", n, 0), _count("d", d, 0)
-        if len(rows) != n:
-            raise ValueError(f"matrix has {len(rows)} rows, but n is {n}")
+        if not hasattr(rows, "__iter__"):
+            raise ValueError(f"rows must be an iterable of pairs, got {rows!r}")
         pairs = [(np.asarray(i), np.asarray(v, dtype=float)) for i, v in rows]
+        if len(pairs) != n:
+            raise ValueError(f"matrix has {len(pairs)} rows, but n is {n}")
         for i, (idx, vals) in enumerate(pairs):  # what the triple cannot show
             if idx.ndim != 1 or vals.shape != idx.shape:
                 raise ValueError(f"row {i}: indices and values must be 1-d of one "

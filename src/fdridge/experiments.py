@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -68,8 +69,9 @@ class SweepConfig:
     finite, the list keys gammas and methods are each a non-empty tuple
     or list, each gamma and, where random Fourier features are drawn,
     rff_gamma are positive and finite, the methods are known and none
-    repeated, and every count, on every dataset, is an integer of at
-    least its least value.  A synthetic instance's r is checked as
+    repeated, libsvm_path, when given, is a str or os.PathLike path, and
+    every count, on every dataset, is an integer of at least its least
+    value.  A synthetic instance's r is checked as
     :func:`synthetic_regression` checks it.  Both list keys are
     stored as tuples, the gamma grid sorted and without repeats, the
     order in which the runners walk it.  Any m works with every method:
@@ -84,7 +86,7 @@ class SweepConfig:
     raw_dim: int = 8
     rff_gamma: float = 1.0
     rff_features: int = 0
-    libsvm_path: str | None = None
+    libsvm_path: str | os.PathLike | None = None
     m: int = 256
     gammas: tuple = tuple(2.0 ** k for k in range(-8, 7))
     methods: tuple = STATISTICAL_METHODS
@@ -111,6 +113,8 @@ class SweepConfig:
                            if self.methods.count(meth) > 1})
         if repeated:
             raise ValueError(f"methods listed more than once: {repeated}")
+        if not isinstance(self.libsvm_path, (str, os.PathLike, type(None))):
+            raise ValueError(f"libsvm_path must be a path, got {self.libsvm_path!r}")
         if self.dataset == "libsvm" and not self.libsvm_path:
             raise ValueError("dataset 'libsvm' needs libsvm_path")
         for key, least in _LEAST.items():
@@ -450,12 +454,12 @@ def run_iterative_experiment(config: SweepConfig, t: int, out=None) -> list:
             return InverseOperator(_product(flavor, config.m, A, seed))
 
         if kind == "ihs":  # a fresh draw every iteration
-            preconditioner = draw
+            step = lambda i, x, grad: x - draw(i).apply(grad, problem.gamma)
         else:  # one fixed operator: the FD sketch's or a single draw's
             op = fixed[flavor] if kind == "ifdrr" else draw(0)
-            preconditioner = lambda _i: op
+            step = lambda _i, x, grad: x - op.apply(grad, problem.gamma)
         try:
-            _, trace = refine(problem, preconditioner, t, x_star=x_star)
+            _, trace = refine(problem, step, t, x_star=x_star)
         except DivergenceError as err:
             trace = err.trace
         errors = np.full(t, np.nan)

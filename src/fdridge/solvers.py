@@ -2,9 +2,10 @@
 
 The sketch-and-solve estimators never form the n x d data more than once.
 The one refinement loop, :func:`refine`, touches the data only through
-matrix-vector products and asks for a preconditioner every iteration:
-:func:`ifdrr_solve` hands it one fixed Frequent Directions sketch, while
-randomized schemes hand it one draw or a fresh draw per iteration.
+:meth:`RidgeProblem.gradient` and asks a step rule for every next
+iterate: :func:`ifdrr_solve`'s rule applies one fixed Frequent Directions
+sketch, while randomized schemes apply one draw or a fresh draw per
+iteration.
 """
 from __future__ import annotations
 
@@ -36,7 +37,7 @@ def _diverged(iteration: int, trace: IterativeTrace) -> DivergenceError:
 
     Built here, not in :func:`refine`: as a local of the frame that its
     traceback holds, the error would form a cycle that keeps the frames,
-    and the preconditioner in them, alive until a garbage collection.
+    and the step rule in them, alive until a garbage collection.
     """
     err = DivergenceError("iterate norm exceeded the divergence guard at "
                           f"iteration {iteration}")
@@ -80,6 +81,12 @@ class RidgeProblem:
         problem = object.__new__(RidgeProblem)
         problem.__dict__.update(vars(self), gamma=_positive("regularizer", gamma))
         return problem
+
+    def gradient(self, x: np.ndarray) -> np.ndarray:
+        """The ridge gradient A^T (A x - y) + gamma x at ``x``, as two
+        streaming matrix-vector products; the d x d Gram matrix is never
+        formed."""
+        return self.A.T @ (self.A @ x - self.y) + self.gamma * x
 
 
 class InverseOperator:
@@ -140,14 +147,20 @@ class InverseOperator:
 
 @dataclass
 class IterativeTrace:
-    """History of an iterative solve.
+    """History of an iterative solve, indexed by iterate, the zero start
+    being iterate 0.
 
-    ``residual_norms[i]`` is the distance of the i-th iterate, starting
-    from the zero vector, to a supplied reference solution (``None`` when
-    no reference was given).
+    ``residual_norms[i]`` is the distance of the i-th iterate to a
+    supplied reference solution (``None`` when no reference was given).
+    ``gradient_norms[i]`` is the norm of the ridge gradient at the i-th
+    iterate, for every iterate a step was taken from.  It needs no
+    reference: the Hessian A^T A + gamma I is at least gamma I, so the
+    i-th iterate lies within ``gradient_norms[i] / gamma`` of the
+    solution.
     """
 
     residual_norms: Optional[list] = None
+    gradient_norms: list = field(default_factory=list)
 
 
 def solve_exact(problem: RidgeProblem) -> np.ndarray:
@@ -188,40 +201,39 @@ def hessian_sketch_solve(SA: np.ndarray, cross: np.ndarray,
 
 
 def refine(problem: RidgeProblem,
-           preconditioner: Callable[[int], InverseOperator],
+           step: Callable[[int, np.ndarray, np.ndarray], np.ndarray],
            t: int,
            x_star: Optional[np.ndarray] = None
            ) -> tuple[np.ndarray, IterativeTrace]:
-    """Iterative refinement from zero: x <- x - preconditioner(i) gradient.
+    """t steps from zero: the next iterate is ``step(i, x, grad)``.
 
-    ``preconditioner(i)`` returns the inverse operator for iteration i:
-    the same one every time for a fixed sketch, a new
-    ``InverseOperator(S_i A)`` for iterative Hessian sketching; it is
-    applied at the problem's regularizer.  The
-    ridge gradient A^T (A x - y) + gamma x is evaluated as two streaming
-    matrix-vector products; the d x d Gram matrix is never formed, and
-    the guard reads the problem's ``rhs`` rather than forming A^T y again.
+    ``step`` receives the iteration i, the iterate x and the problem's
+    gradient at x (:meth:`RidgeProblem.gradient`).  Preconditioned
+    Richardson iteration, x - M_i grad, applies an inverse operator M_i
+    at the problem's regularizer: the same one every time for a fixed
+    sketch, a new ``InverseOperator(S_i A)`` for iterative Hessian
+    sketching.  The trace logs every gradient's norm, and the guard reads
+    the problem's ``rhs`` rather than forming A^T y again.
     Raises :class:`DivergenceError` when the iterate norm passes the
     guard; the partial trace rides along on the exception.  A reference
     ``x_star``, when given, must be a finite vector of length d
     (:func:`sketch._vector`), or ValueError names it.
     """
-    A, y, gamma = problem.A, problem.y, problem.gamma
     t = _count("t", t)
-    d = A.shape[1]
+    d = problem.A.shape[1]
     x = np.zeros(d)
-    track = x_star is not None
-    if track:
+    trace = IterativeTrace()
+    if x_star is not None:
         x_star = _vector("x_star", x_star, d)
-    trace = IterativeTrace(residual_norms=[float(np.linalg.norm(x - x_star))]
-                           if track else None)
-    guard = DIVERGENCE_FACTOR * np.linalg.norm(problem.rhs) / gamma
+        trace.residual_norms = [float(np.linalg.norm(x - x_star))]
+    guard = DIVERGENCE_FACTOR * np.linalg.norm(problem.rhs) / problem.gamma
     for i in range(t):
-        grad = A.T @ (A @ x - y) + gamma * x
-        x = x - preconditioner(i).apply(grad, gamma)
+        grad = problem.gradient(x)
+        trace.gradient_norms.append(float(np.linalg.norm(grad)))
+        x = step(i, x, grad)
         if not np.isfinite(x).all() or np.linalg.norm(x) > guard:
             raise _diverged(i + 1, trace)
-        if track:
+        if x_star is not None:
             trace.residual_norms.append(float(np.linalg.norm(x - x_star)))
     return x, trace
 
@@ -236,4 +248,5 @@ def ifdrr_solve(problem: RidgeProblem, m: int, t: int, mode: str = MODE_FD,
     later iterates sharpen it at O(nd) per step.
     """
     op = InverseOperator.from_sketch(sketch_matrix(problem.A, m, mode))
-    return refine(problem, lambda _i: op, t, x_star)
+    return refine(problem, lambda _i, x, grad: x - op.apply(grad, problem.gamma),
+                  t, x_star)

@@ -296,6 +296,10 @@ BROKEN = [
      r"^row 1: indices and values must be 1-d of one length, "
      r"got shapes \(1,\) and \(2,\)"),
     (partial(_second_row, [1], n=3), "^matrix has 2 rows, but n is 3"),
+    # rows are read once, as any iterable; a non-iterable is named
+    (lambda: SparseRowMatrix(2, 3, iter([([0], [1.0])])),
+     "^matrix has 1 rows, but n is 2"),
+    (lambda: SparseRowMatrix(1, 2, 5), "^rows must be an iterable of pairs, got 5$"),
 ]
 
 
@@ -330,6 +334,8 @@ def test_construction_refuses_rows_that_break_the_contract():
                                (np.array([], dtype=np.int64), np.array([]))])
     assert np.array_equal(_second_row([0, 2]).toarray(),
                           [[1.0, 0.0, 0.0], [1.0, 0.0, 1.0]])
+    assert np.array_equal(SparseRowMatrix(1, 2, iter([([0], [1.0])])).toarray(),
+                          [[1.0, 0.0]])
 
 
 def test_matrix_arrays_refuse_in_place_writes():

@@ -164,6 +164,10 @@ _INVALID_CONFIGS = [
     (dict(raw_dim=None), "^raw_dim must be a positive integer, got None$"),
     (dict(dataset="libsvm", libsvm_path="data.txt", d=0),
      "^d must be a positive integer, got 0$"),
+    # a path that is not text is named, not read as an iterable of lines
+    (dict(dataset="libsvm", libsvm_path=5), "^libsvm_path must be a path, got 5$"),
+    (dict(dataset="libsvm", libsvm_path=b"data.txt"),
+     "^libsvm_path must be a path, got b'data.txt'$"),
 ]
 
 
@@ -258,8 +262,9 @@ def test_load_instance_libsvm(tmp_path):
     assert A.shape == (2, 3)
     assert model is None
     np.testing.assert_array_equal(y, [1.0, -1.0])
+    # an os.PathLike path reads as its text does
     every, _, _ = load_instance(small_config(dataset="libsvm",
-                                             libsvm_path=str(path), n=0))
+                                             libsvm_path=path, n=0))
     assert every.shape == (3, 3)
     # an n above the file's row count keeps every row
     above, y_above, _ = load_instance(small_config(

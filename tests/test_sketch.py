@@ -72,8 +72,8 @@ SIZES = {
     "StreamingSketch-d": (lambda v: StreamingSketch(4, v), "d", 1),
     "sketch_matrix-m": (lambda v: sketch_matrix(np.eye(3), v), "m", 1),
     "fdrr_solve-m": (lambda v: fdrr_solve(_problem(), v), "m", 1),
-    "refine-t": (lambda v: refine(_problem(), lambda _i: InverseOperator(
-        np.eye(3)), v), "t", 1),
+    "refine-t": (lambda v: refine(_problem(), lambda _i, x, grad: (
+        x - InverseOperator(np.eye(3)).apply(grad, 1.0)), v), "t", 1),
     "realize_gaussian-m": (lambda v: realize_gaussian(v, 4, 0), "m", 1),
     "realize_gaussian-n": (lambda v: realize_gaussian(4, v, 0), "n", 1),
     "realize_gaussian-seed": (lambda v: realize_gaussian(4, 4, v), "seed", 0),

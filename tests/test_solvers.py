@@ -33,6 +33,12 @@ def rel_err(x, ref):
     return float(np.linalg.norm(x - ref) / np.linalg.norm(ref))
 
 
+def richardson(op, gamma):
+    """The step rule x - M grad for one fixed operator M, applied at
+    gamma: preconditioned Richardson iteration."""
+    return lambda _i, x, grad: x - op.apply(grad, gamma)
+
+
 def make_problem(seed, n=30, d=6, gamma=0.7, noise=0.1):
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((n, d))
@@ -55,7 +61,8 @@ def test_problem_forms_its_right_hand_side_once():
     assert np.array_equal(fdrr_solve(problem, 8), lossless)
     object.__setattr__(problem, "rhs", np.zeros_like(problem.rhs))
     with pytest.raises(DivergenceError):
-        refine(problem, lambda _i: InverseOperator(problem.A), t=1)
+        refine(problem, richardson(InverseOperator(problem.A), problem.gamma),
+               t=1)
 
 
 def test_retargeted_problem_shares_its_arrays():
@@ -86,8 +93,8 @@ def test_problem_validation():
 @pytest.mark.parametrize("solve", [
     solve_exact,
     lambda problem: fdrr_solve(problem, 4),
-    lambda problem: refine(problem, lambda _i: InverseOperator(
-        np.zeros((1, problem.A.shape[1]))), t=2),
+    lambda problem: refine(problem, richardson(InverseOperator(
+        np.zeros((1, problem.A.shape[1]))), problem.gamma), t=2),
 ], ids=["solve_exact", "fdrr_solve", "refine"])
 @pytest.mark.parametrize("where,bad,message", [
     ("target", np.nan, "^y entry 7 is not finite"),
@@ -395,6 +402,7 @@ def test_trace_norms_absent_without_reference():
     problem = make_problem(13)
     _, trace = ifdrr_solve(problem, 4, t=3)
     assert trace.residual_norms is None
+    assert len(trace.gradient_norms) == 3  # the oracle-free log stays
     _, tracked = ifdrr_solve(problem, 4, t=3, x_star=solve_exact(problem))
     assert len(tracked.residual_norms) == 4
 
@@ -416,8 +424,8 @@ def test_zero_targets_fix_the_origin():
 ], ids=["column", "length-7", "nan"])
 @pytest.mark.parametrize("solve", [
     lambda problem, x_star: ifdrr_solve(problem, 8, t=3, x_star=x_star),
-    lambda problem, x_star: refine(problem, lambda _i: InverseOperator(
-        problem.A), 3, x_star),
+    lambda problem, x_star: refine(problem, richardson(InverseOperator(
+        problem.A), problem.gamma), 3, x_star),
 ], ids=["ifdrr_solve", "refine"])
 def test_reference_solution_is_checked(solve, bad, message):
     problem = make_problem(16, n=40, d=6, gamma=1.0)
@@ -480,7 +488,8 @@ def test_single_identity_sketch_solves_in_one_step():
     problem = make_problem(17)
     x_star = solve_exact(problem)
     op = InverseOperator(problem.A)
-    x, trace = refine(problem, lambda _i: op, t=3, x_star=x_star)
+    x, trace = refine(problem, richardson(op, problem.gamma), t=3,
+                      x_star=x_star)
     assert trace.residual_norms[1] < 1e-10 * np.linalg.norm(x_star)
     assert rel_err(x, x_star) < 1e-10
 
@@ -498,10 +507,75 @@ def test_refreshed_sketch_error_decreases():
         def draw(i, seed=seed):
             S = realize_gaussian(40, 80, 1000 * seed + i)
             return InverseOperator(S @ A)
-        _, trace = refine(problem, draw, t=10, x_star=x_star)
+        step = lambda i, x, grad: x - draw(i).apply(grad, problem.gamma)
+        _, trace = refine(problem, step, t=10, x_star=x_star)
         diffs = np.diff(trace.residual_norms[1:])
         monotone += int(np.all(diffs < 0))
     assert monotone >= 8
+
+
+def test_refine_iterates_are_the_explicit_recurrence():
+    # with a fresh draw per iteration and with one fixed operator, the
+    # iterates and logged gradient norms are bitwise those of the
+    # recurrence x <- x - M_i (A^T (A x - y) + gamma x)
+    rng = np.random.default_rng(3)
+    A = rng.standard_normal((80, 10))
+    y = rng.standard_normal(80)
+    gamma = 40.0
+    problem = RidgeProblem(A, y, gamma)
+
+    def draw(i):
+        return InverseOperator(realize_gaussian(40, 80, i) @ A)
+
+    fixed = draw(0)
+    for operator in (draw, lambda _i: fixed):
+        iterates = []
+
+        def step(i, x, grad):
+            iterates.append(x - operator(i).apply(grad, gamma))
+            return iterates[-1]
+
+        x_last, trace = refine(problem, step, t=5)
+        assert x_last is iterates[-1]
+        x = np.zeros(10)
+        for i in range(5):
+            grad = A.T @ (A @ x - y) + gamma * x
+            assert trace.gradient_norms[i] == np.linalg.norm(grad)
+            x = x - operator(i).apply(grad, gamma)
+            np.testing.assert_array_equal(iterates[i], x)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 16),
+       sketch=st.sampled_from([MODE_FD, MODE_RFD, "gauss"]),
+       log_ratio=st.floats(-1.0, 1.0), t=st.integers(1, 12))
+def test_gradient_norm_bounds_every_iterate_error(seed, sketch, log_ratio, t):
+    # A^T A + gamma I >= gamma I, so |x_i - x*| <= |grad_i| / gamma at
+    # every iterate, whether the sketch's covariance error lies below
+    # gamma (contraction) or above it (possible divergence)
+    rng = np.random.default_rng(seed)
+    n, d, m = 60, 12, 4
+    A = rng.standard_normal((n, d)) * np.linspace(2.0, 0.1, d)
+    if sketch == "gauss":
+        SA = realize_gaussian(m, n, seed) @ A
+        op, covariance = InverseOperator(SA), SA.T @ SA
+    else:
+        out = sketch_matrix(A, m, sketch)
+        op, covariance = InverseOperator.from_sketch(out), out.covariance()
+    gamma = float(np.linalg.norm(A.T @ A - covariance, 2)) * 10.0 ** log_ratio
+    problem = RidgeProblem(A, rng.standard_normal(n), gamma)
+    x_star = solve_exact(problem)
+    try:
+        _, trace = refine(problem, richardson(op, gamma), t, x_star)
+        steps = t
+        assert len(trace.residual_norms) == t + 1
+    except DivergenceError as err:
+        trace, steps = err.trace, err.iteration
+        assert len(trace.residual_norms) == steps
+    assert len(trace.gradient_norms) == steps
+    slack = 1e-9 * np.linalg.norm(x_star)
+    for dist, grad in zip(trace.residual_norms, trace.gradient_norms):
+        assert dist <= grad / gamma * (1 + 1e-9) + slack
 
 
 def test_divergence_guard_trips():
@@ -513,10 +587,12 @@ def test_divergence_guard_trips():
     # so each step multiplies the residual by roughly |A^T A| / gamma.
     op = InverseOperator(np.zeros((4, 6)))
     with pytest.raises(DivergenceError) as info:
-        refine(problem, lambda _i: op, t=10, x_star=solve_exact(problem))
+        refine(problem, richardson(op, problem.gamma), t=10,
+               x_star=solve_exact(problem))
     err = info.value
     assert err.iteration >= 1
     assert len(err.trace.residual_norms) == err.iteration
+    assert len(err.trace.gradient_norms) == err.iteration
     assert np.isfinite(err.trace.residual_norms).all()
 
 
@@ -560,6 +636,9 @@ def test_exported_error_survives_pickle(name):
     assert str(back) == str(err) == message
     assert set(vars(err)) == attributes
     assert vars(back) == vars(err)
+    if "trace" in attributes:  # the oracle-free log comes through too
+        assert back.trace.gradient_norms == err.trace.gradient_norms
+        assert len(back.trace.gradient_norms) == err.iteration
 
 
 def test_divergence_leaves_no_reference_cycle():
